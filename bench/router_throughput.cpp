@@ -245,8 +245,11 @@ int main() {
               });
     const double rps = static_cast<double>(requests.size()) / seconds;
 
-    const auto router_snap = front_door.stats().snapshot();
-    const auto fleet_snap = front_door.fleet_stats();
+    const auto router_snap =
+        serve::ServerStats(front_door.metrics().state(),
+                           serve::kRouterMetricPrefix)
+            .snapshot();
+    const auto fleet_snap = front_door.fleet_metrics().stats;
     table.add_row({"router fleet", std::to_string(processes),
                    Table::num(rps, 0),
                    Table::num(rps / baseline_rps, 2) + "x",

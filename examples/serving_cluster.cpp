@@ -14,7 +14,8 @@
 //     v2 model for 10% of users through the shared store::ModelStore —
 //     DeploymentRegistry::publish installs each without stalling serving —
 //     and print served-version counts before/after.
-//  5. Print the ServerStats surface: throughput, batch-size histogram,
+//  5. Print the serving counters (serve::ServerStats, a view over the
+//     scheduler's metrics registry): throughput, batch-size histogram,
 //     p50/p99 latency, and admission-control counters.
 //  6. Go multi-process: spawn a 3-process pelican_engined fleet over Unix
 //     sockets (router::LocalFleet), publish per-user models into the
@@ -315,7 +316,7 @@ int main() {
     }
     std::cout << "\n";
 
-    const auto fleet_snap = front_door.fleet_stats();
+    const auto fleet_snap = front_door.fleet_metrics().stats;
     std::cout << "fleet stats (merged across 3 processes): "
               << fleet_snap.requests_served << " served, mean batch "
               << Table::num(fleet_snap.mean_batch_size, 2) << ", engine p99 "

@@ -137,10 +137,12 @@ void BinaryReader::verify_checksum(const std::filesystem::path& path,
   // is reported at open, never as garbage weights mid-deserialization.
   const std::istream::pos_type payload_start = in_.tellg();
   std::uint32_t crc = 0;
+  std::uint64_t payload_bytes = 0;
   char chunk[64 * 1024];
   while (in_) {
     in_.read(chunk, sizeof chunk);
     crc = crc32(crc, chunk, static_cast<std::size_t>(in_.gcount()));
+    payload_bytes += static_cast<std::uint64_t>(in_.gcount());
   }
   if (!in_.eof()) {
     throw SerializeError("read failed while checksumming " + path.string());
@@ -152,6 +154,22 @@ void BinaryReader::verify_checksum(const std::filesystem::path& path,
   }
   in_.clear();
   in_.seekg(payload_start);
+  payload_end_ =
+      static_cast<std::uint64_t>(std::streamoff(payload_start)) + payload_bytes;
+}
+
+/// Validates a length prefix BEFORE allocating, like
+/// BufferReader::checked_count: a valid CRC proves the bytes are the ones
+/// written, not that a length prefix among them is sane.
+std::size_t BinaryReader::checked_count(std::uint64_t n,
+                                        std::size_t element_size) {
+  const auto at = static_cast<std::uint64_t>(std::streamoff(in_.tellg()));
+  const std::uint64_t remaining = payload_end_ > at ? payload_end_ - at : 0;
+  if (n > remaining / element_size) {
+    throw SerializeError("truncated stream: length prefix " +
+                         std::to_string(n) + " exceeds remaining bytes");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 void BinaryReader::read_raw(void* data, std::size_t bytes) {
@@ -194,28 +212,28 @@ double BinaryReader::read_f64() {
 }
 
 std::string BinaryReader::read_string() {
-  const std::uint64_t n = read_u64();
+  const std::size_t n = checked_count(read_u64(), 1);
   std::string s(n, '\0');
   read_raw(s.data(), n);
   return s;
 }
 
 std::vector<std::int8_t> BinaryReader::read_i8_vector() {
-  const std::uint64_t n = read_u64();
+  const std::size_t n = checked_count(read_u64(), 1);
   std::vector<std::int8_t> xs(n);
   read_raw(xs.data(), n);
   return xs;
 }
 
 std::vector<float> BinaryReader::read_f32_vector() {
-  const std::uint64_t n = read_u64();
+  const std::size_t n = checked_count(read_u64(), sizeof(float));
   std::vector<float> xs(n);
   read_raw(xs.data(), n * sizeof(float));
   return xs;
 }
 
 std::vector<std::uint32_t> BinaryReader::read_u32_vector() {
-  const std::uint64_t n = read_u64();
+  const std::size_t n = checked_count(read_u64(), sizeof(std::uint32_t));
   std::vector<std::uint32_t> xs(n);
   read_raw(xs.data(), n * sizeof(std::uint32_t));
   return xs;

@@ -102,8 +102,11 @@ class BinaryReader {
   void read_raw(void* data, std::size_t bytes);
   void verify_checksum(const std::filesystem::path& path,
                        std::uint32_t expected_crc);
+  [[nodiscard]] std::size_t checked_count(std::uint64_t n,
+                                          std::size_t element_size);
 
   std::ifstream in_;
+  std::uint64_t payload_end_ = 0;  ///< stream offset one past the payload
 };
 
 /// Primitive writes into a growable in-memory buffer — the same layout as

@@ -134,28 +134,6 @@ void HistogramState::merge(const HistogramState& other) {
   invalid += other.invalid;
 }
 
-void Histogram::merge(const HistogramState& other) noexcept {
-  if (other.count == 0) return;
-  const std::size_t n = std::min(other.buckets.size(), kNumBuckets);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (other.buckets[i] != 0) {
-      buckets_[i].fetch_add(other.buckets[i], std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(other.count, std::memory_order_relaxed);
-  invalid_.fetch_add(other.invalid, std::memory_order_relaxed);
-  atomic_add(sum_, other.sum);
-  atomic_max(max_, other.max);
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  invalid_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 void merge_state(RegistryState& into, const RegistryState& from) {
   for (const auto& [name, value] : from.counters) {
     auto it = std::find_if(into.counters.begin(), into.counters.end(),
@@ -207,19 +185,6 @@ RegistryState Registry::state() const {
     out.histograms.emplace_back(name, histogram->state());
   }
   return out;  // std::map iteration order is already name-sorted
-}
-
-void Registry::merge(const RegistryState& other) {
-  for (const auto& [name, value] : other.counters) counter(name).merge(value);
-  for (const auto& [name, state] : other.histograms) {
-    histogram(name).merge(state);
-  }
-}
-
-void Registry::reset() {
-  const MutexLock lock(mutex_);
-  for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, histogram] : histograms_) histogram->reset();
 }
 
 }  // namespace pelican::obs

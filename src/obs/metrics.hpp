@@ -1,9 +1,9 @@
 // Low-overhead metrics primitives: named counters and fixed-boundary
 // log-bucket histograms with lock-free hot paths and EXACT merge.
 //
-// Why not keep raw samples? ServerStats used to hold every per-request
-// latency in a vector, which made fleet-merged percentiles exact but memory
-// unbounded under open-ended traffic. A histogram over FIXED bucket
+// Why not keep raw samples? Holding every per-request latency in a vector
+// makes fleet-merged percentiles exact but memory unbounded under
+// open-ended traffic. A histogram over FIXED bucket
 // boundaries is the standard fix: bounded memory (one u64 per bucket), a
 // wait-free observe() (two relaxed atomic adds), and — because every
 // instance shares the same boundaries — merging two histograms is an exact
@@ -24,8 +24,9 @@
 //
 // Thread model: observe()/add() are safe from any thread and never take a
 // lock. state() is a consistent-enough snapshot for monitoring (counts may
-// trail sums by in-flight observes, never by more); merge() folds a
-// snapshot in with the same guarantees.
+// trail sums by in-flight observes, never by more). Merging happens on
+// snapshots only (HistogramState::merge, merge_state), never into a live
+// metric.
 #pragma once
 
 #include <array>
@@ -52,8 +53,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void merge(std::uint64_t other) noexcept { add(other); }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -75,6 +74,8 @@ struct HistogramState {
 
   /// Exact bucket-wise fold of `other` into this state.
   void merge(const HistogramState& other);
+
+  bool operator==(const HistogramState&) const = default;
 };
 
 /// Fixed-boundary log-bucket histogram (header comment for the contract).
@@ -128,9 +129,6 @@ class Histogram {
                                             double q);
 
   [[nodiscard]] HistogramState state() const;
-  /// Exact bucket-wise fold of a snapshot into the live histogram.
-  void merge(const HistogramState& other) noexcept;
-  void reset() noexcept;
 
  private:
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
@@ -145,10 +143,14 @@ class Histogram {
 struct RegistryState {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, HistogramState>> histograms;
+
+  bool operator==(const RegistryState&) const = default;
 };
 
 /// Exact fold of `from` into `into`: counters add, histograms add
-/// bucket-wise, names union. The registry analogue of ServerStats::merge.
+/// bucket-wise, maxes take the max, names union. This is how engine
+/// registries (serving counters included, see serve/stats.hpp) become one
+/// fleet view.
 void merge_state(RegistryState& into, const RegistryState& from);
 
 /// Named metrics, registration under a lock, recording lock-free.
@@ -162,10 +164,6 @@ class Registry {
   [[nodiscard]] Histogram& histogram(const std::string& name);
 
   [[nodiscard]] RegistryState state() const;
-  /// Exact fold of a snapshot (e.g. another process's registry) into this
-  /// one; metrics unknown here are created.
-  void merge(const RegistryState& other);
-  void reset();
 
  private:
   mutable Mutex mutex_;

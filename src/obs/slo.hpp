@@ -2,7 +2,8 @@
 // time-series store.
 //
 // An SloSpec names a series (typically one the FleetSampler derives, e.g.
-// `stage_router_fanout_ms_p99` or `requests_shed_total_rate`), a target
+// `stage_router_fanout_ms_p99`, or `requests_shed_total_rate` from the
+// serving counters of serve/stats.hpp that every engine records), a target
 // (a sample is GOOD iff value <= target), and an error budget (the
 // fraction of samples allowed to be bad). The burn rate of a window is
 //

@@ -196,12 +196,8 @@ std::vector<std::uint8_t> EngineWorker::handle_frame(
       case Verb::kHealth: {
         return encode_health_reply({registry_.size(), draining()});
       }
-      case Verb::kStats: {
-        return encode_stats_reply(scheduler_->stats().state());
-      }
       case Verb::kMetrics: {
         EngineMetricsReport report;
-        report.stats = scheduler_->stats().state();
         report.registry = scheduler_->metrics().state();
         report.traces = scheduler_->traces().journal();
         report.events = scheduler_->events().snapshot();

@@ -45,6 +45,10 @@ Router::Router(RouterConfig config)
   unquarantines_counter_ = &metrics_.counter("router_unquarantines_total");
   deadline_shed_counter_ =
       &metrics_.counter("router_deadline_shed_total");
+  const std::string prefix = serve::kRouterMetricPrefix;
+  rejected_counter_ = &metrics_.counter(prefix + serve::kRejectedMetric);
+  shed_counter_ = &metrics_.counter(prefix + serve::kShedMetric);
+  latency_hist_ = &metrics_.histogram(prefix + serve::kLatencyMetric);
   prober_ = std::thread([this] { probe_loop(); });
 }
 
@@ -903,16 +907,16 @@ std::vector<serve::PredictResponse> Router::serve(
   }
 
   // Router-side accounting: end-to-end latency including wire + failover.
-  // (Engine-side latency/batch stats live in fleet_stats().)
+  // (The engines' own view of the same rows arrives via fleet_metrics().)
   const double latency_ms = watch.milliseconds();
   for (auto& response : responses) {
     response.latency_ms = latency_ms;
     if (response.ok) {
-      stats_.record_request(latency_ms);
+      latency_hist_->observe(latency_ms);
     } else if (response.rejected) {
-      stats_.record_shed();
+      shed_counter_->add();
     } else {
-      stats_.record_rejected();
+      rejected_counter_->add();
     }
   }
   if (instrument && !spans.empty()) {
@@ -942,26 +946,8 @@ std::vector<serve::PredictResponse> Router::serve(
   return responses;
 }
 
-serve::ServerStats::Snapshot Router::fleet_stats() {
-  serve::ServerStats fleet;
-  for (const auto& address : live_backends()) {
-    const auto backend = find_backend(address);
-    if (backend == nullptr) continue;
-    try {
-      fleet.merge(decode_stats_reply(
-          exchange(*backend, encode_stats(), config_.request_timeout_ms)));
-    } catch (const WireTimeout&) {
-      handle_backend_timeout(address);
-    } catch (const std::exception&) {
-      handle_backend_failure(address);
-    }
-  }
-  return fleet.snapshot();
-}
-
 Router::FleetMetrics Router::fleet_metrics() {
   FleetMetrics out;
-  serve::ServerStats fleet;
   for (const auto& address : live_backends()) {
     const auto backend = find_backend(address);
     if (backend == nullptr) continue;
@@ -969,7 +955,6 @@ Router::FleetMetrics Router::fleet_metrics() {
       EngineMetricsReport report = decode_metrics_reply(
           exchange(*backend, encode_metrics(), config_.request_timeout_ms));
       for (obs::TraceRecord& rec : report.traces) rec.source = address;
-      fleet.merge(report.stats);
       obs::merge_state(out.registry, report.registry);
       out.traces.insert(out.traces.end(), report.traces.begin(),
                         report.traces.end());
@@ -981,7 +966,7 @@ Router::FleetMetrics Router::fleet_metrics() {
       handle_backend_failure(address);
     }
   }
-  out.stats = fleet.snapshot();
+  out.stats = serve::ServerStats(out.registry).snapshot();
   // The router's own side of the traces: its registry folds into the fleet
   // registry (same fixed buckets — still exact), and its journal records
   // join the pool tagged "router" so statsz can pair them with the engine
@@ -1019,8 +1004,9 @@ std::vector<std::pair<std::string, HealthReply>> Router::fleet_health() {
 
 EngineMetricsReport Router::self_report() {
   EngineMetricsReport report;
-  report.stats = stats_.state();
   report.registry = metrics_.state();
+  report.stats =
+      serve::ServerStats(report.registry, serve::kRouterMetricPrefix).state();
   report.traces = traces_.journal();
   report.events = events_.snapshot();
   return report;

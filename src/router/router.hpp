@@ -3,7 +3,7 @@
 // Owns the user→process map (Partitioner over explicit ownership tables)
 // and a pool of wire-protocol connections per engine backend. Callers see
 // the single-process engine's API shape — deploy / publish / serve /
-// stats — and the router turns each call into frames for the owning
+// metrics — and the router turns each call into frames for the owning
 // process:
 //
 //   serve(requests)    groups requests by owning backend, forwards one
@@ -18,12 +18,15 @@
 //                      store::FilesystemBackend, so the wire carries keys,
 //                      and PR 3's stall-free publish contract holds
 //                      end-to-end.
-//   fleet_stats()      pulls every engine's raw ServerStats::State and
-//                      merges them (exact bucket-wise histogram sums).
-//   fleet_metrics()    the full observability pull: per-engine stats +
-//                      stage-latency registries + slow-trace journals,
-//                      exactly merged, with every trace record tagged by
-//                      the process it came from.
+//   fleet_metrics()    the full observability pull: every engine's
+//                      registry (serving counters + stage histograms) and
+//                      journals, exactly merged, with every trace record
+//                      tagged by the process it came from.
+//
+// The router records the serving counters of serve/stats.hpp for its own
+// end-to-end view of each request (wire and failover time included) under
+// kRouterMetricPrefix in metrics(): router_request_latency_ms,
+// router_requests_rejected_total, router_requests_shed_total.
 //
 // TRACING. serve() runs under one obs trace per call: requests that arrive
 // untraced are stamped with a fresh 64-bit id (requests already carrying an
@@ -42,7 +45,7 @@
 // owners. Predictions are idempotent reads, so the retry is safe;
 // publishes are also retried once (installing the same version twice is a
 // no-op by construction). In-flight state lost with the dead process is
-// its ServerStats and queue — never a model, never the ownership map.
+// its metrics and queue — never a model, never the ownership map.
 // Retry rounds back off exponentially (retry_backoff_*) so a flapping
 // fleet is not hammered.
 //
@@ -183,15 +186,12 @@ class Router {
   [[nodiscard]] std::vector<serve::PredictResponse> serve(
       std::span<const serve::PredictRequest> requests);
 
-  /// Merged raw state of every live engine (exact fleet-wide percentiles),
-  /// as a snapshot. Engines that die during collection are skipped (and
-  /// failed over).
-  [[nodiscard]] serve::ServerStats::Snapshot fleet_stats();
-
-  /// The full fleet observability pull (kMetrics verb).
+  /// The full fleet observability pull (kMetrics verb). Engines that die
+  /// during collection are skipped (and failed over).
   struct FleetMetrics {
-    /// Merged engine ServerStats (same engines-only semantics as
-    /// fleet_stats(); the router's own request view stays in stats()).
+    /// The engines' serving counters, merged (exact fleet-wide
+    /// percentiles). The router's own request view is not included: it is
+    /// recorded under kRouterMetricPrefix.
     serve::ServerStats::Snapshot stats;
     /// Exact bucket-wise merge of every engine's registry PLUS the
     /// router's own (stage histograms share fixed boundaries, so this is
@@ -219,12 +219,9 @@ class Router {
   /// loop). The router is unusable for serving afterwards.
   void drain_fleet();
 
-  /// Router-side request accounting (end-to-end latency from serve() entry,
-  /// including wire and failover time). Disjoint from fleet_stats(), which
-  /// is the engines' in-process view of the same traffic.
-  [[nodiscard]] serve::ServerStats& stats() noexcept { return stats_; }
-
-  /// Router-side stage histograms (wire serialize / fan-out / failover).
+  /// Router-side request accounting (the serving counters under
+  /// kRouterMetricPrefix), stage histograms (wire serialize / fan-out /
+  /// failover / hedge), and robustness counters.
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
   /// Router-side span sink + slow-request journal.
   [[nodiscard]] obs::TraceCollector& traces() noexcept { return traces_; }
@@ -251,8 +248,9 @@ class Router {
   [[nodiscard]] std::vector<std::string> quarantined_backends() const;
 
   /// The router's own observability surface in the same shape engines ship
-  /// over kMetrics: request stats, counters + stage histograms, trace
-  /// journal. What pelican_statsz merges as the pseudo-engine "router".
+  /// over kMetrics: registry, trace journal, event journal; `stats` is the
+  /// view of its kRouterMetricPrefix counters. What pelican_statsz merges as
+  /// the pseudo-engine "router".
   [[nodiscard]] EngineMetricsReport self_report();
 
   /// Owning backend address of a user (for tests and placement debugging).
@@ -402,8 +400,6 @@ class Router {
   std::unordered_map<std::uint32_t, Deployment> ledger_
       PELICAN_GUARDED_BY(mutex_);
 
-  serve::ServerStats stats_;
-
   obs::Registry metrics_;
   obs::TraceCollector traces_;
   obs::EventJournal events_;
@@ -423,6 +419,10 @@ class Router {
   obs::Counter* quarantines_counter_ = nullptr;
   obs::Counter* unquarantines_counter_ = nullptr;
   obs::Counter* deadline_shed_counter_ = nullptr;
+  /// Router-side serving counters (serve/stats.hpp, kRouterMetricPrefix).
+  obs::Counter* rejected_counter_ = nullptr;
+  obs::Counter* shed_counter_ = nullptr;
+  obs::Histogram* latency_hist_ = nullptr;
   /// Hedge budget bookkeeping: hedges_fired_ / forwards_ <= fraction.
   std::atomic<std::uint64_t> forwards_{0};
   std::atomic<std::uint64_t> hedges_fired_{0};

@@ -54,8 +54,8 @@ class WireTimeout : public WireError {
   using WireError::WireError;
 };
 
-/// Largest accepted frame payload. Generous: the biggest real frame is a
-/// kStatsReply carrying every latency sample of a long bench run.
+/// Largest accepted frame payload. Generous: real frames are far smaller
+/// (the biggest is a kMetricsReply with a full registry and journals).
 inline constexpr std::uint32_t kMaxFrameBytes = 256u * 1024u * 1024u;
 
 struct Address {

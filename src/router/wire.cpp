@@ -208,13 +208,11 @@ Verb frame_verb(std::span<const std::uint8_t> frame) {
     case Verb::kDeploy:
     case Verb::kPublish:
     case Verb::kHealth:
-    case Verb::kStats:
     case Verb::kDrain:
     case Verb::kMetrics:
     case Verb::kPredictReplies:
     case Verb::kAck:
     case Verb::kHealthReply:
-    case Verb::kStatsReply:
     case Verb::kMetricsReply:
       return static_cast<Verb>(byte);
   }
@@ -344,10 +342,6 @@ std::vector<std::uint8_t> encode_health() {
   return begin_frame(Verb::kHealth).take();
 }
 
-std::vector<std::uint8_t> encode_stats() {
-  return begin_frame(Verb::kStats).take();
-}
-
 std::vector<std::uint8_t> encode_metrics() {
   return begin_frame(Verb::kMetrics).take();
 }
@@ -388,64 +382,10 @@ HealthReply decode_health_reply(std::span<const std::uint8_t> frame) {
   return reply;
 }
 
-namespace {
-
-void write_stats_state(BufferWriter& writer,
-                       const serve::ServerStats::State& state) {
-  writer.write_u64(state.requests);
-  writer.write_u64(state.rejected);
-  writer.write_u64(state.shed);
-  writer.write_u64(state.peak_queue_depth);
-  writer.write_u64(state.batches);
-  writer.write_u64(state.batch_rows);
-  writer.write_u64(state.max_batch);
-  std::vector<std::uint64_t> hist(state.batch_hist.begin(),
-                                  state.batch_hist.end());
-  writer.write_u64_span(hist);
-  writer.write_f64(state.forward_seconds);
-  write_histogram_state(writer, state.latency);
-}
-
-serve::ServerStats::State read_stats_state(BufferReader& reader) {
-  serve::ServerStats::State state;
-  state.requests = static_cast<std::size_t>(reader.read_u64());
-  state.rejected = static_cast<std::size_t>(reader.read_u64());
-  state.shed = static_cast<std::size_t>(reader.read_u64());
-  state.peak_queue_depth = static_cast<std::size_t>(reader.read_u64());
-  state.batches = static_cast<std::size_t>(reader.read_u64());
-  state.batch_rows = static_cast<std::size_t>(reader.read_u64());
-  state.max_batch = static_cast<std::size_t>(reader.read_u64());
-  const auto hist = reader.read_u64_vector();
-  state.batch_hist.assign(hist.begin(), hist.end());
-  state.forward_seconds = reader.read_f64();
-  state.latency = read_histogram_state(reader);
-  return state;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_stats_reply(
-    const serve::ServerStats::State& state) {
-  BufferWriter writer = begin_frame(Verb::kStatsReply);
-  writer.write_u8(kStatsFrameVersion);
-  write_stats_state(writer, state);
-  return writer.take();
-}
-
-serve::ServerStats::State decode_stats_reply(
-    std::span<const std::uint8_t> frame) {
-  BufferReader reader = begin_decode(frame, Verb::kStatsReply);
-  check_frame_version(reader, Verb::kStatsReply, kStatsFrameVersion);
-  serve::ServerStats::State state = read_stats_state(reader);
-  finish_decode(reader, Verb::kStatsReply);
-  return state;
-}
-
 std::vector<std::uint8_t> encode_metrics_reply(
     const EngineMetricsReport& report) {
   BufferWriter writer = begin_frame(Verb::kMetricsReply);
-  writer.write_u8(kStatsFrameVersion);
-  write_stats_state(writer, report.stats);
+  writer.write_u8(kMetricsFrameVersion);
   write_registry_state(writer, report.registry);
   writer.write_u64(report.traces.size());
   for (const obs::TraceRecord& rec : report.traces) {
@@ -461,10 +401,10 @@ std::vector<std::uint8_t> encode_metrics_reply(
 EngineMetricsReport decode_metrics_reply(
     std::span<const std::uint8_t> frame) {
   BufferReader reader = begin_decode(frame, Verb::kMetricsReply);
-  check_frame_version(reader, Verb::kMetricsReply, kStatsFrameVersion);
+  check_frame_version(reader, Verb::kMetricsReply, kMetricsFrameVersion);
   EngineMetricsReport report;
-  report.stats = read_stats_state(reader);
   report.registry = read_registry_state(reader);
+  report.stats = serve::ServerStats(report.registry).state();
   const std::uint64_t traces = reader.read_u64();
   if (traces > reader.remaining()) {
     throw SerializeError("wire: trace count exceeds frame size");

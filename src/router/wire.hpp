@@ -22,11 +22,10 @@
 //   kPublish      → kAck              admin: stall-free model update via
 //                                     DeploymentRegistry::publish
 //   kHealth       → kHealthReply      liveness + deployment count
-//   kStats        → kStatsReply       the engine's raw ServerStats::State,
-//                                     merged fleet-wide by the router
-//   kMetrics      → kMetricsReply     full observability snapshot: stats +
-//                                     the obs::Registry (stage histograms)
-//                                     + the slow-request trace journal
+//   kMetrics      → kMetricsReply     full observability snapshot: the
+//                                     obs::Registry (serving counters +
+//                                     stage histograms), the slow-request
+//                                     trace journal, and the event journal
 //   kDrain        → kAck              graceful shutdown: the engine stops
 //                                     accepting and exits its run loop.
 //                                     CONTRACT: drain is idempotent, the
@@ -39,16 +38,18 @@
 //                                     proceeds with teardown and the
 //                                     process supervisor owns the rest
 //
-// Versioning: the predict-batch, stats-reply, and metrics-reply frames
-// carry an explicit version byte right after the verb (kPredictFrameVersion
-// / kStatsFrameVersion). Both sides of this protocol are built from one
+// Versioning: the predict-batch and metrics-reply frames carry an explicit
+// version byte right after the verb (kPredictFrameVersion /
+// kMetricsFrameVersion). Both sides of this protocol are built from one
 // tree, so layout changes are legal — but they must be DELIBERATE: bumping
 // the constant makes a stale peer fail with a clear SerializeError naming
 // the mismatch instead of silently misparsing bytes. Version 2 of the
 // predict frame added the per-request trace id; version 3 the per-request
 // deadline budget (engines shed already-expired work at admission). Version
-// 2 of the stats frame replaced the raw latency sample vector with the
-// bounded obs::HistogramState.
+// 4 of the metrics reply dropped its separate serving-stats block: those
+// counters live in the registry it already carries. Verb bytes 5 and 68
+// belonged to the retired stats request/reply and stay unassigned, so a
+// stale peer's stats frame is refused as an unknown verb.
 //
 // Malformed frames (bad verb, truncated body, trailing bytes) throw
 // SerializeError; the engine answers with a kAck{ok=false} rather than
@@ -74,7 +75,6 @@ enum class Verb : std::uint8_t {
   kDeploy = 2,
   kPublish = 3,
   kHealth = 4,
-  kStats = 5,
   kDrain = 6,
   kMetrics = 7,
   // Replies live in a disjoint range so a misrouted frame can never be
@@ -82,17 +82,16 @@ enum class Verb : std::uint8_t {
   kPredictReplies = 65,
   kAck = 66,
   kHealthReply = 67,
-  kStatsReply = 68,
   kMetricsReply = 69,
 };
 
 /// Layout version of the kPredictBatch frame (v2: + per-request trace id;
 /// v3: + per-request deadline budget in ms).
 inline constexpr std::uint8_t kPredictFrameVersion = 3;
-/// Layout version of kStatsReply / kMetricsReply (v2: histogram latency
-/// state instead of raw samples; v3: per-histogram invalid-observation
-/// count and the engine's structured event journal in the metrics reply).
-inline constexpr std::uint8_t kStatsFrameVersion = 3;
+/// Layout version of kMetricsReply (v2: histogram latency state instead of
+/// raw samples; v3: per-histogram invalid-observation count and the event
+/// journal; v4: no serving-stats block, the registry carries those).
+inline constexpr std::uint8_t kMetricsFrameVersion = 4;
 
 [[nodiscard]] constexpr const char* to_string(Verb verb) noexcept {
   switch (verb) {
@@ -100,13 +99,11 @@ inline constexpr std::uint8_t kStatsFrameVersion = 3;
     case Verb::kDeploy: return "deploy";
     case Verb::kPublish: return "publish";
     case Verb::kHealth: return "health";
-    case Verb::kStats: return "stats";
     case Verb::kDrain: return "drain";
     case Verb::kMetrics: return "metrics";
     case Verb::kPredictReplies: return "predict_replies";
     case Verb::kAck: return "ack";
     case Verb::kHealthReply: return "health_reply";
-    case Verb::kStatsReply: return "stats_reply";
     case Verb::kMetricsReply: return "metrics_reply";
   }
   return "?";
@@ -140,10 +137,11 @@ struct HealthReply {
   bool draining = false;
 };
 
-/// Full observability snapshot of one engine: the classic serving counters,
-/// the stage-latency metrics registry, the worst-N trace journal, and the
+/// Full observability snapshot of one engine: the metrics registry (serving
+/// counters + stage histograms), the worst-N trace journal, and the
 /// engine's structured event journal (publish, deadline-shed bursts). What
-/// kMetricsReply carries and what Router::fleet_metrics merges.
+/// kMetricsReply carries and what Router::fleet_metrics merges. `stats` is
+/// not serialized: decode_metrics_reply derives it from `registry`.
 struct EngineMetricsReport {
   serve::ServerStats::State stats;
   obs::RegistryState registry;
@@ -163,7 +161,6 @@ struct EngineMetricsReport {
 [[nodiscard]] std::vector<std::uint8_t> encode_publish(
     const PublishCommand& command);
 [[nodiscard]] std::vector<std::uint8_t> encode_health();
-[[nodiscard]] std::vector<std::uint8_t> encode_stats();
 [[nodiscard]] std::vector<std::uint8_t> encode_metrics();
 [[nodiscard]] std::vector<std::uint8_t> encode_drain();
 
@@ -173,8 +170,6 @@ struct EngineMetricsReport {
 [[nodiscard]] std::vector<std::uint8_t> encode_ack(const Ack& ack);
 [[nodiscard]] std::vector<std::uint8_t> encode_health_reply(
     const HealthReply& reply);
-[[nodiscard]] std::vector<std::uint8_t> encode_stats_reply(
-    const serve::ServerStats::State& state);
 [[nodiscard]] std::vector<std::uint8_t> encode_metrics_reply(
     const EngineMetricsReport& report);
 
@@ -188,8 +183,6 @@ struct EngineMetricsReport {
     std::span<const std::uint8_t> frame);
 [[nodiscard]] Ack decode_ack(std::span<const std::uint8_t> frame);
 [[nodiscard]] HealthReply decode_health_reply(
-    std::span<const std::uint8_t> frame);
-[[nodiscard]] serve::ServerStats::State decode_stats_reply(
     std::span<const std::uint8_t> frame);
 [[nodiscard]] EngineMetricsReport decode_metrics_reply(
     std::span<const std::uint8_t> frame);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
 
 namespace pelican::serve {
 
@@ -26,6 +25,11 @@ BatchScheduler::BatchScheduler(DeploymentRegistry& registry,
         obs::stage_metric_name(static_cast<obs::Stage>(s)));
   }
   deadline_shed_counter_ = &metrics_.counter("requests_deadline_shed_total");
+  rejected_counter_ = &metrics_.counter(kRejectedMetric);
+  shed_counter_ = &metrics_.counter(kShedMetric);
+  latency_hist_ = &metrics_.histogram(kLatencyMetric);
+  batch_rows_hist_ = &metrics_.histogram(kBatchRowsMetric);
+  queue_depth_hist_ = &metrics_.histogram(kQueueDepthMetric);
   drainer_ = std::thread([this] { drain_loop(); });
 }
 
@@ -59,7 +63,7 @@ void BatchScheduler::answer_rejected(Pending pending) {
   response.latency_ms = std::chrono::duration<double, std::milli>(
                             Clock::now() - pending.enqueued)
                             .count();
-  stats_.record_shed();
+  shed_counter_->add();
   pending.promise.set_value(std::move(response));
 }
 
@@ -103,12 +107,12 @@ std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
     }
     if (pending.request.trace_id != 0) pending.admitted_ns = obs::now_ns();
     queue_.push_back(std::move(pending));
-    // Record the peak WHILE holding the queue lock: observing the size
+    // Observe the depth WHILE holding the queue lock: observing the size
     // after unlocking raced concurrent drains, so a momentary peak (e.g.
     // "did the queue ever reach its bound?") could be under-reported.
-    // record_queue_depth is an atomic CAS-max, so no second lock is taken
-    // inside this critical section.
-    stats_.record_queue_depth(queue_.size());
+    // Histogram::observe is wait-free, so no second lock is taken inside
+    // this critical section.
+    queue_depth_hist_->observe(static_cast<double>(queue_.size()));
   }
   queue_cv_.notify_all();
   for (Pending& victim : shed) answer_rejected(std::move(victim));
@@ -275,11 +279,9 @@ void BatchScheduler::execute(std::vector<Pending> items) {
     const std::uint64_t chunk_start_ns = measured ? obs::now_ns() : 0;
     try {
       registry_.with_model(chunk.user_id, [&](core::DeployedModel& model) {
-        const Stopwatch watch;
         model_version = model.model_version();
         results = model.predict_top_k_batch(
             windows, chunk.k, measured ? &stage_seconds : nullptr);
-        stats_.record_batch(windows.size(), watch.seconds());
       });
     } catch (...) {
       // Not deployed (registry's out_of_range) or the deployment rejected
@@ -289,6 +291,11 @@ void BatchScheduler::execute(std::vector<Pending> items) {
       // and leave every outstanding future hanging. The requests in this
       // chunk are answered ok = false instead.
       ok = false;
+    }
+    if (ok) {
+      batch_rows_hist_->observe(static_cast<double>(windows.size()));
+    } else {
+      rejected_counter_->add(windows.size());
     }
 
     if (measured && ok) {
@@ -315,11 +322,7 @@ void BatchScheduler::execute(std::vector<Pending> items) {
       response.latency_ms =
           std::chrono::duration<double, std::milli>(now - pending.enqueued)
               .count();
-      if (ok) {
-        stats_.record_request(response.latency_ms);
-      } else {
-        stats_.record_rejected();
-      }
+      if (ok) latency_hist_->observe(response.latency_ms);
       if (measured && pending.request.trace_id != 0) {
         const double queue_wait_ms =
             static_cast<double>(pickup_ns - pending.admitted_ns) / 1e6;

@@ -41,8 +41,9 @@
 //
 // Rejected-by-admission responses have ok = false and rejected = true
 // (requests for unknown users keep rejected = false: they were admitted,
-// there is just nothing to serve them with). ServerStats counts shed
-// requests and tracks the peak queue depth so overload is observable.
+// there is just nothing to serve them with). The requests_shed_total
+// counter and the queue_depth histogram (serve/stats.hpp) make overload
+// observable.
 #pragma once
 
 #include <array>
@@ -166,10 +167,13 @@ class BatchScheduler {
   [[nodiscard]] const SchedulerConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] ServerStats& stats() noexcept { return stats_; }
+  /// The serving counters (serve/stats.hpp), read out of metrics().
+  [[nodiscard]] ServerStats stats() const {
+    return ServerStats(metrics_.state());
+  }
 
-  /// Stage-latency histograms (one per obs::Stage this engine executes,
-  /// named by obs::stage_metric_name) plus tracing counters.
+  /// The serving counters plus the stage-latency histograms (one per
+  /// obs::Stage this engine executes, named by obs::stage_metric_name).
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
   /// Span sink + slow-request journal for this engine.
   [[nodiscard]] obs::TraceCollector& traces() noexcept { return traces_; }
@@ -178,10 +182,10 @@ class BatchScheduler {
   [[nodiscard]] obs::EventJournal& events() noexcept { return events_; }
 
   /// Master switch for the per-request instrumentation (stage histograms,
-  /// span recording, trace sampling). ServerStats recording is NOT gated —
-  /// it predates obs and the benches depend on it unconditionally. The
-  /// serve_throughput bench asserts the enabled-vs-disabled delta on the
-  /// batch-1 path stays <= 2%.
+  /// span recording, trace sampling). The serving counters are NOT gated:
+  /// they cost a few relaxed atomics per row and the benches read them
+  /// unconditionally. The serve_throughput bench asserts the
+  /// enabled-vs-disabled delta on the batch-1 path stays <= 2%.
   void set_instrumentation(bool on) noexcept {
     instrument_.store(on, std::memory_order_relaxed);
     traces_.set_enabled(on);
@@ -207,7 +211,7 @@ class BatchScheduler {
   /// chunks across the thread pool. Fulfills every promise.
   void execute(std::vector<Pending> items);
 
-  /// Answers one request shed by admission control (records stats).
+  /// Answers one request shed by admission control (counts it shed).
   void answer_rejected(Pending pending);
 
   /// Assigns a sampled trace id to an untraced request when instrumentation
@@ -216,7 +220,6 @@ class BatchScheduler {
 
   DeploymentRegistry& registry_;
   SchedulerConfig config_;
-  ServerStats stats_;
 
   obs::Registry metrics_;
   obs::TraceCollector traces_;
@@ -229,6 +232,12 @@ class BatchScheduler {
   /// Requests shed because their deadline budget expired before a drain
   /// reached them (registered eagerly so it exports as 0, not absent).
   obs::Counter* deadline_shed_counter_ = nullptr;
+  /// The serving counters (serve/stats.hpp), resolved once like the above.
+  obs::Counter* rejected_counter_ = nullptr;
+  obs::Counter* shed_counter_ = nullptr;
+  obs::Histogram* latency_hist_ = nullptr;
+  obs::Histogram* batch_rows_hist_ = nullptr;
+  obs::Histogram* queue_depth_hist_ = nullptr;
 
   Mutex mutex_;
   std::condition_variable queue_cv_;  ///< drainer waits: work available

@@ -1,135 +1,81 @@
 #include "serve/stats.hpp"
 
-#include <algorithm>
+#include <string>
 
 namespace pelican::serve {
 
 namespace {
 
-std::size_t log2_bucket(std::size_t batch_size) {
-  std::size_t bucket = 0;
-  while (batch_size > 1) {
-    batch_size >>= 1;
-    ++bucket;
+template <typename Value>
+const Value* find(const std::vector<std::pair<std::string, Value>>& metrics,
+                  const std::string& name) {
+  for (const auto& [key, value] : metrics) {
+    if (key == name) return &value;
   }
-  return bucket;
+  return nullptr;
+}
+
+/// Folds the 8-per-octave buckets of a batch_rows histogram into log2
+/// buckets: bucket i >= 1 starts at 2^(kMinExp + (i-1)/kBucketsPerOctave).
+/// Batch sizes are integers >= 1; anything lower in a registry read off
+/// the wire folds into log2 bucket 0.
+std::vector<std::size_t> log2_histogram(const obs::HistogramState& rows) {
+  using obs::Histogram;
+  std::vector<std::size_t> out;
+  for (std::size_t i = 1; i < rows.buckets.size(); ++i) {
+    if (rows.buckets[i] == 0) continue;
+    const auto octave = static_cast<int>(i - 1) / Histogram::kBucketsPerOctave +
+                        Histogram::kMinExp;
+    const auto b = static_cast<std::size_t>(octave < 0 ? 0 : octave);
+    if (out.size() <= b) out.resize(b + 1, 0);
+    out[b] += rows.buckets[i];
+  }
+  return out;
 }
 
 }  // namespace
 
-void ServerStats::record_batch(std::size_t batch_size,
-                               double forward_seconds) {
-  if (batch_size == 0) return;
-  const std::size_t bucket = log2_bucket(batch_size);
-  const MutexLock lock(mutex_);
-  ++batches_;
-  batch_rows_ += batch_size;
-  max_batch_ = std::max(max_batch_, batch_size);
-  if (batch_hist_.size() <= bucket) batch_hist_.resize(bucket + 1, 0);
-  ++batch_hist_[bucket];
-  forward_seconds_ += forward_seconds;
-}
-
-void ServerStats::record_request(double latency_ms) {
-  latency_ms_.observe(latency_ms);
-  const MutexLock lock(mutex_);
-  ++requests_;
-}
-
-void ServerStats::record_rejected() {
-  const MutexLock lock(mutex_);
-  ++rejected_;
-}
-
-void ServerStats::record_shed() {
-  const MutexLock lock(mutex_);
-  ++shed_;
-}
-
-void ServerStats::record_queue_depth(std::size_t depth) noexcept {
-  std::size_t cur = peak_queue_depth_.load(std::memory_order_relaxed);
-  while (cur < depth && !peak_queue_depth_.compare_exchange_weak(
-                            cur, depth, std::memory_order_relaxed)) {
-  }
+ServerStats::ServerStats(const obs::RegistryState& registry,
+                         std::string_view prefix) {
+  const std::string p(prefix);
+  const auto counter = [&](const char* name) -> std::size_t {
+    const auto* value = find(registry.counters, p + name);
+    return value == nullptr ? 0 : static_cast<std::size_t>(*value);
+  };
+  const auto histogram = [&](const char* name) {
+    const auto* state = find(registry.histograms, p + name);
+    return state == nullptr ? obs::HistogramState{} : *state;
+  };
+  const obs::HistogramState rows = histogram(kBatchRowsMetric);
+  state_.rejected = counter(kRejectedMetric);
+  state_.shed = counter(kShedMetric);
+  state_.latency = histogram(kLatencyMetric);
+  state_.requests = static_cast<std::size_t>(state_.latency.count);
+  state_.peak_queue_depth =
+      static_cast<std::size_t>(histogram(kQueueDepthMetric).max);
+  state_.batches = static_cast<std::size_t>(rows.count);
+  state_.batch_rows = static_cast<std::size_t>(rows.sum);
+  state_.max_batch = static_cast<std::size_t>(rows.max);
+  state_.batch_hist = log2_histogram(rows);
 }
 
 ServerStats::Snapshot ServerStats::snapshot() const {
-  const obs::HistogramState latency = latency_ms_.state();
-  const MutexLock lock(mutex_);
   Snapshot snap;
-  snap.requests_served = requests_;
-  snap.requests_rejected = rejected_;
-  snap.requests_shed = shed_;
-  snap.peak_queue_depth = peak_queue_depth_.load(std::memory_order_relaxed);
-  snap.batches_run = batches_;
-  snap.mean_batch_size =
-      batches_ == 0 ? 0.0
-                    : static_cast<double>(batch_rows_) /
-                          static_cast<double>(batches_);
-  snap.max_batch_size = max_batch_;
-  snap.batch_size_log2_histogram = batch_hist_;
-  snap.total_forward_seconds = forward_seconds_;
-  snap.p50_latency_ms = obs::Histogram::percentile_of(latency, 50.0);
-  snap.p99_latency_ms = obs::Histogram::percentile_of(latency, 99.0);
-  snap.max_latency_ms = latency.max;
+  snap.requests_served = state_.requests;
+  snap.requests_rejected = state_.rejected;
+  snap.requests_shed = state_.shed;
+  snap.peak_queue_depth = state_.peak_queue_depth;
+  snap.batches_run = state_.batches;
+  snap.mean_batch_size = state_.batches == 0
+                             ? 0.0
+                             : static_cast<double>(state_.batch_rows) /
+                                   static_cast<double>(state_.batches);
+  snap.max_batch_size = state_.max_batch;
+  snap.batch_size_log2_histogram = state_.batch_hist;
+  snap.p50_latency_ms = obs::Histogram::percentile_of(state_.latency, 50.0);
+  snap.p99_latency_ms = obs::Histogram::percentile_of(state_.latency, 99.0);
+  snap.max_latency_ms = state_.latency.max;
   return snap;
-}
-
-ServerStats::State ServerStats::state() const {
-  obs::HistogramState latency = latency_ms_.state();
-  const MutexLock lock(mutex_);
-  State state;
-  state.requests = requests_;
-  state.rejected = rejected_;
-  state.shed = shed_;
-  state.peak_queue_depth = peak_queue_depth_.load(std::memory_order_relaxed);
-  state.batches = batches_;
-  state.batch_rows = batch_rows_;
-  state.max_batch = max_batch_;
-  state.batch_hist = batch_hist_;
-  state.forward_seconds = forward_seconds_;
-  state.latency = std::move(latency);
-  return state;
-}
-
-void ServerStats::merge(const State& other) {
-  latency_ms_.merge(other.latency);
-  record_queue_depth(other.peak_queue_depth);
-  const MutexLock lock(mutex_);
-  requests_ += other.requests;
-  rejected_ += other.rejected;
-  shed_ += other.shed;
-  batches_ += other.batches;
-  batch_rows_ += other.batch_rows;
-  max_batch_ = std::max(max_batch_, other.max_batch);
-  if (batch_hist_.size() < other.batch_hist.size()) {
-    batch_hist_.resize(other.batch_hist.size(), 0);
-  }
-  for (std::size_t b = 0; b < other.batch_hist.size(); ++b) {
-    batch_hist_[b] += other.batch_hist[b];
-  }
-  forward_seconds_ += other.forward_seconds;
-}
-
-void ServerStats::merge(const ServerStats& other) {
-  // Snapshot the source first (its own lock), then fold under ours — no
-  // two locks held at once, so opposite-direction merges cannot deadlock,
-  // and merge(*this) folds a consistent copy rather than livelocking.
-  merge(other.state());
-}
-
-void ServerStats::reset() {
-  latency_ms_.reset();
-  peak_queue_depth_.store(0, std::memory_order_relaxed);
-  const MutexLock lock(mutex_);
-  requests_ = 0;
-  rejected_ = 0;
-  shed_ = 0;
-  batches_ = 0;
-  batch_rows_ = 0;
-  max_batch_ = 0;
-  batch_hist_.clear();
-  forward_seconds_ = 0.0;
 }
 
 }  // namespace pelican::serve

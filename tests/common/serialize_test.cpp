@@ -107,6 +107,32 @@ TEST_F(SerializeTest, RejectsBadMagic) {
   EXPECT_THROW(BinaryReader(path_, 1), SerializeError);
 }
 
+TEST_F(SerializeTest, RejectsOversizedLengthPrefixWithoutAllocating) {
+  // A checkpoint with a valid CRC whose length prefix claims 2^60 elements
+  // (or one element more than the payload holds) must throw cleanly from
+  // every length-prefixed reader, not try to allocate.
+  using Read = void (*)(BinaryReader&);
+  const std::pair<const char*, Read> readers[] = {
+      {"string", [](BinaryReader& r) { (void)r.read_string(); }},
+      {"i8", [](BinaryReader& r) { (void)r.read_i8_vector(); }},
+      {"f32", [](BinaryReader& r) { (void)r.read_f32_vector(); }},
+      {"u32", [](BinaryReader& r) { (void)r.read_u32_vector(); }},
+  };
+  for (const std::uint64_t claim : {std::uint64_t{1} << 60, std::uint64_t{9}}) {
+    {
+      BinaryWriter writer(path_, 1);
+      writer.write_u64(claim);
+      writer.write_u64(0);  // 8 payload bytes follow the prefix
+      writer.finish();
+    }
+    for (const auto& [name, read] : readers) {
+      BinaryReader reader(path_, 1);
+      EXPECT_THROW(read(reader), SerializeError)
+          << name << " reader, claim " << claim;
+    }
+  }
+}
+
 TEST_F(SerializeTest, ThrowsOnTruncation) {
   {
     BinaryWriter writer(path_, 1);

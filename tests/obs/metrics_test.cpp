@@ -103,10 +103,9 @@ TEST(HistogramTest, GarbageObservationsAreClampedAndCounted) {
   // histogram field.
   Histogram other;
   other.observe(-1.0);
-  Histogram merged;
-  merged.merge(state);
+  HistogramState merged = state;
   merged.merge(other.state());
-  EXPECT_EQ(merged.state().invalid, 5u);
+  EXPECT_EQ(merged.invalid, 5u);
 }
 
 TEST(HistogramTest, MergeIsTheExactBucketwiseSum) {
@@ -115,13 +114,11 @@ TEST(HistogramTest, MergeIsTheExactBucketwiseSum) {
   for (int i = 1; i <= 100; ++i) a.observe(static_cast<double>(i));
   for (int i = 1; i <= 100; ++i) b.observe(i * 1000.0);
 
-  Histogram merged;
-  merged.merge(a.state());
-  merged.merge(b.state());
-
   const auto sa = a.state();
   const auto sb = b.state();
-  const auto sm = merged.state();
+  HistogramState sm;
+  sm.merge(sa);
+  sm.merge(sb);
   ASSERT_EQ(sm.buckets.size(), Histogram::kNumBuckets);
   for (std::size_t i = 0; i < sm.buckets.size(); ++i) {
     EXPECT_EQ(sm.buckets[i], sa.buckets[i] + sb.buckets[i]) << "bucket " << i;

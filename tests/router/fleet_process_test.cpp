@@ -67,7 +67,7 @@ TEST(FleetProcessTest, TwoProcessFleetServesPublishesAndDrains) {
   EXPECT_EQ(updated[0].model_version, 2u);
 
   // Fleet stats merged across both processes account for all traffic.
-  const auto snap = router.fleet_stats();
+  const auto snap = router.fleet_metrics().stats;
   EXPECT_EQ(snap.requests_served, kRequests + 1);
   EXPECT_GT(snap.p50_latency_ms, 0.0);
 

@@ -102,10 +102,18 @@ TEST(RouterIdentityTest, RoutedResponsesMatchDirectEngineBitForBit) {
   EXPECT_FALSE(unknown[0].rejected);
 
   // Fleet stats observed every routed request, engine-side.
-  const auto snap = router.fleet_stats();
+  const auto snap = router.fleet_metrics().stats;
   EXPECT_EQ(snap.requests_served, requests.size());
   EXPECT_EQ(snap.requests_rejected, 1u);
   EXPECT_GE(snap.batches_run, 1u);
+
+  // The router counted the same rows once each, under its own prefix.
+  const auto router_snap =
+      serve::ServerStats(router.metrics().state(), serve::kRouterMetricPrefix)
+          .snapshot();
+  EXPECT_EQ(router_snap.requests_served, requests.size());
+  EXPECT_EQ(router_snap.requests_rejected, 1u);
+  EXPECT_EQ(router_snap.requests_shed, 0u);
 }
 
 TEST(RouterIdentityTest, DeployOfMissingVersionIsRefusedNotFatal) {

@@ -39,18 +39,17 @@ TEST(WireTest, PredictBatchRoundTrips) {
 }
 
 TEST(WireTest, PredictFrameVersionMismatchThrows) {
-  // Frame versioning is deliberate: PR 7 changed the predict frame layout
-  // (trace ids) and the stats reply (histogram state), so a v1 peer must
-  // fail loudly, not decode garbage.
+  // Frame versioning is deliberate: a peer speaking an older predict or
+  // metrics-reply layout must fail loudly, not decode garbage.
   Rng rng(12);
   auto frame = encode_predict_batch(
       std::vector<serve::PredictRequest>{{1, random_window(rng), 3}});
   frame[1] = kPredictFrameVersion - 1;  // version byte follows the verb
   EXPECT_THROW((void)decode_predict_batch(frame), SerializeError);
 
-  auto stats_frame = encode_stats_reply(serve::ServerStats().state());
-  stats_frame[1] = kStatsFrameVersion + 1;
-  EXPECT_THROW((void)decode_stats_reply(stats_frame), SerializeError);
+  auto metrics_frame = encode_metrics_reply({});
+  metrics_frame[1] = kMetricsFrameVersion - 1;
+  EXPECT_THROW((void)decode_metrics_reply(metrics_frame), SerializeError);
 }
 
 TEST(WireTest, PredictRepliesRoundTrip) {
@@ -93,48 +92,15 @@ TEST(WireTest, AdminMessagesRoundTrip) {
   EXPECT_TRUE(health.draining);
 
   EXPECT_EQ(frame_verb(encode_health()), Verb::kHealth);
-  EXPECT_EQ(frame_verb(encode_stats()), Verb::kStats);
   EXPECT_EQ(frame_verb(encode_drain()), Verb::kDrain);
-}
-
-TEST(WireTest, StatsStateRoundTripsExactly) {
-  serve::ServerStats stats;
-  stats.record_batch(4, 0.25);
-  stats.record_batch(16, 1.5);
-  stats.record_request(3.75);
-  stats.record_request(0.5);
-  stats.record_rejected();
-  stats.record_shed();
-  stats.record_queue_depth(9);
-  const auto state = stats.state();
-
-  const auto decoded = decode_stats_reply(encode_stats_reply(state));
-  EXPECT_EQ(decoded.requests, state.requests);
-  EXPECT_EQ(decoded.rejected, state.rejected);
-  EXPECT_EQ(decoded.shed, state.shed);
-  EXPECT_EQ(decoded.peak_queue_depth, state.peak_queue_depth);
-  EXPECT_EQ(decoded.batches, state.batches);
-  EXPECT_EQ(decoded.batch_rows, state.batch_rows);
-  EXPECT_EQ(decoded.max_batch, state.max_batch);
-  EXPECT_EQ(decoded.batch_hist, state.batch_hist);
-  EXPECT_DOUBLE_EQ(decoded.forward_seconds, state.forward_seconds);
-  EXPECT_EQ(decoded.latency.count, state.latency.count);
-  EXPECT_DOUBLE_EQ(decoded.latency.sum, state.latency.sum);
-  EXPECT_DOUBLE_EQ(decoded.latency.max, state.latency.max);
-  EXPECT_EQ(decoded.latency.buckets, state.latency.buckets)
-      << "histogram buckets cross the wire bit-exactly so fleet merges "
-         "equal bucket-wise sums";
 }
 
 TEST(WireTest, MetricsReplyRoundTrips) {
   EngineMetricsReport report;
-  serve::ServerStats stats;
-  stats.record_request(1.5);
-  stats.record_batch(8, 0.125);
-  report.stats = stats.state();
-
   obs::Registry registry;
-  registry.counter("requests_total").add(17);
+  registry.counter(serve::kShedMetric).add(17);
+  registry.histogram(serve::kLatencyMetric).observe(1.5);
+  registry.histogram(serve::kBatchRowsMetric).observe(8);
   auto& hist = registry.histogram("stage_forward_ms");
   hist.observe(0.25);
   hist.observe(3.5);
@@ -150,15 +116,15 @@ TEST(WireTest, MetricsReplyRoundTrips) {
   report.traces.push_back(rec);
 
   const auto decoded = decode_metrics_reply(encode_metrics_reply(report));
-  EXPECT_EQ(decoded.stats.requests, report.stats.requests);
-  EXPECT_EQ(decoded.stats.latency.buckets, report.stats.latency.buckets);
-  ASSERT_EQ(decoded.registry.counters.size(), 1u);
-  EXPECT_EQ(decoded.registry.counters[0].first, "requests_total");
-  EXPECT_EQ(decoded.registry.counters[0].second, 17u);
-  ASSERT_EQ(decoded.registry.histograms.size(), 1u);
-  EXPECT_EQ(decoded.registry.histograms[0].first, "stage_forward_ms");
-  EXPECT_EQ(decoded.registry.histograms[0].second.buckets,
-            report.registry.histograms[0].second.buckets);
+  EXPECT_EQ(decoded.registry, report.registry)
+      << "histogram buckets cross the wire bit-exactly so fleet merges "
+         "equal bucket-wise sums";
+  // The serving stats are not a block of their own: the decoder derives
+  // them from the registry that carries them.
+  EXPECT_EQ(decoded.stats, serve::ServerStats(decoded.registry).state());
+  EXPECT_EQ(decoded.stats.requests, 1u);
+  EXPECT_EQ(decoded.stats.shed, 17u);
+  EXPECT_EQ(decoded.stats.batch_rows, 8u);
   ASSERT_EQ(decoded.traces.size(), 1u);
   EXPECT_EQ(decoded.traces[0].trace_id, rec.trace_id);
   EXPECT_DOUBLE_EQ(decoded.traces[0].total_ms, rec.total_ms);

@@ -1,19 +1,39 @@
-// ServerStats fleet-merge semantics (the router aggregates one State per
-// engine process) and the empty-stats edge cases: an engine that has served
-// nothing must snapshot to all-zero percentiles, and merging it must be a
-// no-op — both previously implicit in stats::percentile's empty-span
-// behavior, now pinned explicitly.
+// Fleet-merge semantics of the serving counters. An engine records them in
+// its obs::Registry (serve/stats.hpp names them); the router folds one
+// RegistryState per engine process with obs::merge_state, and ServerStats
+// reads the result. An engine that has served nothing must read as all
+// zeros, and merging it must be a no-op.
 #include "serve/stats.hpp"
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cmath>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "serve/registry.hpp"
+#include "serve/scheduler.hpp"
+#include "serve/serve_support.hpp"
 
 namespace pelican::serve {
 namespace {
+
+/// One engine's registry, recorded under the scheduler's metric names.
+struct Engine {
+  obs::Registry metrics;
+
+  void request(double latency_ms) {
+    metrics.histogram(kLatencyMetric).observe(latency_ms);
+  }
+  void batch(std::size_t rows) {
+    metrics.histogram(kBatchRowsMetric).observe(static_cast<double>(rows));
+  }
+  void queue_depth(std::size_t depth) {
+    metrics.histogram(kQueueDepthMetric).observe(static_cast<double>(depth));
+  }
+  [[nodiscard]] obs::RegistryState state() const { return metrics.state(); }
+};
 
 TEST(StatsMergeTest, PercentileOfEmptyInputIsExplicitlyZero) {
   // The contract the empty-histogram snapshot path relies on.
@@ -24,98 +44,77 @@ TEST(StatsMergeTest, PercentileOfEmptyInputIsExplicitlyZero) {
   EXPECT_EQ(stats::percentile(empty, 100.0), 0.0);
 }
 
-TEST(StatsMergeTest, EmptyStatsSnapshotIsAllZero) {
-  ServerStats stats;
-  const auto snap = stats.snapshot();
-  EXPECT_EQ(snap.requests_served, 0u);
-  EXPECT_EQ(snap.batches_run, 0u);
-  EXPECT_EQ(snap.mean_batch_size, 0.0);
-  EXPECT_TRUE(snap.batch_size_log2_histogram.empty());
-  EXPECT_EQ(snap.p50_latency_ms, 0.0);
-  EXPECT_EQ(snap.p99_latency_ms, 0.0);
-  EXPECT_EQ(snap.max_latency_ms, 0.0);
+TEST(StatsMergeTest, EmptyStateIsAllZero) {
+  for (const obs::RegistryState& state :
+       {obs::RegistryState{}, Engine{}.state()}) {
+    EXPECT_EQ(ServerStats(state).state(), ServerStats::State{});
+    const auto snap = ServerStats(state).snapshot();
+    EXPECT_EQ(snap.requests_served, 0u);
+    EXPECT_EQ(snap.batches_run, 0u);
+    EXPECT_EQ(snap.mean_batch_size, 0.0);
+    EXPECT_TRUE(snap.batch_size_log2_histogram.empty());
+    EXPECT_EQ(snap.p50_latency_ms, 0.0);
+    EXPECT_EQ(snap.p99_latency_ms, 0.0);
+    EXPECT_EQ(snap.max_latency_ms, 0.0);
+  }
+  // A freshly built scheduler registers every serving metric, all zero.
+  DeploymentRegistry registry;
+  const BatchScheduler scheduler(registry);
+  EXPECT_EQ(scheduler.stats().state(), ServerStats::State{});
 }
 
 TEST(StatsMergeTest, MergingEmptyStateIsANoOp) {
-  ServerStats stats;
-  stats.record_batch(4, 0.25);
-  stats.record_request(10.0);
-  const auto before = stats.snapshot();
+  Engine engine;
+  engine.batch(4);
+  engine.request(10.0);
+  engine.metrics.counter(kShedMetric).add(2);
+  obs::RegistryState state = engine.state();
+  const ServerStats::State before = ServerStats(state).state();
 
-  stats.merge(ServerStats{});  // freshly constructed: everything empty
+  obs::merge_state(state, Engine{}.state());
+  obs::merge_state(state, obs::RegistryState{});
 
-  const auto after = stats.snapshot();
-  EXPECT_EQ(after.requests_served, before.requests_served);
-  EXPECT_EQ(after.batches_run, before.batches_run);
-  EXPECT_EQ(after.batch_size_log2_histogram,
-            before.batch_size_log2_histogram);
-  EXPECT_EQ(after.p50_latency_ms, before.p50_latency_ms);
-}
-
-TEST(StatsMergeTest, MergeIntoEmptyReproducesTheSource) {
-  ServerStats source;
-  source.record_batch(8, 0.5);
-  source.record_batch(1, 0.125);
-  source.record_request(3.0);
-  source.record_request(7.0);
-  source.record_rejected();
-  source.record_shed();
-  source.record_queue_depth(17);
-
-  ServerStats target;
-  target.merge(source);
-
-  const auto want = source.snapshot();
-  const auto got = target.snapshot();
-  EXPECT_EQ(got.requests_served, want.requests_served);
-  EXPECT_EQ(got.requests_rejected, want.requests_rejected);
-  EXPECT_EQ(got.requests_shed, want.requests_shed);
-  EXPECT_EQ(got.peak_queue_depth, want.peak_queue_depth);
-  EXPECT_EQ(got.batches_run, want.batches_run);
-  EXPECT_EQ(got.mean_batch_size, want.mean_batch_size);
-  EXPECT_EQ(got.max_batch_size, want.max_batch_size);
-  EXPECT_EQ(got.batch_size_log2_histogram, want.batch_size_log2_histogram);
-  EXPECT_EQ(got.total_forward_seconds, want.total_forward_seconds);
-  EXPECT_EQ(got.p50_latency_ms, want.p50_latency_ms);
-  EXPECT_EQ(got.p99_latency_ms, want.p99_latency_ms);
-  EXPECT_EQ(got.max_latency_ms, want.max_latency_ms);
+  EXPECT_EQ(ServerStats(state).state(), before);
 }
 
 TEST(StatsMergeTest, FleetMergeIsTheExactBucketwiseSum) {
-  // Three "engines" with disjoint latency populations. The merged latency
-  // histogram must be the element-wise sum of the per-engine buckets —
-  // PR 7 replaced the unbounded raw-sample vector with a fixed-boundary
-  // log-bucket histogram, and the merge being exact (not approximate) is
-  // the property that makes fleet aggregation trustworthy.
-  ServerStats engines[3];
+  // Three engines with disjoint latency populations. The merged latency
+  // histogram must be the element-wise sum of the per-engine buckets: the
+  // merge being exact (not approximate) is what makes fleet aggregation
+  // trustworthy.
+  Engine engines[3];
   std::vector<double> all;
   for (int e = 0; e < 3; ++e) {
     for (int i = 0; i < 50; ++i) {
       const double latency = 1.0 + e * 100.0 + i;  // 1..50, 101..150, 201..250
-      engines[e].record_request(latency);
+      engines[e].request(latency);
       all.push_back(latency);
     }
-    engines[e].record_batch(static_cast<std::size_t>(1) << e, 0.1);
-    engines[e].record_queue_depth(static_cast<std::size_t>(3 - e));
+    engines[e].batch(static_cast<std::size_t>(1) << e);
+    engines[e].queue_depth(static_cast<std::size_t>(3 - e));
+    engines[e].metrics.counter(kRejectedMetric).add(1);
   }
 
-  ServerStats fleet;
-  for (const auto& engine : engines) fleet.merge(engine.state());
+  obs::RegistryState merged;
+  for (const auto& engine : engines) obs::merge_state(merged, engine.state());
 
+  const ServerStats fleet(merged);
   const auto snap = fleet.snapshot();
   EXPECT_EQ(snap.requests_served, 150u);
+  EXPECT_EQ(snap.requests_rejected, 3u);
   EXPECT_EQ(snap.batches_run, 3u);
+  EXPECT_EQ(fleet.state().batch_rows, 7u);
   EXPECT_EQ(snap.max_batch_size, 4u);
   EXPECT_EQ(snap.peak_queue_depth, 3u)
       << "queues are per-process: fleet peak is the max, not the sum";
 
   // Exact merge: fleet bucket b == sum over engines of bucket b, for all b.
-  const auto fleet_latency = fleet.state().latency;
+  const obs::HistogramState& fleet_latency = fleet.state().latency;
   ASSERT_EQ(fleet_latency.buckets.size(), obs::Histogram::kNumBuckets);
   std::vector<std::uint64_t> expected(obs::Histogram::kNumBuckets, 0);
   double expected_sum = 0.0;
   for (const auto& engine : engines) {
-    const auto state = engine.state().latency;
+    const auto state = ServerStats(engine.state()).state().latency;
     ASSERT_EQ(state.buckets.size(), obs::Histogram::kNumBuckets);
     for (std::size_t b = 0; b < state.buckets.size(); ++b) {
       expected[b] += state.buckets[b];
@@ -127,8 +126,8 @@ TEST(StatsMergeTest, FleetMergeIsTheExactBucketwiseSum) {
   EXPECT_DOUBLE_EQ(fleet_latency.sum, expected_sum);
   EXPECT_DOUBLE_EQ(fleet_latency.max, 250.0);
 
-  // Percentiles are now bucket estimates: within the documented relative
-  // error bound of the exact union percentile (2^(1/8) - 1, ~9.1%).
+  // Percentiles are bucket estimates: within the documented relative error
+  // bound of the exact union percentile (2^(1/8) - 1, ~9.1%).
   const double exact_p50 = stats::percentile(all, 50.0);
   const double exact_p99 = stats::percentile(all, 99.0);
   EXPECT_NEAR(snap.p50_latency_ms, exact_p50,
@@ -136,23 +135,53 @@ TEST(StatsMergeTest, FleetMergeIsTheExactBucketwiseSum) {
   EXPECT_NEAR(snap.p99_latency_ms, exact_p99,
               exact_p99 * obs::Histogram::kQuantileRelativeError);
 
-  // Histograms add bucket-wise: one batch each of size 1, 2, 4.
+  // One batch each of size 1, 2, 4.
   EXPECT_EQ(snap.batch_size_log2_histogram,
             (std::vector<std::size_t>{1, 1, 1}));
+}
+
+TEST(StatsMergeTest, SchedulerStatesMergeExactly) {
+  // The same fold over two live schedulers' registries.
+  DeploymentRegistry registry;
+  registry.deploy(1, serve_testing::tiny_deployment(1));
+  BatchScheduler a(registry, {.max_batch = 4});
+  BatchScheduler b(registry, {.max_batch = 8});
+  Rng rng(5);
+  std::vector<PredictRequest> requests;
+  for (int i = 0; i < 12; ++i) {
+    requests.push_back({1, serve_testing::random_window(rng), 3});
+  }
+  (void)a.serve(requests);
+  (void)b.serve(requests);
+  (void)b.serve(std::vector<PredictRequest>{{99, requests[0].window, 3}});
+
+  obs::RegistryState merged = a.metrics().state();
+  obs::merge_state(merged, b.metrics().state());
+  const ServerStats::State fleet = ServerStats(merged).state();
+  const ServerStats::State sa = a.stats().state();
+  const ServerStats::State sb = b.stats().state();
+  EXPECT_EQ(fleet.requests, 24u);
+  EXPECT_EQ(fleet.rejected, 1u) << "user 99 is not deployed";
+  EXPECT_EQ(fleet.batches, 3u + 2u);
+  EXPECT_EQ(fleet.batch_rows, 24u);
+  EXPECT_EQ(fleet.max_batch, 8u);
+  obs::HistogramState latency = sa.latency;
+  latency.merge(sb.latency);
+  EXPECT_EQ(fleet.latency, latency);
 }
 
 TEST(StatsMergeTest, PercentileErrorStaysWithinDocumentedBound) {
   // A spread of magnitudes (0.01ms .. ~1000ms): every estimated quantile
   // must sit within kQuantileRelativeError of the exact sample quantile.
-  ServerStats server;
+  Engine engine;
   std::vector<double> all;
   double value = 0.01;
   for (int i = 0; i < 400; ++i) {
-    server.record_request(value);
+    engine.request(value);
     all.push_back(value);
     value *= 1.03;
   }
-  const auto snap = server.snapshot();
+  const auto snap = ServerStats(engine.state()).snapshot();
   const double exact_p50 = stats::percentile(all, 50.0);
   const double exact_p99 = stats::percentile(all, 99.0);
   EXPECT_NEAR(snap.p50_latency_ms, exact_p50,
@@ -163,21 +192,15 @@ TEST(StatsMergeTest, PercentileErrorStaysWithinDocumentedBound) {
       << "estimates must never exceed the exactly-tracked max";
 }
 
-TEST(StatsMergeTest, ConcurrentMergeAndRecordStaysConsistent) {
-  ServerStats target;
-  ServerStats source;
-  for (int i = 0; i < 100; ++i) source.record_request(1.0);
-
-  std::thread recorder([&] {
-    for (int i = 0; i < 1000; ++i) target.record_request(2.0);
-  });
-  std::thread merger([&] {
-    for (int i = 0; i < 10; ++i) target.merge(source);
-  });
-  recorder.join();
-  merger.join();
-
-  EXPECT_EQ(target.snapshot().requests_served, 1000u + 10u * 100u);
+TEST(StatsMergeTest, Log2BatchBucketIsFloorLog2OfTheSize) {
+  for (std::size_t size = 1; size <= 4096; ++size) {
+    Engine engine;
+    engine.batch(size);
+    const auto hist = ServerStats(engine.state()).state().batch_hist;
+    const auto want = static_cast<std::size_t>(std::floor(std::log2(size)));
+    ASSERT_EQ(hist.size(), want + 1) << "batch size " << size;
+    ASSERT_EQ(hist[want], 1u) << "batch size " << size;
+  }
 }
 
 }  // namespace

@@ -97,17 +97,6 @@ router::EngineMetricsReport read_router_file(const std::string& path) {
   return router::decode_metrics_reply(frame);
 }
 
-std::string stats_json(const serve::ServerStats::State& stats) {
-  std::string out = "{";
-  out += "\"requests\":" + std::to_string(stats.requests);
-  out += ",\"rejected\":" + std::to_string(stats.rejected);
-  out += ",\"shed\":" + std::to_string(stats.shed);
-  out += ",\"peak_queue_depth\":" + std::to_string(stats.peak_queue_depth);
-  out += ",\"batches\":" + std::to_string(stats.batches);
-  out += '}';
-  return out;
-}
-
 struct ScrapeOptions {
   std::vector<std::string> engines;
   std::string router_file;
@@ -324,8 +313,7 @@ int main(int argc, char** argv) {
       if (!first) rendered += ',';
       first = false;
       rendered += '"' + obs::json_escape(address) + "\":{";
-      rendered += "\"stats\":" + stats_json(report.stats);
-      rendered += ",\"registry\":" + obs::registry_json(report.registry);
+      rendered += "\"registry\":" + obs::registry_json(report.registry);
       rendered += '}';
     }
     rendered += "},\"traces\":" + obs::traces_json(traces);
