@@ -163,7 +163,9 @@ BENCHMARK(BM_QuantizedLstmForward)
     ->Args({1, 0})
     ->Args({1, 1})
     ->Args({32, 0})
-    ->Args({32, 1});
+    ->Args({32, 1})
+    ->Args({256, 0})
+    ->Args({256, 1});
 
 void BM_LstmBackward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -365,6 +367,25 @@ void write_kernel_table() {
           time_ms([&] { (void)qlstm.forward_sparse(input, false); });
       table.add_row({"quant_fwd_b" + std::to_string(batch) + "_h" +
                          std::to_string(hidden),
+                     Table::num(fp32_ms, 5), Table::num(int8_ms, 5),
+                     Table::num(fp32_ms / int8_ms, 2) + "x"});
+    }
+  }
+
+  // quant_model: the whole served model (one-hot input, 2-step windows, LSTM
+  // hidden 128 and a 150-class head, the serving benchmark's shape), fp32 vs
+  // its int8 publish. int8 must be at least as fast at every batch size.
+  {
+    Rng model_rng(46);
+    SequenceClassifier fp32 = make_one_layer_lstm(250, 128, 150, 0.0, model_rng);
+    SequenceClassifier int8 = quantize_for_serving(fp32);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{32},
+                                    std::size_t{256}}) {
+      Rng data_rng(47);
+      const SparseSequence input = one_hot_input(2, batch, 250, data_rng);
+      const double fp32_ms = time_ms([&] { (void)fp32.forward(input, false); });
+      const double int8_ms = time_ms([&] { (void)int8.forward(input, false); });
+      table.add_row({"quant_model_b" + std::to_string(batch),
                      Table::num(fp32_ms, 5), Table::num(int8_ms, 5),
                      Table::num(fp32_ms / int8_ms, 2) + "x"});
     }

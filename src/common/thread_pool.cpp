@@ -92,12 +92,17 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty() || count == 1 || inside_pool_worker) {
+  // A busy pool also runs the loop here rather than waiting for it. The
+  // submission holding it may have tasks blocked on a lock this caller
+  // holds: a scheduler drain's per-user tasks wait on the serve lock of a
+  // deployment whose forward, on this thread, splits its rows across the
+  // pool. Waiting would close that cycle.
+  if (workers_.empty() || count == 1 || inside_pool_worker ||
+      !submit_mutex_.try_lock()) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
-  const MutexLock submit_lock(submit_mutex_);
   Batch batch;
   batch.count = count;
   batch.fn = &fn;
@@ -124,6 +129,7 @@ void ThreadPool::parallel_for(std::size_t count,
       lock.wait(done_);
     }
   }
+  submit_mutex_.unlock();
   if (auto error = batch.take_error()) std::rethrow_exception(error);
 }
 

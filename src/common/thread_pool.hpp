@@ -35,7 +35,11 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, count), blocking until all complete. Work is
   /// divided into contiguous chunks, one per worker plus the calling thread.
-  /// Exceptions thrown by fn propagate to the caller (first one wins).
+  /// Exceptions thrown by fn propagate to the caller (first one wins). One
+  /// submission holds the pool at a time; a call made while another holds
+  /// it runs serially on the caller instead of waiting, so parallel_for
+  /// never blocks on another thread's loop (and a caller holding a lock the
+  /// other loop's tasks need cannot deadlock with it).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
@@ -60,7 +64,7 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  Mutex submit_mutex_;  ///< serializes concurrent parallel_for submissions
+  Mutex submit_mutex_;  ///< held by the one submission using the pool
   Mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;

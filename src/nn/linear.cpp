@@ -17,7 +17,7 @@ Matrix Linear::forward(const Matrix& x) {
   Matrix y;
   if (is_quantized()) {
     // Inference-only: no input cache (backward throws anyway).
-    qmatmul_bt(x, qweight_, y);
+    qmatmul(x, qweight_, y);
     add_row_broadcast(y, bias_.row(0));
     return y;
   }
@@ -34,21 +34,7 @@ Matrix Linear::forward(const SparseRows& x) {
   }
   Matrix y;
   if (is_quantized()) {
-    // Strided int8 column gather (a quantized head rarely sees sparse
-    // input — only models with no sequence layers — so no transposed
-    // panel is kept for it). Same ascending-column chain as the dense
-    // kernel; scale applied once per output.
-    y.resize(x.rows(), qweight_.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      float* dst = y.data() + r * qweight_.rows();
-      for (std::size_t j = 0; j < qweight_.rows(); ++j) {
-        float acc = 0.0f;
-        for (const auto& entry : x.row(r)) {
-          acc += entry.val * static_cast<float>(qweight_.value(j, entry.col));
-        }
-        dst[j] = acc * qweight_.scale(j);
-      }
-    }
+    sparse_qmatmul(x, qweight_, y);
     add_row_broadcast(y, bias_.row(0));
     return y;
   }
@@ -62,7 +48,7 @@ Matrix Linear::forward(const SparseRows& x) {
 Linear Linear::quantized() const {
   if (is_quantized()) return *this;
   Linear q;
-  q.qweight_ = QuantizedMatrix::quantize_rows(weight_);
+  q.qweight_ = QuantizedPanel(QuantizedMatrix::quantize_rows(weight_));
   q.bias_ = bias_;
   q.trainable_ = false;
   return q;
@@ -114,8 +100,8 @@ Linear Linear::load(BinaryReader& reader) {
   const std::uint8_t format = reader.read_u8();
   if (format == 1) {
     Linear layer;
-    layer.qweight_ = QuantizedMatrix::load(reader);
-    layer.bias_.resize(1, layer.qweight_.rows());
+    layer.qweight_ = QuantizedPanel::load(reader);
+    layer.bias_.resize(1, layer.qweight_.outputs());
     const auto b = reader.read_f32_vector();
     if (b.size() != layer.bias_.size()) {
       throw SerializeError("Linear::load: bias size mismatch");

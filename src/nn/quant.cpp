@@ -1,11 +1,38 @@
 #include "nn/quant.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "common/thread_pool.hpp"
+#include "nn/simd.hpp"
 
 namespace pelican::nn {
 
 namespace {
+
+/// Rows a pool task gets at least: enough that each panel block it
+/// converts is reused by two register tiles.
+constexpr std::size_t kRowBlock = 8;
+
+/// The register tile of the dense kernel: kTileRows rows x kTileVecs
+/// vectors of output chains stay in registers for a whole k sweep (8 of
+/// SSE2's 16 vector registers).
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileVecs = 2;
+constexpr std::size_t kTileCols = kTileVecs * kSimdWidth;
+
+/// Panel columns converted to fp32 at a time: a k x 64 block (32 KB at
+/// k = 128) that every register tile of the call then reads.
+constexpr std::size_t kPanelCols = 64;
+static_assert(kPanelCols % kTileCols == 0);
+
+/// Below this many multiply-adds per call, a pool split costs more than it
+/// saves.
+constexpr std::size_t kParallelMacs = 1u << 18;
+
+/// Most pool tasks one product is split into.
+constexpr std::size_t kMaxRowTasks = 8;
 
 // ap[j] += xv * panel[j] over a contiguous int8 panel row. The explicit
 // vector helpers (nn/simd.hpp) lose here: SSE2 has no lane-wise int8
@@ -25,6 +52,56 @@ void i8_axpy(float* __restrict ap, const std::int8_t* __restrict panel,
              float xv, std::size_t n) noexcept {
   for (std::size_t j = 0; j < n; ++j) {
     ap[j] += xv * static_cast<float>(panel[j]);
+  }
+}
+
+// dst[j] = panel[j]: the exact int8 -> fp32 convert, vectorized by the same
+// per-function vectorizer switch as i8_axpy.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("tree-vectorize"),
+               optimize("vect-cost-model=dynamic")))
+#endif
+void i8_to_f32(float* __restrict dst, const std::int8_t* __restrict panel,
+               std::size_t n) noexcept {
+  for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(panel[j]);
+}
+
+// chains(r, :) = sum over kk of x(r, kk) * strip(kk, :) for R rows and the
+// kTileCols columns of a converted strip (kPanelCols floats apart per kk),
+// each chain held in a register lane for the whole ascending-k sweep.
+template <std::size_t R>
+void register_tile(const float* __restrict x, std::size_t ldx,
+                   const float* __restrict strip, std::size_t k,
+                   float* __restrict chains) noexcept {
+  simd::vfloat acc[R][kTileVecs] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* w = strip + kk * kPanelCols;
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      // Vector times scalar: the compiler splats x with one shuffle, where
+      // simd::broadcast's lane loop costs a dozen instructions per call.
+      const float xv = x[r * ldx + kk];
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < kTileVecs; ++v) {
+        acc[r][v] += simd::load(w + v * kSimdWidth) * xv;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < kTileVecs; ++v) {
+      simd::store(chains + r * kTileCols + v * kSimdWidth, acc[r][v]);
+    }
+  }
+}
+
+// The epilogue every kernel shares: each finished chain times its
+// output's scale, written or added to dst once.
+void store_scaled(const float* __restrict chain, const float* __restrict scales,
+                  float* __restrict dst, std::size_t n, bool accumulate) {
+  if (accumulate) {
+    for (std::size_t j = 0; j < n; ++j) dst[j] += chain[j] * scales[j];
+  } else {
+    for (std::size_t j = 0; j < n; ++j) dst[j] = chain[j] * scales[j];
   }
 }
 
@@ -93,120 +170,133 @@ QuantizedMatrix QuantizedMatrix::load(BinaryReader& reader) {
   return q;
 }
 
-std::vector<std::int8_t> transposed_values(const QuantizedMatrix& q) {
-  std::vector<std::int8_t> t(q.rows() * q.cols());
+QuantizedPanel::QuantizedPanel(const QuantizedMatrix& q)
+    : inner_(q.cols()),
+      values_(q.rows() * q.cols()),
+      scales_(q.scales().begin(), q.scales().end()) {
   for (std::size_t r = 0; r < q.rows(); ++r) {
-    const std::int8_t* src = q.values().data() + r * q.cols();
+    const std::span<const std::int8_t> src = q.row(r);
     for (std::size_t c = 0; c < q.cols(); ++c) {
-      t[c * q.rows() + r] = src[c];
+      values_[c * q.rows() + r] = src[c];
     }
   }
-  return t;
 }
 
-void qmatmul_bt(const Matrix& x, const QuantizedMatrix& q, Matrix& out,
+QuantizedMatrix QuantizedPanel::unpacked() const {
+  QuantizedMatrix q;
+  q.rows_ = outputs();
+  q.cols_ = inner_;
+  q.values_.resize(values_.size());
+  q.scales_ = scales_;
+  for (std::size_t c = 0; c < inner_; ++c) {
+    for (std::size_t r = 0; r < q.rows_; ++r) {
+      q.values_[r * inner_ + c] = values_[c * q.rows_ + r];
+    }
+  }
+  return q;
+}
+
+void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
+                const QuantizedPanel& p, float* out, std::size_t ldo,
                 bool accumulate) {
-  if (x.cols() != q.cols()) {
-    throw std::invalid_argument("qmatmul_bt: inner dimension mismatch");
-  }
-  if (!accumulate) {
-    out.resize(x.rows(), q.rows());
-  } else if (out.rows() != x.rows() || out.cols() != q.rows()) {
-    throw std::invalid_argument("qmatmul_bt: accumulate shape mismatch");
-  }
-  const std::size_t k = x.cols();
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const float* xr = x.data() + r * k;
-    float* dst = out.data() + r * q.rows();
-    for (std::size_t j = 0; j < q.rows(); ++j) {
-      const std::int8_t* wr = q.values().data() + j * k;
-      // Ascending-k single chain from +0 (the matrix.hpp contract); the
-      // int8 -> fp32 convert is exact, so the chain is as deterministic as
-      // the fp32 kernel's.
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += xr[kk] * static_cast<float>(wr[kk]);
-      }
-      const float v = acc * q.scale(j);
-      if (accumulate) {
-        dst[j] += v;
-      } else {
-        dst[j] = v;
-      }
-    }
-  }
-}
-
-void qmatmul_pre_t(const Matrix& x, std::span<const std::int8_t> qt,
-                   std::span<const float> scales, Matrix& out,
-                   bool accumulate) {
-  const std::size_t n = scales.size();
-  const std::size_t k = x.cols();
-  if (qt.size() != k * n) {
-    throw std::invalid_argument("qmatmul_pre_t: panel size mismatch");
-  }
-  if (!accumulate) {
-    out.resize(x.rows(), n);
-  } else if (out.rows() != x.rows() || out.cols() != n) {
-    throw std::invalid_argument("qmatmul_pre_t: accumulate shape mismatch");
-  }
-  // Per output row: ascending-k axpy sweeps over contiguous int8 panel
-  // rows into an fp32 chain buffer, then one scale pass. The int8 -> fp32
-  // convert in the inner loop is exact, so each out element's chain is
-  // term-for-term the chain qmatmul_bt computes.
-  std::vector<float> acc(n);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    const float* __restrict xr = x.data() + r * k;
-    float* __restrict ap = acc.data();
+  const std::size_t k = p.inner();
+  const std::size_t n = p.outputs();
+  const float* scales = p.scales().data();
+  if (rows == 1) {
+    // Nothing to share a conversion with: convert inside the axpy.
+    std::vector<float> chain(n, 0.0f);
     for (std::size_t kk = 0; kk < k; ++kk) {
-      i8_axpy(ap, qt.data() + kk * n, xr[kk], n);
+      i8_axpy(chain.data(), p.row(kk), x[kk], n);
     }
-    float* dst = out.data() + r * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float v = ap[j] * scales[j];
-      if (accumulate) {
-        dst[j] += v;
-      } else {
-        dst[j] = v;
+    store_scaled(chain.data(), scales, out, n, accumulate);
+    return;
+  }
+  // The converted k x kPanelCols block, one per thread so pool workers
+  // never share it.
+  static thread_local std::vector<float> panel;
+  panel.resize(k * kPanelCols);
+  alignas(64) float chains[kTileRows * kTileCols];
+  for (std::size_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    const std::size_t width = std::min(kPanelCols, n - j0);
+    const std::size_t padded = (width + kTileCols - 1) / kTileCols * kTileCols;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      float* dst = panel.data() + kk * kPanelCols;
+      i8_to_f32(dst, p.row(kk) + j0, width);
+      std::fill(dst + width, dst + padded, 0.0f);
+    }
+    for (std::size_t i0 = 0; i0 < rows; i0 += kTileRows) {
+      const std::size_t block = std::min(kTileRows, rows - i0);
+      for (std::size_t s = 0; s < padded; s += kTileCols) {
+        const float* strip = panel.data() + s;
+        switch (block) {
+          case 1: register_tile<1>(x + i0 * ldx, ldx, strip, k, chains); break;
+          case 2: register_tile<2>(x + i0 * ldx, ldx, strip, k, chains); break;
+          case 3: register_tile<3>(x + i0 * ldx, ldx, strip, k, chains); break;
+          default: register_tile<4>(x + i0 * ldx, ldx, strip, k, chains);
+        }
+        const std::size_t cols = std::min(kTileCols, width - s);
+        for (std::size_t i = 0; i < block; ++i) {
+          store_scaled(chains + i * kTileCols, scales + j0 + s,
+                       out + (i0 + i) * ldo + j0 + s, cols, accumulate);
+        }
       }
     }
   }
 }
 
-void sparse_qmatmul_pre_t(const SparseRows& x, std::span<const std::int8_t> qt,
-                          std::span<const float> scales, Matrix& out,
-                          bool accumulate) {
-  const std::size_t n = scales.size();
-  if (qt.size() != x.cols() * n) {
-    throw std::invalid_argument("sparse_qmatmul_pre_t: panel size mismatch");
-  }
-  if (!accumulate) {
-    out.resize(x.rows(), n);
-  } else if (out.rows() != x.rows() || out.cols() != n) {
-    throw std::invalid_argument(
-        "sparse_qmatmul_pre_t: accumulate shape mismatch");
-  }
-  std::vector<float> acc(n);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    float* __restrict ap = acc.data();
+void sparse_qgemm_rows(const SparseRows& x, std::size_t r0, std::size_t r1,
+                       const QuantizedPanel& p, float* out, std::size_t ldo) {
+  const std::size_t n = p.outputs();
+  std::vector<float> chain(n);
+  for (std::size_t r = r0; r < r1; ++r) {
+    std::fill(chain.begin(), chain.end(), 0.0f);
+    // One contiguous int8 panel row per hot column, the dequant-free
+    // gather. Entries arrive in ascending column order (the SparseRows
+    // invariant), which is the dense kernel's chain order.
     for (const auto& entry : x.row(r)) {
-      // One contiguous int8 panel row per hot column — the dequant-free
-      // gather. Entries arrive in ascending column order (SparseRows
-      // invariant), matching the dense kernel's ascending-k chain.
-      i8_axpy(ap, qt.data() + entry.col * n, entry.val, n);
+      i8_axpy(chain.data(), p.row(entry.col), entry.val, n);
     }
-    float* dst = out.data() + r * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float v = acc[j] * scales[j];
-      if (accumulate) {
-        dst[j] += v;
-      } else {
-        dst[j] = v;
-      }
-    }
+    store_scaled(chain.data(), p.scales().data(), out + (r - r0) * ldo, n,
+                 /*accumulate=*/false);
   }
+}
+
+void qmatmul(const Matrix& x, const QuantizedPanel& p, Matrix& out) {
+  if (x.cols() != p.inner()) {
+    throw std::invalid_argument("qmatmul: inner dimension mismatch");
+  }
+  const std::size_t n = p.outputs();
+  out.resize(x.rows(), n);
+  for_row_ranges(x.rows(), p.inner() * n,
+                 [&](std::size_t r0, std::size_t r1) {
+                   qgemm_rows(x.data() + r0 * x.cols(), x.cols(), r1 - r0, p,
+                              out.data() + r0 * n, n, /*accumulate=*/false);
+                 });
+}
+
+void sparse_qmatmul(const SparseRows& x, const QuantizedPanel& p,
+                    Matrix& out) {
+  if (x.cols() != p.inner()) {
+    throw std::invalid_argument("sparse_qmatmul: inner dimension mismatch");
+  }
+  const std::size_t n = p.outputs();
+  out.resize(x.rows(), n);
+  sparse_qgemm_rows(x, 0, x.rows(), p, out.data(), n);
+}
+
+void for_row_ranges(std::size_t rows, std::size_t macs_per_row,
+                    const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t tasks =
+      rows * macs_per_row >= kParallelMacs
+          ? std::min(kMaxRowTasks, rows / kRowBlock)
+          : 1;
+  if (tasks <= 1) {
+    fn(0, rows);
+    return;
+  }
+  parallel_for(tasks, [&](std::size_t t) {
+    fn(rows * t / tasks, rows * (t + 1) / tasks);
+  });
 }
 
 }  // namespace pelican::nn

@@ -11,14 +11,16 @@
 // fewer bytes per user on disk, and weight panels that actually fit in
 // cache on the batch-1 serving path.
 //
-// The int8 kernels below accumulate in fp32 over the int8 weights (each
-// int8 converts exactly; products and the ascending-k chain follow the same
-// determinism contract as nn/matrix.hpp — bit-identical across batch sizes,
-// encodings, and thread counts) and multiply by the row scale ONCE per
-// output element. No dequantized fp32 weight matrix ever exists — that is
-// what makes the one-hot gather "dequant-free": a gather touches nnz rows
-// of int8 panel + one scale sweep, instead of first materializing the
-// fp32 weights it replaced.
+// Layers do not serve from QuantizedMatrix directly: they keep the one
+// packed copy a QuantizedPanel holds (the transposed int8 values plus the
+// row scales), and the kernels below read it. The kernels accumulate in
+// fp32 over the int8 weights (each int8 converts exactly) and multiply by
+// the row scale once per output element. No dequantized fp32 weight
+// matrix ever exists: a one-hot gather touches nnz contiguous int8 panel
+// rows plus one scale sweep, and the dense kernel converts one panel block
+// at a time into a small per-thread buffer that a whole block of rows then
+// reads, so each weight is converted once per block rather than once per
+// row.
 //
 // Quantized inference is NOT bit-identical to fp32 inference — it is a
 // documented approximation (weights move by at most scale/2 each). The
@@ -28,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -81,47 +84,89 @@ class QuantizedMatrix {
   bool operator==(const QuantizedMatrix& other) const = default;
 
  private:
+  friend class QuantizedPanel;
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::int8_t> values_;  // row-major, rows_ x cols_
   std::vector<float> scales_;        // length rows_
 };
 
-/// Contiguous (cols x rows) int8 transpose of q — the gather panel for the
-/// sparse kernel: entry column c selects panel row c, a contiguous run of
-/// q.rows() int8 weights. Rebuilt from values() on load, never serialized.
-[[nodiscard]] std::vector<std::int8_t> transposed_values(
-    const QuantizedMatrix& q);
+/// The serving-side packing of a QuantizedMatrix q (n x k): q's int8
+/// values transposed into a contiguous (k x n) panel, so panel row c holds
+/// every output's weight for input column c, plus q's n row scales. A
+/// one-hot gather reads one contiguous panel row per hot column; the dense
+/// kernel streams panel rows across a block of output rows. This is the one
+/// copy of its weights a quantized layer keeps; the row-major form exists
+/// only on the way in (quantize_rows) and out (checkpoints).
+class QuantizedPanel {
+ public:
+  QuantizedPanel() = default;
+  explicit QuantizedPanel(const QuantizedMatrix& q);
 
-/// out = x * q^T (+ accumulate): the dense int8 product, shapes as
-/// matmul_bt ((m x k)(n x k)^T -> (m x n)). Each output element accumulates
-/// x(r, :) against the contiguous int8 row q(j, :) in ascending-k order and
-/// multiplies by scales[j] once.
-void qmatmul_bt(const Matrix& x, const QuantizedMatrix& q, Matrix& out,
-                bool accumulate = false);
+  /// The row-major QuantizedMatrix this panel packs (exact inverse).
+  [[nodiscard]] QuantizedMatrix unpacked() const;
 
-/// Dense product against the transposed int8 panel `qt` (=
-/// transposed_values(q), k x n for q (n x k)) with q's row scales: the
-/// axpy form of qmatmul_bt — each panel row is a contiguous int8 run the
-/// j loop streams, so the compiler vectorizes across outputs where
-/// qmatmul_bt's dot kernel is one serial chain per output. Same
-/// ascending-k chain from +0 per element, scale applied once, accumulate
-/// adds the finished chain once — bit-identical to qmatmul_bt(x, q, out).
-/// This is the LSTM recurrence kernel (the panel is packed once at
-/// QuantizedLstm construction; weights are immutable there).
-void qmatmul_pre_t(const Matrix& x, std::span<const std::int8_t> qt,
-                   std::span<const float> scales, Matrix& out,
-                   bool accumulate = false);
+  /// Serialized as the QuantizedMatrix it packs, so checkpoints keep the
+  /// QuantizedMatrix::save layout byte for byte.
+  void save(BinaryWriter& writer) const { unpacked().save(writer); }
+  [[nodiscard]] static QuantizedPanel load(BinaryReader& reader) {
+    return QuantizedPanel(QuantizedMatrix::load(reader));
+  }
 
-/// Sparse (one-hot fast path) product against the transposed gather panel
-/// `qt` (= transposed_values(q), k x n for q (n x k)) with q's row scales:
-/// for each entry (col, val) of x, accumulates val * qt[col, :] into a
-/// per-row fp32 chain, then applies the n scales once. With one-hot inputs
-/// this touches nnz contiguous int8 rows — no dense product, no dequantized
-/// weights. Bit-identical to qmatmul_bt(x.to_dense(), q, out) for finite
-/// scales, by the same ±0 argument as nn/sparse.hpp.
-void sparse_qmatmul_pre_t(const SparseRows& x, std::span<const std::int8_t> qt,
-                          std::span<const float> scales, Matrix& out,
-                          bool accumulate = false);
+  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
+  [[nodiscard]] std::size_t inner() const noexcept { return inner_; }
+  [[nodiscard]] std::size_t outputs() const noexcept { return scales_.size(); }
+
+  /// The n int8 weights input column c contributes, one per output.
+  [[nodiscard]] const std::int8_t* row(std::size_t c) const noexcept {
+    return values_.data() + c * outputs();
+  }
+  [[nodiscard]] std::span<const float> scales() const noexcept {
+    return scales_;
+  }
+
+ private:
+  std::size_t inner_ = 0;
+  std::vector<std::int8_t> values_;  // inner_ x outputs(), row-major
+  std::vector<float> scales_;
+};
+
+// Every int8 product below computes, for each output element, one fp32
+// chain from +0 over the input columns in ascending order (each int8 ->
+// fp32 convert is exact) and multiplies it by the output's scale once;
+// `accumulate` then adds that finished value to the destination once. The
+// chain of an element never depends on the other rows in the call, on how
+// the rows are blocked, or on how the pool splits them, so int8 results are
+// bit-identical across batch sizes and thread counts (the nn/matrix.hpp
+// contract), and the sparse and dense forms agree by the ±0 argument of
+// nn/sparse.hpp.
+
+/// out(i, :) (=|+=) x(i, :) * q^T for `rows` fp32 rows of k = p.inner()
+/// columns, x rows `ldx` floats apart, out rows `ldo` floats apart. Each
+/// 64-column panel block is converted to fp32 once per call and then read
+/// by every 4-row register tile of the call, instead of once per row.
+void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
+                const QuantizedPanel& p, float* out, std::size_t ldo,
+                bool accumulate);
+
+/// out(i - r0, :) = x(i, :) * q^T for the rows [r0, r1) of a sparse x: nnz
+/// contiguous panel-row gathers per row, no dense product and no
+/// dequantized weights. Out rows are `ldo` floats apart.
+void sparse_qgemm_rows(const SparseRows& x, std::size_t r0, std::size_t r1,
+                       const QuantizedPanel& p, float* out, std::size_t ldo);
+
+/// Matrix forms of the two kernels above: out = x * q^T, resized to
+/// (x.rows() x p.outputs()), rows split across the pool by for_row_ranges.
+void qmatmul(const Matrix& x, const QuantizedPanel& p, Matrix& out);
+void sparse_qmatmul(const SparseRows& x, const QuantizedPanel& p,
+                    Matrix& out);
+
+/// Runs fn(r0, r1) over contiguous ranges covering [0, rows): up to 8 pool
+/// tasks of at least 8 rows each when rows * macs_per_row is worth a pool
+/// dispatch, else fn(0, rows) on the caller. Ranges are disjoint, so
+/// per-row results never depend on the split.
+void for_row_ranges(std::size_t rows, std::size_t macs_per_row,
+                    const std::function<void(std::size_t, std::size_t)>& fn);
 
 }  // namespace pelican::nn

@@ -51,6 +51,14 @@ inline void store(float* p, vfloat v) noexcept { std::memcpy(p, &v, sizeof(v)); 
 
 #else
 #define PELICAN_SIMD_KERNELS 0
+
+// One-lane stand-ins, so kernels written against the helpers also build
+// without vector support.
+static_assert(kSimdWidth == 1);
+using vfloat = float;
+inline vfloat broadcast(float x) noexcept { return x; }
+inline vfloat load(const float* p) noexcept { return *p; }
+inline void store(float* p, vfloat v) noexcept { *p = v; }
 #endif
 
 }  // namespace pelican::nn::simd

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -102,10 +103,11 @@ TEST(ThreadPool, GlobalAliveDuringNormalExecution) {
   EXPECT_TRUE(ThreadPool::global_alive());
 }
 
-TEST(ThreadPool, ConcurrentSubmittersSerialize) {
-  // parallel_for from many threads at once: submit_mutex_ admits one batch
-  // at a time; every batch must still cover all of its indices. This is the
-  // contention pattern the TSan lane leans on hardest.
+TEST(ThreadPool, ConcurrentSubmittersEachCoverTheirIndices) {
+  // parallel_for from many threads at once: one batch holds the pool and
+  // the others run inline on their callers; every batch must still cover
+  // all of its indices. This is the contention pattern the TSan lane leans
+  // on hardest.
   ThreadPool pool(4);
   constexpr int kSubmitters = 8;
   std::vector<std::atomic<int>> counts(kSubmitters);
@@ -118,6 +120,30 @@ TEST(ThreadPool, ConcurrentSubmittersSerialize) {
   }
   for (auto& t : submitters) t.join();
   for (const auto& c : counts) EXPECT_EQ(c.load(), 100);
+}
+
+TEST(ThreadPool, BusyPoolRunsTheCallerInlineInsteadOfWaiting) {
+  // The serving lock cycle: a scheduler drain's tasks hold the pool and
+  // wait on a deployment's serve lock, while the thread holding that lock
+  // splits its forward across the pool. Waiting for the pool there would
+  // deadlock; the second call must run inline and let the first finish.
+  ThreadPool pool(4);
+  std::mutex serve_lock;
+  std::unique_lock<std::mutex> held(serve_lock);
+  std::atomic<bool> waiting{false};
+  std::thread drain([&] {
+    pool.parallel_for(2, [&](std::size_t) {
+      waiting = true;
+      const std::lock_guard<std::mutex> guard(serve_lock);
+    });
+  });
+  while (!waiting) std::this_thread::yield();
+
+  std::atomic<int> rows{0};
+  pool.parallel_for(8, [&](std::size_t) { ++rows; });
+  EXPECT_EQ(rows.load(), 8);
+  held.unlock();
+  drain.join();
 }
 
 TEST(ThreadPool, FreeFunctionCoversAll) {

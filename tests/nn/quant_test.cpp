@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "common/rng.hpp"
+#include "nn/activations.hpp"
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
 #include "nn/quant_lstm.hpp"
@@ -91,7 +92,7 @@ TEST(QuantKernels, DenseMatchesManualDequantizedProduct) {
   const QuantizedMatrix q =
       QuantizedMatrix::quantize_rows(Matrix::randn(5, 6, 1.0f, rng));
   Matrix out;
-  qmatmul_bt(x, q, out);
+  qmatmul(x, QuantizedPanel(q), out);
   ASSERT_EQ(out.rows(), 4u);
   ASSERT_EQ(out.cols(), 5u);
   for (std::size_t r = 0; r < 4; ++r) {
@@ -110,20 +111,71 @@ TEST(QuantKernels, SparseBitIdenticalToDense) {
   Rng rng(4);
   const QuantizedMatrix q =
       QuantizedMatrix::quantize_rows(Matrix::randn(12, 9, 1.0f, rng));
-  const auto qt = transposed_values(q);
+  const QuantizedPanel panel(q);
   SparseRows x(3, 9);
   x.add(0, 2, 1.0f);
   x.add(1, 0, 0.5f);
   x.add(1, 8, 1.0f);
   // row 2 left empty
   Matrix dense_out, sparse_out;
-  qmatmul_bt(x.to_dense(), q, dense_out);
-  sparse_qmatmul_pre_t(x, qt, q.scales(), sparse_out);
+  qmatmul(x.to_dense(), panel, dense_out);
+  sparse_qmatmul(x, panel, sparse_out);
   ASSERT_EQ(sparse_out.rows(), dense_out.rows());
   ASSERT_EQ(sparse_out.cols(), dense_out.cols());
   for (std::size_t i = 0; i < dense_out.size(); ++i) {
     EXPECT_TRUE(same_bits(dense_out.flat()[i], sparse_out.flat()[i])) << i;
   }
+}
+
+// x(r, :) * q^T for one output element as the documented chain: ascending
+// columns from +0 over exact int8 converts, then the row scale once.
+float reference_product(const float* x, const QuantizedMatrix& q,
+                        std::size_t j) {
+  float acc = 0.0f;
+  for (std::size_t k = 0; k < q.cols(); ++k) {
+    acc += x[k] * static_cast<float>(q.value(j, k));
+  }
+  return acc * q.scale(j);
+}
+
+TEST(QuantKernels, BlockedDenseMatchesReferenceChainAtTailShapes) {
+  // Row counts around the single-row path and the 4-row register tile,
+  // output counts around the register strip and the 64-column converted
+  // block, for both the fresh and the accumulating epilogue.
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 9u}) {
+    for (const std::size_t n : {5u, 8u, 63u, 64u, 65u, 130u}) {
+      Rng rng(rows * 1000 + n);
+      const Matrix x = Matrix::randn(rows, 19, 1.0f, rng);
+      const QuantizedMatrix q =
+          QuantizedMatrix::quantize_rows(Matrix::randn(n, 19, 1.0f, rng));
+      const QuantizedPanel panel(q);
+      Matrix fresh;
+      qmatmul(x, panel, fresh);
+      Matrix summed = Matrix::randn(rows, n, 1.0f, rng);
+      const Matrix before = summed;
+      qgemm_rows(x.data(), x.cols(), rows, panel, summed.data(), n,
+                 /*accumulate=*/true);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const float v = reference_product(x.data() + r * x.cols(), q, j);
+          ASSERT_TRUE(same_bits(fresh(r, j), v))
+              << rows << "x" << n << " at " << r << "," << j;
+          ASSERT_TRUE(same_bits(summed(r, j), before(r, j) + v))
+              << rows << "x" << n << " at " << r << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantKernels, PanelUnpacksToItsMatrix) {
+  Rng rng(12);
+  const QuantizedMatrix q =
+      QuantizedMatrix::quantize_rows(Matrix::randn(6, 11, 1.0f, rng));
+  const QuantizedPanel panel(q);
+  EXPECT_EQ(panel.inner(), 11u);
+  EXPECT_EQ(panel.outputs(), 6u);
+  EXPECT_EQ(panel.unpacked(), q);
 }
 
 SparseSequence one_hot(std::size_t steps, std::size_t batch, std::size_t dim,
@@ -156,6 +208,67 @@ TEST(QuantizedLstmTest, SparseDenseBitIdenticalAtSimdTailSizes) {
         EXPECT_TRUE(same_bits(out_d[t].flat()[i], out_s[t].flat()[i]))
             << "h=" << hidden << " t=" << t << " i=" << i;
       }
+    }
+  }
+}
+
+TEST(QuantizedLstmTest, ForwardMatchesReferenceRecurrence) {
+  // The row-split, blocked forward against a plain per-row recurrence over
+  // the reference chain, including the full step-0 product of the zero
+  // state that the layer replaces by its exact value.
+  Rng rng(13);
+  Lstm lstm(9, 12, rng);
+  const QuantizedMatrix w_ih = QuantizedMatrix::quantize_rows(lstm.w_ih());
+  const QuantizedMatrix w_hh = QuantizedMatrix::quantize_rows(lstm.w_hh());
+  QuantizedLstm qlstm(w_ih, w_hh, lstm.bias());
+  const std::size_t batch = 5, hidden = 12;
+  const Sequence input(3, Matrix::randn(batch, 9, 1.0f, rng));
+  const Sequence out = qlstm.forward(input, false);
+
+  Matrix h(batch, hidden, 0.0f), c(batch, hidden, 0.0f);
+  for (std::size_t t = 0; t < input.size(); ++t) {
+    Matrix h_next(batch, hidden), c_next(batch, hidden), tanh_c(batch, hidden);
+    for (std::size_t r = 0; r < batch; ++r) {
+      std::vector<float> gates(4 * hidden);
+      for (std::size_t j = 0; j < gates.size(); ++j) {
+        gates[j] = reference_product(input[t].data() + r * 9, w_ih, j);
+        gates[j] += reference_product(h.data() + r * hidden, w_hh, j);
+      }
+      lstm_gate_pass(gates.data(), lstm.bias().data(), c.data() + r * hidden,
+                     c_next.data() + r * hidden, tanh_c.data() + r * hidden,
+                     h_next.data() + r * hidden, hidden,
+                     ActivationMode::kExact);
+    }
+    h = h_next;
+    c = c_next;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      ASSERT_TRUE(same_bits(out[t].flat()[i], h.flat()[i]))
+          << "t=" << t << " i=" << i;
+    }
+  }
+}
+
+TEST(QuantizedModel, RowsAreIndependentOfBatchAndPoolSplit) {
+  // 37 rows cross both the pool split (for_row_ranges cuts them into
+  // uneven ranges) and the 4-row register tiles; every row must equal the
+  // same window served alone, in the LSTM and in the head.
+  Rng rng(14);
+  auto qmodel = quantize_for_serving(make_one_layer_lstm(40, 64, 150, 0.0, rng));
+  Rng data_rng(15);
+  const SparseSequence batch = one_hot(2, 37, 40, data_rng);
+  const Matrix together = qmodel.forward(batch, false);
+  const Matrix dense = qmodel.forward(to_dense(batch), false);
+  for (std::size_t r = 0; r < 37; ++r) {
+    SparseSequence alone(2, SparseRows(1, 40));
+    for (std::size_t t = 0; t < 2; ++t) {
+      for (const auto& entry : batch[t].row(r)) {
+        alone[t].add(0, entry.col, entry.val);
+      }
+    }
+    const Matrix single = qmodel.forward(alone, false);
+    for (std::size_t j = 0; j < single.cols(); ++j) {
+      ASSERT_TRUE(same_bits(together(r, j), single(0, j))) << r << "," << j;
+      ASSERT_TRUE(same_bits(dense(r, j), single(0, j))) << r << "," << j;
     }
   }
 }
