@@ -91,14 +91,26 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
+  run(count, fn, /*wait_if_busy=*/true);
+}
+
+void ThreadPool::parallel_for_unless_busy(
+    std::size_t count, const std::function<void(std::size_t)>& fn) {
+  run(count, fn, /*wait_if_busy=*/false);
+}
+
+bool ThreadPool::claim(bool wait_if_busy) PELICAN_NO_THREAD_SAFETY_ANALYSIS {
+  if (!wait_if_busy) return submit_mutex_.try_lock();
+  submit_mutex_.lock();
+  return true;
+}
+
+void ThreadPool::run(std::size_t count,
+                     const std::function<void(std::size_t)>& fn,
+                     bool wait_if_busy) {
   if (count == 0) return;
-  // A busy pool also runs the loop here rather than waiting for it. The
-  // submission holding it may have tasks blocked on a lock this caller
-  // holds: a scheduler drain's per-user tasks wait on the serve lock of a
-  // deployment whose forward, on this thread, splits its rows across the
-  // pool. Waiting would close that cycle.
   if (workers_.empty() || count == 1 || inside_pool_worker ||
-      !submit_mutex_.try_lock()) {
+      !claim(wait_if_busy)) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -162,6 +174,15 @@ void parallel_for(std::size_t count,
     return;
   }
   ThreadPool::global().parallel_for(count, fn);
+}
+
+void parallel_for_unless_busy(std::size_t count,
+                              const std::function<void(std::size_t)>& fn) {
+  if (!ThreadPool::global_alive()) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  ThreadPool::global().parallel_for_unless_busy(count, fn);
 }
 
 }  // namespace pelican

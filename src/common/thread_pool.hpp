@@ -35,13 +35,18 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, count), blocking until all complete. Work is
   /// divided into contiguous chunks, one per worker plus the calling thread.
-  /// Exceptions thrown by fn propagate to the caller (first one wins). One
-  /// submission holds the pool at a time; a call made while another holds
-  /// it runs serially on the caller instead of waiting, so parallel_for
-  /// never blocks on another thread's loop (and a caller holding a lock the
-  /// other loop's tasks need cannot deadlock with it).
+  /// Exceptions thrown by fn propagate to the caller (first one wins).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
+
+  /// parallel_for, except that a call made while another thread's loop
+  /// holds the pool runs serially on the caller instead of waiting for it.
+  /// For work that may run under a lock the busy loop's tasks wait on: a
+  /// forward that splits its rows under a deployment's serve lock while a
+  /// scheduler drain's per-user tasks wait on that lock would otherwise
+  /// deadlock.
+  void parallel_for_unless_busy(std::size_t count,
+                                const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool, sized to the hardware. Lazily constructed on first
   /// use; destroyed during static teardown in reverse construction order.
@@ -62,9 +67,14 @@ class ThreadPool {
   struct Batch;
 
   void worker_loop();
+  void run(std::size_t count, const std::function<void(std::size_t)>& fn,
+           bool wait_if_busy);
+  /// Takes submit_mutex_, waiting for it or only if it is free.
+  [[nodiscard]] bool claim(bool wait_if_busy)
+      PELICAN_TRY_ACQUIRE(true, submit_mutex_);
 
   std::vector<std::thread> workers_;
-  Mutex submit_mutex_;  ///< held by the one submission using the pool
+  Mutex submit_mutex_;  ///< serializes concurrent parallel_for submissions
   Mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
@@ -76,5 +86,9 @@ class ThreadPool {
 /// when called from inside a pool worker (no nested parallelism) or after
 /// the global pool has been torn down at exit.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
+
+/// The same wrapper over ThreadPool::parallel_for_unless_busy.
+void parallel_for_unless_busy(std::size_t count,
+                              const std::function<void(std::size_t)>& fn);
 
 }  // namespace pelican

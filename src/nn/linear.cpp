@@ -48,7 +48,7 @@ Matrix Linear::forward(const SparseRows& x) {
 Linear Linear::quantized() const {
   if (is_quantized()) return *this;
   Linear q;
-  q.qweight_ = QuantizedPanel(QuantizedMatrix::quantize_rows(weight_));
+  q.qweight_ = QuantizedMatrix::quantize_rows(weight_);
   q.bias_ = bias_;
   q.trainable_ = false;
   return q;
@@ -100,8 +100,8 @@ Linear Linear::load(BinaryReader& reader) {
   const std::uint8_t format = reader.read_u8();
   if (format == 1) {
     Linear layer;
-    layer.qweight_ = QuantizedPanel::load(reader);
-    layer.bias_.resize(1, layer.qweight_.outputs());
+    layer.qweight_ = QuantizedMatrix::load(reader);
+    layer.bias_.resize(1, layer.qweight_.rows());
     const auto b = reader.read_f32_vector();
     if (b.size() != layer.bias_.size()) {
       throw SerializeError("Linear::load: bias size mismatch");

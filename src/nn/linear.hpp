@@ -55,10 +55,10 @@ class Linear {
   [[nodiscard]] bool trainable() const noexcept { return trainable_; }
 
   [[nodiscard]] std::size_t input_dim() const noexcept {
-    return is_quantized() ? qweight_.inner() : weight_.cols();
+    return is_quantized() ? qweight_.cols() : weight_.cols();
   }
   [[nodiscard]] std::size_t output_dim() const noexcept {
-    return is_quantized() ? qweight_.outputs() : weight_.rows();
+    return is_quantized() ? qweight_.rows() : weight_.rows();
   }
 
   [[nodiscard]] Matrix& weight() noexcept { return weight_; }
@@ -71,7 +71,7 @@ class Linear {
 
  private:
   Matrix weight_;            // out_dim x in_dim (fp32 mode; empty when int8)
-  QuantizedPanel qweight_;   // int8 mode (empty in fp32 mode)
+  QuantizedMatrix qweight_;  // int8 mode (empty in fp32 mode)
   Matrix bias_;              // 1 x out_dim, always fp32
   Matrix grad_weight_;  // same shape as weight_
   Matrix grad_bias_;

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
+#include "nn/parallel.hpp"
 #include "nn/simd.hpp"
 
 namespace pelican::nn {
@@ -67,19 +67,6 @@ void gemm_panel(const float* __restrict a, std::size_t lda,
       }
     }
   }
-}
-
-/// Splits [0, extent) into `chunks` contiguous ranges across the pool.
-template <typename Fn>
-void parallel_ranges(std::size_t extent, std::size_t chunks, Fn&& fn) {
-  chunks = std::max<std::size_t>(1, std::min(chunks, extent));
-  if (chunks == 1) {
-    fn(std::size_t{0}, extent);
-    return;
-  }
-  parallel_for(chunks, [&](std::size_t c) {
-    fn(extent * c / chunks, extent * (c + 1) / chunks);
-  });
 }
 
 /// Runs the panel kernel over the whole output, threading over rows when

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
+#include "nn/parallel.hpp"
 #include "nn/simd.hpp"
 
 namespace pelican::nn {
@@ -34,7 +34,7 @@ constexpr std::size_t kParallelMacs = 1u << 18;
 /// Most pool tasks one product is split into.
 constexpr std::size_t kMaxRowTasks = 8;
 
-// ap[j] += xv * panel[j] over a contiguous int8 panel row. The explicit
+// ap[j] += xv * panel[j] over one contiguous int8 column. The explicit
 // vector helpers (nn/simd.hpp) lose here: SSE2 has no lane-wise int8
 // sign-extend, so __builtin_convertvector at float width scalarizes with
 // store/reload traffic. GCC's own vectorizer emits the efficient
@@ -121,18 +121,13 @@ QuantizedMatrix QuantizedMatrix::quantize_rows(const Matrix& m) {
     }
     const float scale = max_abs / 127.0f;
     q.scales_[r] = scale;
-    std::int8_t* dst = q.values_.data() + r * m.cols();
-    if (scale == 0.0f) {
-      // All-zero row: every element quantizes to 0 exactly.
-      for (std::size_t c = 0; c < m.cols(); ++c) dst[c] = 0;
-      continue;
-    }
     for (std::size_t c = 0; c < m.cols(); ++c) {
-      // Round to nearest; the clamp covers the max element rounding to
-      // exactly ±127 and any fp wobble around it.
-      const float scaled = src[c] / scale;
-      const long v = std::lround(scaled);
-      dst[c] = static_cast<std::int8_t>(std::min(127L, std::max(-127L, v)));
+      // All-zero row: every element quantizes to 0 exactly. Otherwise round
+      // to nearest; the clamp covers the max element rounding to exactly
+      // ±127 and any fp wobble around it.
+      const long v = scale == 0.0f ? 0L : std::lround(src[c] / scale);
+      q.values_[c * q.rows_ + r] =
+          static_cast<std::int8_t>(std::min(127L, std::max(-127L, v)));
     }
   }
   return q;
@@ -141,19 +136,24 @@ QuantizedMatrix QuantizedMatrix::quantize_rows(const Matrix& m) {
 Matrix QuantizedMatrix::dequantize() const {
   Matrix m(rows_, cols_);
   for (std::size_t r = 0; r < rows_; ++r) {
-    const std::int8_t* src = values_.data() + r * cols_;
     float* dst = m.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) {
-      dst[c] = static_cast<float>(src[c]) * scales_[r];
+      dst[c] = static_cast<float>(value(r, c)) * scales_[r];
     }
   }
   return m;
 }
 
 void QuantizedMatrix::save(BinaryWriter& writer) const {
+  std::vector<std::int8_t> row_major(values_.size());
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t c = 0; c < cols_; ++c) {
+      row_major[r * cols_ + c] = value(r, c);
+    }
+  }
   writer.write_u64(rows_);
   writer.write_u64(cols_);
-  writer.write_i8_span(values_);
+  writer.write_i8_span(row_major);
   writer.write_f32_span(scales_);
 }
 
@@ -161,56 +161,26 @@ QuantizedMatrix QuantizedMatrix::load(BinaryReader& reader) {
   QuantizedMatrix q;
   q.rows_ = reader.read_u64();
   q.cols_ = reader.read_u64();
-  q.values_ = reader.read_i8_vector();
+  const std::vector<std::int8_t> row_major = reader.read_i8_vector();
   q.scales_ = reader.read_f32_vector();
-  if (q.values_.size() != q.rows_ * q.cols_ ||
-      q.scales_.size() != q.rows_) {
+  if (row_major.size() != q.rows_ * q.cols_ || q.scales_.size() != q.rows_) {
     throw SerializeError("QuantizedMatrix::load: size mismatch");
   }
-  return q;
-}
-
-QuantizedPanel::QuantizedPanel(const QuantizedMatrix& q)
-    : inner_(q.cols()),
-      values_(q.rows() * q.cols()),
-      scales_(q.scales().begin(), q.scales().end()) {
-  for (std::size_t r = 0; r < q.rows(); ++r) {
-    const std::span<const std::int8_t> src = q.row(r);
-    for (std::size_t c = 0; c < q.cols(); ++c) {
-      values_[c * q.rows() + r] = src[c];
-    }
-  }
-}
-
-QuantizedMatrix QuantizedPanel::unpacked() const {
-  QuantizedMatrix q;
-  q.rows_ = outputs();
-  q.cols_ = inner_;
-  q.values_.resize(values_.size());
-  q.scales_ = scales_;
-  for (std::size_t c = 0; c < inner_; ++c) {
-    for (std::size_t r = 0; r < q.rows_; ++r) {
-      q.values_[r * inner_ + c] = values_[c * q.rows_ + r];
+  q.values_.resize(row_major.size());
+  for (std::size_t r = 0; r < q.rows_; ++r) {
+    for (std::size_t c = 0; c < q.cols_; ++c) {
+      q.values_[c * q.rows_ + r] = row_major[r * q.cols_ + c];
     }
   }
   return q;
 }
 
 void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
-                const QuantizedPanel& p, float* out, std::size_t ldo,
+                const QuantizedMatrix& q, float* out, std::size_t ldo,
                 bool accumulate) {
-  const std::size_t k = p.inner();
-  const std::size_t n = p.outputs();
-  const float* scales = p.scales().data();
-  if (rows == 1) {
-    // Nothing to share a conversion with: convert inside the axpy.
-    std::vector<float> chain(n, 0.0f);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      i8_axpy(chain.data(), p.row(kk), x[kk], n);
-    }
-    store_scaled(chain.data(), scales, out, n, accumulate);
-    return;
-  }
+  const std::size_t k = q.cols();
+  const std::size_t n = q.rows();
+  const float* scales = q.scales().data();
   // The converted k x kPanelCols block, one per thread so pool workers
   // never share it.
   static thread_local std::vector<float> panel;
@@ -221,7 +191,7 @@ void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
     const std::size_t padded = (width + kTileCols - 1) / kTileCols * kTileCols;
     for (std::size_t kk = 0; kk < k; ++kk) {
       float* dst = panel.data() + kk * kPanelCols;
-      i8_to_f32(dst, p.row(kk) + j0, width);
+      i8_to_f32(dst, q.column(kk) + j0, width);
       std::fill(dst + width, dst + padded, 0.0f);
     }
     for (std::size_t i0 = 0; i0 < rows; i0 += kTileRows) {
@@ -245,58 +215,50 @@ void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
 }
 
 void sparse_qgemm_rows(const SparseRows& x, std::size_t r0, std::size_t r1,
-                       const QuantizedPanel& p, float* out, std::size_t ldo) {
-  const std::size_t n = p.outputs();
+                       const QuantizedMatrix& q, float* out, std::size_t ldo) {
+  const std::size_t n = q.rows();
   std::vector<float> chain(n);
   for (std::size_t r = r0; r < r1; ++r) {
     std::fill(chain.begin(), chain.end(), 0.0f);
-    // One contiguous int8 panel row per hot column, the dequant-free
-    // gather. Entries arrive in ascending column order (the SparseRows
-    // invariant), which is the dense kernel's chain order.
+    // One contiguous int8 column per hot column, the dequant-free gather.
+    // Entries arrive in ascending column order (the SparseRows invariant),
+    // which is the dense kernel's chain order.
     for (const auto& entry : x.row(r)) {
-      i8_axpy(chain.data(), p.row(entry.col), entry.val, n);
+      i8_axpy(chain.data(), q.column(entry.col), entry.val, n);
     }
-    store_scaled(chain.data(), p.scales().data(), out + (r - r0) * ldo, n,
+    store_scaled(chain.data(), q.scales().data(), out + (r - r0) * ldo, n,
                  /*accumulate=*/false);
   }
 }
 
-void qmatmul(const Matrix& x, const QuantizedPanel& p, Matrix& out) {
-  if (x.cols() != p.inner()) {
+void qmatmul(const Matrix& x, const QuantizedMatrix& q, Matrix& out) {
+  if (x.cols() != q.cols()) {
     throw std::invalid_argument("qmatmul: inner dimension mismatch");
   }
-  const std::size_t n = p.outputs();
+  const std::size_t n = q.rows();
   out.resize(x.rows(), n);
-  for_row_ranges(x.rows(), p.inner() * n,
-                 [&](std::size_t r0, std::size_t r1) {
-                   qgemm_rows(x.data() + r0 * x.cols(), x.cols(), r1 - r0, p,
-                              out.data() + r0 * n, n, /*accumulate=*/false);
-                 });
+  parallel_ranges(x.rows(), qgemm_row_tasks(x.rows(), q.cols() * n),
+                  [&](std::size_t r0, std::size_t r1) {
+                    qgemm_rows(x.data() + r0 * x.cols(), x.cols(), r1 - r0, q,
+                               out.data() + r0 * n, n, /*accumulate=*/false);
+                  });
 }
 
-void sparse_qmatmul(const SparseRows& x, const QuantizedPanel& p,
+void sparse_qmatmul(const SparseRows& x, const QuantizedMatrix& q,
                     Matrix& out) {
-  if (x.cols() != p.inner()) {
+  if (x.cols() != q.cols()) {
     throw std::invalid_argument("sparse_qmatmul: inner dimension mismatch");
   }
-  const std::size_t n = p.outputs();
+  const std::size_t n = q.rows();
   out.resize(x.rows(), n);
-  sparse_qgemm_rows(x, 0, x.rows(), p, out.data(), n);
+  sparse_qgemm_rows(x, 0, x.rows(), q, out.data(), n);
 }
 
-void for_row_ranges(std::size_t rows, std::size_t macs_per_row,
-                    const std::function<void(std::size_t, std::size_t)>& fn) {
-  const std::size_t tasks =
-      rows * macs_per_row >= kParallelMacs
-          ? std::min(kMaxRowTasks, rows / kRowBlock)
-          : 1;
-  if (tasks <= 1) {
-    fn(0, rows);
-    return;
-  }
-  parallel_for(tasks, [&](std::size_t t) {
-    fn(rows * t / tasks, rows * (t + 1) / tasks);
-  });
+std::size_t qgemm_row_tasks(std::size_t rows,
+                            std::size_t macs_per_row) noexcept {
+  return rows * macs_per_row >= kParallelMacs
+             ? std::min(kMaxRowTasks, rows / kRowBlock)
+             : 1;
 }
 
 }  // namespace pelican::nn

@@ -2,7 +2,7 @@
 // rung" of the ROADMAP inference ladder).
 //
 // QuantizedMatrix stores a weight matrix as one int8 per element plus one
-// float scale per ROW: m(r, c) ≈ values[r*cols + c] * scales[r], with
+// float scale per ROW: m(r, c) ≈ value(r, c) * scale(r), with
 // scale = max|row| / 127 and round-to-nearest quantization. Per-row scales
 // matter because the LSTM's fused 4H gate rows and a classifier head's
 // class rows have very different dynamic ranges — one global scale would
@@ -11,16 +11,15 @@
 // fewer bytes per user on disk, and weight panels that actually fit in
 // cache on the batch-1 serving path.
 //
-// Layers do not serve from QuantizedMatrix directly: they keep the one
-// packed copy a QuantizedPanel holds (the transposed int8 values plus the
-// row scales), and the kernels below read it. The kernels accumulate in
-// fp32 over the int8 weights (each int8 converts exactly) and multiply by
-// the row scale once per output element. No dequantized fp32 weight
-// matrix ever exists: a one-hot gather touches nnz contiguous int8 panel
-// rows plus one scale sweep, and the dense kernel converts one panel block
-// at a time into a small per-thread buffer that a whole block of rows then
-// reads, so each weight is converted once per block rather than once per
-// row.
+// In memory the int8 values are stored transposed, column by column, which
+// is the layout the kernels read; checkpoints keep the row-major layout.
+// The kernels accumulate in fp32 over the int8 weights (each int8 converts
+// exactly) and multiply by the row scale once per output element. No
+// dequantized fp32 weight matrix ever exists: a one-hot gather touches nnz
+// contiguous int8 columns plus one scale sweep, and the dense kernel
+// converts one block of columns at a time into a small per-thread buffer
+// that a whole block of rows then reads, so each weight is converted once
+// per block rather than once per row.
 //
 // Quantized inference is NOT bit-identical to fp32 inference — it is a
 // documented approximation (weights move by at most scale/2 each). The
@@ -30,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -57,79 +55,35 @@ class QuantizedMatrix {
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
 
   [[nodiscard]] std::int8_t value(std::size_t r, std::size_t c) const noexcept {
-    return values_[r * cols_ + c];
+    return values_[c * rows_ + r];
   }
   [[nodiscard]] float scale(std::size_t r) const noexcept {
     return scales_[r];
-  }
-  [[nodiscard]] std::span<const std::int8_t> values() const noexcept {
-    return values_;
   }
   [[nodiscard]] std::span<const float> scales() const noexcept {
     return scales_;
   }
 
-  /// Row-major int8 view of row r (one gate/class row, contiguous).
-  [[nodiscard]] std::span<const std::int8_t> row(std::size_t r) const noexcept {
-    return {values_.data() + r * cols_, cols_};
+  /// The rows() int8 values of column c, contiguous: every output row's
+  /// weight for input column c.
+  [[nodiscard]] const std::int8_t* column(std::size_t c) const noexcept {
+    return values_.data() + c * rows_;
   }
 
-  /// Serialized as [u64 rows | u64 cols | i8 span values | f32 span scales]
-  /// inside the checkpoint payload, so the existing header CRC-32
-  /// (common/serialize.hpp) covers every quantized byte exactly as it
-  /// covers fp32 weights.
+  /// Serialized as [u64 rows | u64 cols | i8 span values (row-major) | f32
+  /// span scales] inside the checkpoint payload, so the existing header
+  /// CRC-32 (common/serialize.hpp) covers every quantized byte exactly as
+  /// it covers fp32 weights.
   void save(BinaryWriter& writer) const;
   [[nodiscard]] static QuantizedMatrix load(BinaryReader& reader);
 
   bool operator==(const QuantizedMatrix& other) const = default;
 
  private:
-  friend class QuantizedPanel;
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::int8_t> values_;  // row-major, rows_ x cols_
+  std::vector<std::int8_t> values_;  // column-major, cols_ x rows_
   std::vector<float> scales_;        // length rows_
-};
-
-/// The serving-side packing of a QuantizedMatrix q (n x k): q's int8
-/// values transposed into a contiguous (k x n) panel, so panel row c holds
-/// every output's weight for input column c, plus q's n row scales. A
-/// one-hot gather reads one contiguous panel row per hot column; the dense
-/// kernel streams panel rows across a block of output rows. This is the one
-/// copy of its weights a quantized layer keeps; the row-major form exists
-/// only on the way in (quantize_rows) and out (checkpoints).
-class QuantizedPanel {
- public:
-  QuantizedPanel() = default;
-  explicit QuantizedPanel(const QuantizedMatrix& q);
-
-  /// The row-major QuantizedMatrix this panel packs (exact inverse).
-  [[nodiscard]] QuantizedMatrix unpacked() const;
-
-  /// Serialized as the QuantizedMatrix it packs, so checkpoints keep the
-  /// QuantizedMatrix::save layout byte for byte.
-  void save(BinaryWriter& writer) const { unpacked().save(writer); }
-  [[nodiscard]] static QuantizedPanel load(BinaryReader& reader) {
-    return QuantizedPanel(QuantizedMatrix::load(reader));
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
-  [[nodiscard]] std::size_t inner() const noexcept { return inner_; }
-  [[nodiscard]] std::size_t outputs() const noexcept { return scales_.size(); }
-
-  /// The n int8 weights input column c contributes, one per output.
-  [[nodiscard]] const std::int8_t* row(std::size_t c) const noexcept {
-    return values_.data() + c * outputs();
-  }
-  [[nodiscard]] std::span<const float> scales() const noexcept {
-    return scales_;
-  }
-
- private:
-  std::size_t inner_ = 0;
-  std::vector<std::int8_t> values_;  // inner_ x outputs(), row-major
-  std::vector<float> scales_;
 };
 
 // Every int8 product below computes, for each output element, one fp32
@@ -142,31 +96,30 @@ class QuantizedPanel {
 // contract), and the sparse and dense forms agree by the ±0 argument of
 // nn/sparse.hpp.
 
-/// out(i, :) (=|+=) x(i, :) * q^T for `rows` fp32 rows of k = p.inner()
+/// out(i, :) (=|+=) x(i, :) * q^T for `rows` fp32 rows of k = q.cols()
 /// columns, x rows `ldx` floats apart, out rows `ldo` floats apart. Each
-/// 64-column panel block is converted to fp32 once per call and then read
-/// by every 4-row register tile of the call, instead of once per row.
+/// block of 64 output columns is converted to fp32 once per call and then
+/// read by every 4-row register tile of the call, instead of once per row.
 void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
-                const QuantizedPanel& p, float* out, std::size_t ldo,
+                const QuantizedMatrix& q, float* out, std::size_t ldo,
                 bool accumulate);
 
 /// out(i - r0, :) = x(i, :) * q^T for the rows [r0, r1) of a sparse x: nnz
-/// contiguous panel-row gathers per row, no dense product and no
-/// dequantized weights. Out rows are `ldo` floats apart.
+/// contiguous column gathers per row, no dense product and no dequantized
+/// weights. Out rows are `ldo` floats apart.
 void sparse_qgemm_rows(const SparseRows& x, std::size_t r0, std::size_t r1,
-                       const QuantizedPanel& p, float* out, std::size_t ldo);
+                       const QuantizedMatrix& q, float* out, std::size_t ldo);
 
 /// Matrix forms of the two kernels above: out = x * q^T, resized to
-/// (x.rows() x p.outputs()), rows split across the pool by for_row_ranges.
-void qmatmul(const Matrix& x, const QuantizedPanel& p, Matrix& out);
-void sparse_qmatmul(const SparseRows& x, const QuantizedPanel& p,
+/// (x.rows() x q.rows()), dense rows split across the pool.
+void qmatmul(const Matrix& x, const QuantizedMatrix& q, Matrix& out);
+void sparse_qmatmul(const SparseRows& x, const QuantizedMatrix& q,
                     Matrix& out);
 
-/// Runs fn(r0, r1) over contiguous ranges covering [0, rows): up to 8 pool
-/// tasks of at least 8 rows each when rows * macs_per_row is worth a pool
-/// dispatch, else fn(0, rows) on the caller. Ranges are disjoint, so
-/// per-row results never depend on the split.
-void for_row_ranges(std::size_t rows, std::size_t macs_per_row,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+/// Pool tasks an int8 forward of `rows` rows at `macs_per_row`
+/// multiply-adds each splits into: up to 8 of at least 8 rows once the
+/// product is worth a pool dispatch, else 1.
+[[nodiscard]] std::size_t qgemm_row_tasks(std::size_t rows,
+                                          std::size_t macs_per_row) noexcept;
 
 }  // namespace pelican::nn

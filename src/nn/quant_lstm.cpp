@@ -5,18 +5,17 @@
 #include <utility>
 
 #include "nn/activations.hpp"
+#include "nn/parallel.hpp"
 
 namespace pelican::nn {
 
-QuantizedLstm::QuantizedLstm(const QuantizedMatrix& w_ih,
-                             const QuantizedMatrix& w_hh, Matrix bias)
-    : bias_(std::move(bias)) {
-  if (w_ih.rows() != w_hh.rows() || w_ih.rows() != 4 * w_hh.cols() ||
-      bias_.rows() != 1 || bias_.cols() != w_ih.rows()) {
+QuantizedLstm::QuantizedLstm(QuantizedMatrix w_ih, QuantizedMatrix w_hh,
+                             Matrix bias)
+    : w_ih_(std::move(w_ih)), w_hh_(std::move(w_hh)), bias_(std::move(bias)) {
+  if (w_ih_.rows() != w_hh_.rows() || w_ih_.rows() != 4 * w_hh_.cols() ||
+      bias_.rows() != 1 || bias_.cols() != w_ih_.rows()) {
     throw std::invalid_argument("QuantizedLstm: inconsistent gate shapes");
   }
-  w_ih_ = QuantizedPanel(w_ih);
-  w_hh_ = QuantizedPanel(w_hh);
   set_trainable(false);
 }
 
@@ -30,8 +29,9 @@ Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
   const float* bias = bias_.row(0).data();
   const std::span<const float> hh_scales = w_hh_.scales();
 
-  const std::size_t macs_per_row = input_macs + steps * hidden * width;
-  for_row_ranges(batch, macs_per_row, [&](std::size_t r0, std::size_t r1) {
+  const std::size_t tasks =
+      qgemm_row_tasks(batch, input_macs + steps * hidden * width);
+  parallel_ranges(batch, tasks, [&](std::size_t r0, std::size_t r1) {
     const std::size_t rows = r1 - r0;
     std::vector<float> gates(rows * width);
     std::vector<float> c_prev(rows * hidden, 0.0f);
@@ -125,15 +125,16 @@ void QuantizedLstm::save(BinaryWriter& writer) const {
 }
 
 std::unique_ptr<QuantizedLstm> QuantizedLstm::load(BinaryReader& reader) {
-  const QuantizedMatrix w_ih = QuantizedMatrix::load(reader);
-  const QuantizedMatrix w_hh = QuantizedMatrix::load(reader);
+  QuantizedMatrix w_ih = QuantizedMatrix::load(reader);
+  QuantizedMatrix w_hh = QuantizedMatrix::load(reader);
   Matrix bias(1, w_ih.rows());
   const auto b = reader.read_f32_vector();
   if (b.size() != bias.size()) {
     throw SerializeError("QuantizedLstm::load: bias size mismatch");
   }
   std::copy(b.begin(), b.end(), bias.data());
-  return std::make_unique<QuantizedLstm>(w_ih, w_hh, std::move(bias));
+  return std::make_unique<QuantizedLstm>(std::move(w_ih), std::move(w_hh),
+                                         std::move(bias));
 }
 
 }  // namespace pelican::nn

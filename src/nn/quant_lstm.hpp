@@ -4,8 +4,8 @@
 //
 // Same recurrence, same [i f g o] gate layout, same fused gate pass
 // (nn/activations.hpp — exact activations by default, fast mode opt-in);
-// only the weight products differ: the input product gathers contiguous
-// int8 panel rows per one-hot entry (dequant-free — see quant.hpp) and the
+// only the weight products differ: the input product gathers one contiguous
+// int8 column per one-hot entry (dequant-free — see quant.hpp) and the
 // recurrence accumulates fp32 activations against int8 weights a quarter
 // the size of their fp32 originals. A batch splits into row ranges across
 // the pool, each running every timestep on its own, and the first step
@@ -34,8 +34,7 @@ class QuantizedLstm final : public SequenceLayer {
   /// Takes already-quantized gate weights (w_ih: 4H x I, w_hh: 4H x H, both
   /// with per-row scales) and the fp32 bias (1 x 4H — bias stays fp32: it
   /// is 4H floats total and feeds the fused gate pass directly).
-  QuantizedLstm(const QuantizedMatrix& w_ih, const QuantizedMatrix& w_hh,
-                Matrix bias);
+  QuantizedLstm(QuantizedMatrix w_ih, QuantizedMatrix w_hh, Matrix bias);
 
   Sequence forward(const Sequence& input, bool training) override;
   Sequence forward_sparse(const SparseSequence& input, bool training) override;
@@ -48,12 +47,12 @@ class QuantizedLstm final : public SequenceLayer {
   std::vector<Matrix*> gradients() override { return {}; }
 
   [[nodiscard]] std::size_t input_dim() const override {
-    return w_ih_.inner();
+    return w_ih_.cols();
   }
   [[nodiscard]] std::size_t output_dim() const override {
-    return w_hh_.inner();
+    return w_hh_.cols();
   }
-  [[nodiscard]] std::size_t hidden_dim() const { return w_hh_.inner(); }
+  [[nodiscard]] std::size_t hidden_dim() const { return w_hh_.cols(); }
 
   [[nodiscard]] std::unique_ptr<SequenceLayer> clone() const override;
   [[nodiscard]] std::string kind() const override { return "qlstm"; }
@@ -73,7 +72,7 @@ class QuantizedLstm final : public SequenceLayer {
  private:
   /// Shared recurrence body. The batch's rows are independent through
   /// every timestep, so they split into contiguous ranges across the pool
-  /// (for_row_ranges), each range running all timesteps on its own.
+  /// (qgemm_row_tasks of them), each range running all timesteps on its own.
   /// `input_product(t, r0, r1, gates)` writes this timestep's input product
   /// for rows [r0, r1) into `gates` (4H floats per row): the dense int8
   /// product or the sparse panel gather. `input_macs` is its multiply-adds
@@ -82,10 +81,9 @@ class QuantizedLstm final : public SequenceLayer {
   Sequence run_forward(std::size_t steps, std::size_t batch,
                        std::size_t input_macs, InputProduct&& input_product);
 
-  // The gate weights (4H rows, per-row scales), packed once at
-  // construction; the weights are immutable.
-  QuantizedPanel w_ih_;               // I x 4H: gather + dense input product
-  QuantizedPanel w_hh_;               // H x 4H: recurrence
+  // The gate weights (4H rows, per-row scales); immutable.
+  QuantizedMatrix w_ih_;              // 4H x I: gather + dense input product
+  QuantizedMatrix w_hh_;              // 4H x H: recurrence
   Matrix bias_;                       // 1 x 4H, fp32
   ActivationMode mode_ = ActivationMode::kExact;
 };

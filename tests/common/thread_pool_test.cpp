@@ -103,11 +103,11 @@ TEST(ThreadPool, GlobalAliveDuringNormalExecution) {
   EXPECT_TRUE(ThreadPool::global_alive());
 }
 
-TEST(ThreadPool, ConcurrentSubmittersEachCoverTheirIndices) {
-  // parallel_for from many threads at once: one batch holds the pool and
-  // the others run inline on their callers; every batch must still cover
-  // all of its indices. This is the contention pattern the TSan lane leans
-  // on hardest.
+TEST(ThreadPool, ConcurrentSubmittersSerialize) {
+  // parallel_for from many threads at once: submit_mutex_ admits one batch
+  // at a time, and parallel_for_unless_busy runs inline while another batch
+  // holds the pool; every batch must still cover all of its indices. This
+  // is the contention pattern the TSan lane leans on hardest.
   ThreadPool pool(4);
   constexpr int kSubmitters = 8;
   std::vector<std::atomic<int>> counts(kSubmitters);
@@ -115,7 +115,12 @@ TEST(ThreadPool, ConcurrentSubmittersEachCoverTheirIndices) {
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&pool, &counts, s] {
-      pool.parallel_for(100, [&counts, s](std::size_t) { ++counts[s]; });
+      const auto count = [&counts, s](std::size_t) { ++counts[s]; };
+      if (s % 2 == 0) {
+        pool.parallel_for(100, count);
+      } else {
+        pool.parallel_for_unless_busy(100, count);
+      }
     });
   }
   for (auto& t : submitters) t.join();
@@ -126,7 +131,8 @@ TEST(ThreadPool, BusyPoolRunsTheCallerInlineInsteadOfWaiting) {
   // The serving lock cycle: a scheduler drain's tasks hold the pool and
   // wait on a deployment's serve lock, while the thread holding that lock
   // splits its forward across the pool. Waiting for the pool there would
-  // deadlock; the second call must run inline and let the first finish.
+  // deadlock; parallel_for_unless_busy must run inline and let the drain
+  // finish.
   ThreadPool pool(4);
   std::mutex serve_lock;
   std::unique_lock<std::mutex> held(serve_lock);
@@ -140,7 +146,7 @@ TEST(ThreadPool, BusyPoolRunsTheCallerInlineInsteadOfWaiting) {
   while (!waiting) std::this_thread::yield();
 
   std::atomic<int> rows{0};
-  pool.parallel_for(8, [&](std::size_t) { ++rows; });
+  pool.parallel_for_unless_busy(8, [&](std::size_t) { ++rows; });
   EXPECT_EQ(rows.load(), 8);
   held.unlock();
   drain.join();

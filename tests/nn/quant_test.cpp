@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -92,7 +93,7 @@ TEST(QuantKernels, DenseMatchesManualDequantizedProduct) {
   const QuantizedMatrix q =
       QuantizedMatrix::quantize_rows(Matrix::randn(5, 6, 1.0f, rng));
   Matrix out;
-  qmatmul(x, QuantizedPanel(q), out);
+  qmatmul(x, q, out);
   ASSERT_EQ(out.rows(), 4u);
   ASSERT_EQ(out.cols(), 5u);
   for (std::size_t r = 0; r < 4; ++r) {
@@ -111,15 +112,14 @@ TEST(QuantKernels, SparseBitIdenticalToDense) {
   Rng rng(4);
   const QuantizedMatrix q =
       QuantizedMatrix::quantize_rows(Matrix::randn(12, 9, 1.0f, rng));
-  const QuantizedPanel panel(q);
   SparseRows x(3, 9);
   x.add(0, 2, 1.0f);
   x.add(1, 0, 0.5f);
   x.add(1, 8, 1.0f);
   // row 2 left empty
   Matrix dense_out, sparse_out;
-  qmatmul(x.to_dense(), panel, dense_out);
-  sparse_qmatmul(x, panel, sparse_out);
+  qmatmul(x.to_dense(), q, dense_out);
+  sparse_qmatmul(x, q, sparse_out);
   ASSERT_EQ(sparse_out.rows(), dense_out.rows());
   ASSERT_EQ(sparse_out.cols(), dense_out.cols());
   for (std::size_t i = 0; i < dense_out.size(); ++i) {
@@ -139,7 +139,7 @@ float reference_product(const float* x, const QuantizedMatrix& q,
 }
 
 TEST(QuantKernels, BlockedDenseMatchesReferenceChainAtTailShapes) {
-  // Row counts around the single-row path and the 4-row register tile,
+  // Row counts around the 4-row register tile,
   // output counts around the register strip and the 64-column converted
   // block, for both the fresh and the accumulating epilogue.
   for (const std::size_t rows : {1u, 3u, 4u, 5u, 9u}) {
@@ -148,12 +148,11 @@ TEST(QuantKernels, BlockedDenseMatchesReferenceChainAtTailShapes) {
       const Matrix x = Matrix::randn(rows, 19, 1.0f, rng);
       const QuantizedMatrix q =
           QuantizedMatrix::quantize_rows(Matrix::randn(n, 19, 1.0f, rng));
-      const QuantizedPanel panel(q);
       Matrix fresh;
-      qmatmul(x, panel, fresh);
+      qmatmul(x, q, fresh);
       Matrix summed = Matrix::randn(rows, n, 1.0f, rng);
       const Matrix before = summed;
-      qgemm_rows(x.data(), x.cols(), rows, panel, summed.data(), n,
+      qgemm_rows(x.data(), x.cols(), rows, q, summed.data(), n,
                  /*accumulate=*/true);
       for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t j = 0; j < n; ++j) {
@@ -168,14 +167,33 @@ TEST(QuantKernels, BlockedDenseMatchesReferenceChainAtTailShapes) {
   }
 }
 
-TEST(QuantKernels, PanelUnpacksToItsMatrix) {
+TEST(QuantizedMatrix, CheckpointKeepsRowMajorValues) {
+  // Memory holds the values column by column; the checkpoint layout stays
+  // [rows | cols | row-major values | scales].
   Rng rng(12);
   const QuantizedMatrix q =
       QuantizedMatrix::quantize_rows(Matrix::randn(6, 11, 1.0f, rng));
-  const QuantizedPanel panel(q);
-  EXPECT_EQ(panel.inner(), 11u);
-  EXPECT_EQ(panel.outputs(), 6u);
-  EXPECT_EQ(panel.unpacked(), q);
+  const auto path = std::filesystem::temp_directory_path() / "qmat_layout.bin";
+  {
+    BinaryWriter writer(path, 1);
+    q.save(writer);
+    writer.finish();
+  }
+  BinaryReader reader(path, 1);
+  EXPECT_EQ(reader.read_u64(), 6u);
+  EXPECT_EQ(reader.read_u64(), 11u);
+  const std::vector<std::int8_t> values = reader.read_i8_vector();
+  ASSERT_EQ(values.size(), 66u);
+  for (std::size_t r = 0; r < 6; ++r) {
+    for (std::size_t c = 0; c < 11; ++c) {
+      EXPECT_EQ(values[r * 11 + c], q.value(r, c)) << r << "," << c;
+      EXPECT_EQ(q.column(c)[r], q.value(r, c)) << r << "," << c;
+    }
+  }
+  const std::vector<float> scales = reader.read_f32_vector();
+  EXPECT_TRUE(std::equal(scales.begin(), scales.end(), q.scales().begin(),
+                         q.scales().end()));
+  std::filesystem::remove(path);
 }
 
 SparseSequence one_hot(std::size_t steps, std::size_t batch, std::size_t dim,
@@ -249,7 +267,7 @@ TEST(QuantizedLstmTest, ForwardMatchesReferenceRecurrence) {
 }
 
 TEST(QuantizedModel, RowsAreIndependentOfBatchAndPoolSplit) {
-  // 37 rows cross both the pool split (for_row_ranges cuts them into
+  // 37 rows cross both the pool split (qgemm_row_tasks cuts them into
   // uneven ranges) and the 4-row register tiles; every row must equal the
   // same window served alone, in the LSTM and in the head.
   Rng rng(14);
