@@ -115,34 +115,10 @@ BENCHMARK(BM_LstmForwardOneHot)
     ->Args({1024, 0})
     ->Args({1024, 1});
 
-void BM_LstmForwardFastAct(benchmark::State& state) {
-  // ISSUE 6 gate-dominated shape: batch-1 one-hot forward where the input
-  // product is nnz gathers, so runtime is mostly the 4H gate activations.
-  // range(1) selects exact libm (0) vs the vectorized polynomial kernels
-  // (1, ActivationMode::kFastApprox).
-  const auto hidden = static_cast<std::size_t>(state.range(0));
-  const bool fast = state.range(1) != 0;
-  Rng rng(8);
-  Lstm lstm(128, hidden, rng);
-  lstm.set_activation_mode(fast ? ActivationMode::kFastApprox
-                                : ActivationMode::kExact);
-  const SparseSequence input = one_hot_input(8, 1, 128, rng);
-  for (auto _ : state) {
-    auto out = lstm.forward_sparse(input, false);
-    benchmark::DoNotOptimize(out.back().data());
-  }
-  state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_LstmForwardFastAct)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({128, 0})
-    ->Args({128, 1});
-
 void BM_QuantizedLstmForward(benchmark::State& state) {
   // fp32 Lstm vs its int8 QuantizedLstm on the same one-hot input
-  // (range(1) selects the weight format). Both run exact activations, so
-  // the delta isolates the weight-product change (int8 panel gathers +
+  // (range(1) selects the weight format). Both run the same activations,
+  // so the delta isolates the weight-product change (int8 panel gathers +
   // int8-row recurrence vs fp32).
   const auto batch = static_cast<std::size_t>(state.range(0));
   const bool int8 = state.range(1) != 0;
@@ -153,8 +129,7 @@ void BM_QuantizedLstmForward(benchmark::State& state) {
                       lstm.bias());
   const SparseSequence input = one_hot_input(8, batch, 128, rng);
   for (auto _ : state) {
-    auto out = int8 ? qlstm.forward_sparse(input, false)
-                    : lstm.forward_sparse(input, false);
+    auto out = int8 ? qlstm.infer(input) : lstm.infer(input);
     benchmark::DoNotOptimize(out.back().data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * batch);
@@ -217,12 +192,12 @@ void BM_ModelQueryBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelQueryBatch)->Arg(64)->Arg(512)->Arg(1024);
 
-/// The PR 5 serving path, reproduced as the gate_fwd acceptance baseline:
-/// per-step no-pack products (matmul_bt's batch-1 dot kernel — the seed had
-/// no cross-timestep pack hoist) and the separate scalar bias/activation/
+/// The seed's serving path, reproduced as the gate_fwd baseline: per-step
+/// no-pack products (matmul_bt's batch-1 dot kernel — the seed had no
+/// cross-timestep pack hoist) and the separate scalar bias/activation/
 /// cell-update loops the fused gate pass replaced. write_kernel_table()
-/// checks it bit-identical to today's exact-mode forward before timing, so
-/// the row measures the same function either side.
+/// checks it bit-identical to today's inference before timing, so the row
+/// measures the same function either side.
 Sequence seed_forward_sparse(const Lstm& lstm, const SparseSequence& input) {
   const std::size_t hidden = lstm.hidden_dim();
   const std::size_t batch = input[0].rows();
@@ -327,44 +302,37 @@ void write_kernel_table() {
                    Table::num(legacy_ms / packed_ms, 2) + "x"});
   }
 
-  // ISSUE 6 rows. gate_fwd: the PR 5 serving path (seed_forward_sparse —
-  // checked bit-identical to exact mode first) vs the fast-activation
-  // forward on the same one-hot input; batch 1 is the acceptance case,
-  // must clear 1.5x. quant_fwd: fp32 vs int8 weights, exact activations in
-  // both, so each row isolates the weight-format change.
+  // gate_fwd: the seed's serving path (seed_forward_sparse — checked
+  // bit-identical to today's inference first) vs today's inference on the
+  // same one-hot input. quant_fwd: fp32 vs int8 weights, the same
+  // activations in both, so each row isolates the weight-format change.
   for (const std::size_t hidden : {std::size_t{64}, std::size_t{128}}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
       Rng gate_rng(45);
       Lstm gate_lstm(128, hidden, gate_rng);
       const SparseSequence input = one_hot_input(8, batch, 128, gate_rng);
 
-      gate_lstm.set_activation_mode(ActivationMode::kExact);
       {
         const Sequence seed = seed_forward_sparse(gate_lstm, input);
-        const Sequence exact = gate_lstm.forward_sparse(input, false);
-        if (seed.back() != exact.back()) {
-          std::cerr << "WARNING: seed replica diverged from exact forward "
+        const Sequence today = gate_lstm.infer(input);
+        if (seed.back() != today.back()) {
+          std::cerr << "WARNING: seed replica diverged from inference "
                        "(gate_fwd baseline is not a faithful PR 5 path)\n";
         }
       }
       const double seed_ms =
           time_ms([&] { (void)seed_forward_sparse(gate_lstm, input); });
-      gate_lstm.set_activation_mode(ActivationMode::kFastApprox);
-      const double fast_ms =
-          time_ms([&] { (void)gate_lstm.forward_sparse(input, false); });
+      const double today_ms = time_ms([&] { (void)gate_lstm.infer(input); });
       table.add_row({"gate_fwd_b" + std::to_string(batch) + "_h" +
                          std::to_string(hidden),
-                     Table::num(seed_ms, 5), Table::num(fast_ms, 5),
-                     Table::num(seed_ms / fast_ms, 2) + "x"});
+                     Table::num(seed_ms, 5), Table::num(today_ms, 5),
+                     Table::num(seed_ms / today_ms, 2) + "x"});
 
-      gate_lstm.set_activation_mode(ActivationMode::kExact);
       QuantizedLstm qlstm(QuantizedMatrix::quantize_rows(gate_lstm.w_ih()),
                           QuantizedMatrix::quantize_rows(gate_lstm.w_hh()),
                           gate_lstm.bias());
-      const double fp32_ms =
-          time_ms([&] { (void)gate_lstm.forward_sparse(input, false); });
-      const double int8_ms =
-          time_ms([&] { (void)qlstm.forward_sparse(input, false); });
+      const double fp32_ms = time_ms([&] { (void)gate_lstm.infer(input); });
+      const double int8_ms = time_ms([&] { (void)qlstm.infer(input); });
       table.add_row({"quant_fwd_b" + std::to_string(batch) + "_h" +
                          std::to_string(hidden),
                      Table::num(fp32_ms, 5), Table::num(int8_ms, 5),
@@ -383,8 +351,8 @@ void write_kernel_table() {
                                     std::size_t{256}}) {
       Rng data_rng(47);
       const SparseSequence input = one_hot_input(2, batch, 250, data_rng);
-      const double fp32_ms = time_ms([&] { (void)fp32.forward(input, false); });
-      const double int8_ms = time_ms([&] { (void)int8.forward(input, false); });
+      const double fp32_ms = time_ms([&] { (void)fp32.infer(input); });
+      const double int8_ms = time_ms([&] { (void)int8.infer(input); });
       table.add_row({"quant_model_b" + std::to_string(batch),
                      Table::num(fp32_ms, 5), Table::num(int8_ms, 5),
                      Table::num(fp32_ms / int8_ms, 2) + "x"});

@@ -27,12 +27,14 @@ class BlackBoxModel {
     return query(nn::to_dense(input));
   }
 
-  /// An independent replica serving the same model: same weights, same
-  /// privacy behavior, but its own forward-pass caches, so replicas can be
-  /// queried from different threads concurrently (parallel candidate
-  /// scoring). Queries against a replica count against the ORIGINAL's
-  /// budget, and the replica must not outlive it. Returns nullptr when the
-  /// implementation cannot replicate (scoring then stays serial).
+  /// A handle for one more scoring worker (parallel candidate scoring):
+  /// the handle and this model may be queried from different threads at
+  /// the same time. Models whose queries are already safe to share return
+  /// a BlackBoxRef to themselves, not a copy, so queries through a handle
+  /// are queries of THIS model and count against its budget. A handle must
+  /// not outlive its model, nor be used after the model moves. Returns
+  /// nullptr when the implementation cannot be queried concurrently
+  /// (scoring then stays serial).
   [[nodiscard]] virtual std::unique_ptr<BlackBoxModel> replicate() {
     return nullptr;
   }
@@ -45,11 +47,41 @@ class BlackBoxModel {
   [[nodiscard]] virtual const mobility::EncodingSpec& spec() const = 0;
 };
 
+/// What replicate() returns for a model whose queries are safe to run
+/// concurrently (DeployedModel, PlainBlackBox): a non-owning handle that
+/// forwards every call to that model.
+class BlackBoxRef final : public BlackBoxModel {
+ public:
+  explicit BlackBoxRef(BlackBoxModel& model) : model_(&model) {}
+
+  [[nodiscard]] nn::Matrix query(const nn::Sequence& input) override {
+    return model_->query(input);
+  }
+  [[nodiscard]] nn::Matrix query(const nn::SparseSequence& input) override {
+    return model_->query(input);
+  }
+  [[nodiscard]] std::unique_ptr<BlackBoxModel> replicate() override {
+    return model_->replicate();
+  }
+  [[nodiscard]] std::size_t num_classes() const override {
+    return model_->num_classes();
+  }
+  [[nodiscard]] const mobility::EncodingSpec& spec() const override {
+    return model_->spec();
+  }
+
+ private:
+  BlackBoxModel* model_;
+};
+
 /// Adapter exposing a raw SequenceClassifier as a black box with standard
 /// softmax confidences — a deployment *without* Pelican's privacy layer.
+/// Queries run the model's const inference path, so they may run
+/// concurrently; the adapter borrows the model, which must outlive it.
 class PlainBlackBox final : public BlackBoxModel {
  public:
-  PlainBlackBox(nn::SequenceClassifier& model, mobility::EncodingSpec spec)
+  PlainBlackBox(const nn::SequenceClassifier& model,
+                mobility::EncodingSpec spec)
       : model_(&model), spec_(spec) {}
 
   [[nodiscard]] nn::Matrix query(const nn::Sequence& input) override {
@@ -58,14 +90,8 @@ class PlainBlackBox final : public BlackBoxModel {
   [[nodiscard]] nn::Matrix query(const nn::SparseSequence& input) override {
     return model_->predict_proba(input);
   }
-
-  /// Replicas own a deep copy of the model (the adapter itself only
-  /// borrows), giving each scoring worker private forward caches.
   [[nodiscard]] std::unique_ptr<BlackBoxModel> replicate() override {
-    auto owned = std::make_shared<nn::SequenceClassifier>(model_->clone());
-    auto copy = std::make_unique<PlainBlackBox>(*owned, spec_);
-    copy->owned_ = std::move(owned);
-    return copy;
+    return std::make_unique<BlackBoxRef>(*this);
   }
 
   [[nodiscard]] std::size_t num_classes() const override {
@@ -76,8 +102,7 @@ class PlainBlackBox final : public BlackBoxModel {
   }
 
  private:
-  nn::SequenceClassifier* model_;
-  std::shared_ptr<nn::SequenceClassifier> owned_;  // set on replicas only
+  const nn::SequenceClassifier* model_;
   mobility::EncodingSpec spec_;
 };
 

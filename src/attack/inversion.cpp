@@ -70,7 +70,7 @@ std::vector<double> score_candidates_parallel(
     std::size_t query_batch,
     std::span<const std::unique_ptr<BlackBoxModel>> replicas) {
   // One contiguous chunk per worker. Chunking (not per-batch round-robin)
-  // keeps every worker on one replica no matter which pool thread picks the
+  // keeps every worker on one handle no matter which pool thread picks the
   // index up, and a worker count of one degenerates to the serial path.
   const std::size_t workers =
       std::min(replicas.size() + 1,
@@ -144,27 +144,21 @@ InversionResult run_inversion(
   result.ks = config.ks;
   result.topk_accuracy.assign(config.ks.size(), 0.0);
 
-  // Per-worker model replicas, built on the first window whose candidate
-  // set is large enough for parallel scoring to engage (time-based attacks
-  // enumerate tens of candidates — cloning a model per core for them would
-  // be pure waste), then reused for every later window. Candidate scoring
-  // — the dominant serial cost once enumeration went parallel — then spans
-  // the pool; replicas charge the original model's query budget, so the
-  // audit trail is identical to serial scoring.
+  // One scoring handle per pool worker (BlackBoxModel::replicate), built
+  // once and used for every window. Candidate scoring, the attack's
+  // dominant cost, then spans the pool whenever a window's candidate set
+  // is big enough. The handles query the model itself, so the audit trail
+  // is identical to serial scoring.
   std::vector<std::unique_ptr<BlackBoxModel>> replicas;
-  bool replicas_built = false;
+  if (config.parallel_scoring) {
+    replicas = make_scoring_replicas(model, ThreadPool::global().size());
+  }
 
   Stopwatch watch;
   for (std::size_t w = 0; w < limit; ++w) {
     const mobility::Window& window = target_windows[w];
     const auto candidates = enumerate_candidates(
         config.method, config.adversary, window, guesses, prior);
-    if (config.parallel_scoring && !replicas_built &&
-        ThreadPool::global().size() > 0 &&
-        candidates.size() >= 2 * config.query_batch) {
-      replicas = make_scoring_replicas(model, ThreadPool::global().size());
-      replicas_built = true;
-    }
     const auto scores = score_candidates_parallel(
         model, candidates, window.next_location, prior, config.query_batch,
         replicas);

@@ -37,12 +37,13 @@ struct InversionConfig {
   std::vector<std::size_t> ks = {1, 3, 5, 7};
   /// Candidates per model query batch (memory/throughput trade-off).
   std::size_t query_batch = 1024;
-  /// Score candidates across ThreadPool::global() using per-worker model
-  /// replicas (BlackBoxModel::replicate). Falls back to serial scoring when
-  /// the model cannot replicate or the pool has no workers. Scores are
-  /// bit-identical to the serial path for any worker count: per-candidate
-  /// confidences are batch-composition-invariant (nn kernel contract) and
-  /// the per-location max-merge is order-independent.
+  /// Score candidates across ThreadPool::global(), one scoring handle
+  /// (BlackBoxModel::replicate) per worker, all querying the one model.
+  /// Falls back to serial scoring when the model cannot be queried
+  /// concurrently or the pool has no workers. Scores are bit-identical to
+  /// the serial path for any worker count: per-candidate confidences are
+  /// batch-composition-invariant (nn kernel contract) and the per-location
+  /// max-merge is order-independent.
   bool parallel_scoring = true;
 };
 
@@ -79,18 +80,18 @@ struct InversionResult {
     std::size_t query_batch);
 
 /// Splits the candidate set into one contiguous chunk per worker (`model`
-/// itself plus each entry of `replicas`), scores the chunks across
+/// itself plus each handle in `replicas`), scores the chunks across
 /// ThreadPool::global(), and max-merges the per-location scores in worker
-/// order. Bit-identical to score_candidates for every replica count; with
-/// no replicas it IS the serial path.
+/// order. Bit-identical to score_candidates for every handle count; with
+/// no handles it IS the serial path.
 [[nodiscard]] std::vector<double> score_candidates_parallel(
     BlackBoxModel& model, std::span<const Candidate> candidates,
     std::uint16_t observed_next, std::span<const double> prior,
     std::size_t query_batch,
     std::span<const std::unique_ptr<BlackBoxModel>> replicas);
 
-/// Builds up to `count` scoring replicas of `model`. Returns an empty
-/// vector when the model does not support replication.
+/// Builds `count` scoring handles of `model` (BlackBoxModel::replicate).
+/// Returns an empty vector when the model cannot be queried concurrently.
 [[nodiscard]] std::vector<std::unique_ptr<BlackBoxModel>>
 make_scoring_replicas(BlackBoxModel& model, std::size_t count);
 

@@ -37,6 +37,18 @@ class SerializeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// rows * cols of a shape read from untrusted bytes; throws SerializeError
+/// on overflow, so hostile dimensions cannot wrap a size check.
+[[nodiscard]] inline std::uint64_t checked_product(std::uint64_t rows,
+                                                   std::uint64_t cols,
+                                                   const char* what) {
+  std::uint64_t size = 0;
+  if (__builtin_mul_overflow(rows, cols, &size)) {
+    throw SerializeError(std::string(what) + ": dimensions overflow");
+  }
+  return size;
+}
+
 /// Incremental CRC-32 (IEEE 802.3 polynomial, the zlib convention: start
 /// from 0, feed bytes in any chunking). Exposed so tests and tools can
 /// compute expected checkpoint checksums.

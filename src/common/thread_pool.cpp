@@ -91,30 +91,13 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
-  run(count, fn, /*wait_if_busy=*/true);
-}
-
-void ThreadPool::parallel_for_unless_busy(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
-  run(count, fn, /*wait_if_busy=*/false);
-}
-
-bool ThreadPool::claim(bool wait_if_busy) PELICAN_NO_THREAD_SAFETY_ANALYSIS {
-  if (!wait_if_busy) return submit_mutex_.try_lock();
-  submit_mutex_.lock();
-  return true;
-}
-
-void ThreadPool::run(std::size_t count,
-                     const std::function<void(std::size_t)>& fn,
-                     bool wait_if_busy) {
   if (count == 0) return;
-  if (workers_.empty() || count == 1 || inside_pool_worker ||
-      !claim(wait_if_busy)) {
+  if (workers_.empty() || count == 1 || inside_pool_worker) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
+  const MutexLock submit_lock(submit_mutex_);
   Batch batch;
   batch.count = count;
   batch.fn = &fn;
@@ -141,7 +124,6 @@ void ThreadPool::run(std::size_t count,
       lock.wait(done_);
     }
   }
-  submit_mutex_.unlock();
   if (auto error = batch.take_error()) std::rethrow_exception(error);
 }
 
@@ -174,15 +156,6 @@ void parallel_for(std::size_t count,
     return;
   }
   ThreadPool::global().parallel_for(count, fn);
-}
-
-void parallel_for_unless_busy(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  if (!ThreadPool::global_alive()) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool::global().parallel_for_unless_busy(count, fn);
 }
 
 }  // namespace pelican

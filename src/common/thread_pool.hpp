@@ -36,17 +36,12 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, count), blocking until all complete. Work is
   /// divided into contiguous chunks, one per worker plus the calling thread.
   /// Exceptions thrown by fn propagate to the caller (first one wins).
+  /// Submissions from different threads take the pool one at a time: a
+  /// call made while another thread's loop runs waits for it. So never
+  /// call parallel_for while holding a lock that a running loop's tasks
+  /// may wait on; nothing in the library does (inference takes no lock).
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
-
-  /// parallel_for, except that a call made while another thread's loop
-  /// holds the pool runs serially on the caller instead of waiting for it.
-  /// For work that may run under a lock the busy loop's tasks wait on: a
-  /// forward that splits its rows under a deployment's serve lock while a
-  /// scheduler drain's per-user tasks wait on that lock would otherwise
-  /// deadlock.
-  void parallel_for_unless_busy(std::size_t count,
-                                const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool, sized to the hardware. Lazily constructed on first
   /// use; destroyed during static teardown in reverse construction order.
@@ -67,11 +62,6 @@ class ThreadPool {
   struct Batch;
 
   void worker_loop();
-  void run(std::size_t count, const std::function<void(std::size_t)>& fn,
-           bool wait_if_busy);
-  /// Takes submit_mutex_, waiting for it or only if it is free.
-  [[nodiscard]] bool claim(bool wait_if_busy)
-      PELICAN_TRY_ACQUIRE(true, submit_mutex_);
 
   std::vector<std::thread> workers_;
   Mutex submit_mutex_;  ///< serializes concurrent parallel_for submissions
@@ -86,9 +76,5 @@ class ThreadPool {
 /// when called from inside a pool worker (no nested parallelism) or after
 /// the global pool has been torn down at exit.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-
-/// The same wrapper over ThreadPool::parallel_for_unless_busy.
-void parallel_for_unless_busy(std::size_t count,
-                              const std::function<void(std::size_t)>& fn);
 
 }  // namespace pelican

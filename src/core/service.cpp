@@ -7,14 +7,14 @@
 namespace pelican::core {
 
 std::vector<std::uint16_t> DeployedModel::predict_top_k(
-    const mobility::Window& window, std::size_t k) {
+    const mobility::Window& window, std::size_t k) const {
   return predict_top_k_batch(std::span<const mobility::Window>(&window, 1),
                              k)[0];
 }
 
 std::vector<std::vector<std::uint16_t>> DeployedModel::predict_top_k_batch(
     std::span<const mobility::Window> windows, std::size_t k,
-    PredictStageSeconds* stages) {
+    PredictStageSeconds* stages) const {
   if (windows.empty()) return {};
   Stopwatch watch;
   // Sparse one-hot encoding: the LSTM input product becomes nnz row
@@ -35,7 +35,7 @@ std::vector<std::vector<std::uint16_t>> DeployedModel::predict_top_k_batch(
   // A k-slot response reveals only the ordered index list it necessarily
   // reveals; graded magnitudes remain behind query().
   add_queries(windows.size());
-  const nn::Matrix logits = model_.forward(x, /*training=*/false);
+  const nn::Matrix logits = model_.infer(x);
   if (stages != nullptr) {
     stages->forward = watch.seconds();
     watch.reset();

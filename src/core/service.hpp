@@ -53,8 +53,10 @@ class DeployedModel final : public attack::BlackBoxModel {
         site_(site),
         model_version_(model_version) {}
 
-  /// Black-box prediction: forward pass + privacy-scaled softmax. This is
-  /// the ONLY read path; raw logits never leave the deployment.
+  /// Black-box prediction: inference + privacy-scaled softmax. This is
+  /// the ONLY read path; raw logits never leave the deployment. Reads run
+  /// the model's const inference path and count on an atomic, so any number
+  /// of threads may query one deployment at once.
   ///
   /// Query accounting is per ROW served, not per forward call: a batched
   /// input of B rows spends B units of the attack query budget, exactly as
@@ -62,45 +64,19 @@ class DeployedModel final : public attack::BlackBoxModel {
   /// (Section V, attack query counts) depend on how the adversary batches.
   [[nodiscard]] nn::Matrix query(const nn::Sequence& input) override {
     add_queries(input.empty() ? 0 : input.front().rows());
-    return privacy_.apply(model_.forward(input, /*training=*/false));
+    return privacy_.apply(model_.infer(input));
   }
 
   /// Sparse-encoded query: the same confidences, bit for bit, via the
   /// one-hot gather kernels (nn/sparse.hpp). Same per-row budget spend.
   [[nodiscard]] nn::Matrix query(const nn::SparseSequence& input) override {
     add_queries(input.empty() ? 0 : input.front().rows());
-    return privacy_.apply(model_.forward(input, /*training=*/false));
+    return privacy_.apply(model_.infer(input));
   }
 
-  // Movable so deployments can live in containers and be handed between
-  // tiers; moving is not thread-safe (unlike the query counter, which is
-  // atomic because a publisher reads it while serving threads add to it).
-  // The counter lives behind a shared_ptr precisely so moves are safe while
-  // replicas (see replicate()) are outstanding: the counter object's
-  // address is stable no matter where the deployment itself moves. Moves
-  // SHARE the counter with the moved-from shell rather than emptying it,
-  // so a drained source still answers query_count() consistently.
-  DeployedModel(DeployedModel&& other) noexcept
-      : model_(std::move(other.model_)),
-        spec_(other.spec_),
-        privacy_(other.privacy_),
-        site_(other.site_),
-        model_version_(other.model_version_),
-        queries_(other.queries_) {}
-  DeployedModel& operator=(DeployedModel&& other) noexcept {
-    model_ = std::move(other.model_);
-    spec_ = other.spec_;
-    privacy_ = other.privacy_;
-    site_ = other.site_;
-    model_version_ = other.model_version_;
-    queries_ = other.queries_;
-    return *this;
-  }
-
-  /// Deep copy: duplicates the model (and therefore its forward caches),
-  /// privacy layer, and placement, and snapshots the current query count.
-  /// The copy is fully independent — two clones can serve or be attacked
-  /// concurrently without sharing any state.
+  /// Deep copy: duplicates the model, privacy layer, and placement, and
+  /// snapshots the current query count. The copy is fully independent: it
+  /// counts its own queries from there on.
   [[nodiscard]] DeployedModel clone() const {
     DeployedModel copy(model_.clone(), spec_, privacy_, site_,
                        model_version_);
@@ -108,18 +84,12 @@ class DeployedModel final : public attack::BlackBoxModel {
     return copy;
   }
 
-  /// attack::BlackBoxModel::replicate: like clone(), but the replica's
-  /// queries are charged to THIS deployment's budget (the clones exist only
-  /// to give each scoring worker private forward caches; the adversary is
-  /// still spending one user's query budget). The counter is shared by
-  /// shared_ptr, so replicas stay valid even if this deployment moves or
-  /// is destroyed first.
+  /// attack::BlackBoxModel::replicate: a handle to this same deployment,
+  /// not a copy. Queries are safe to share, so every scoring worker queries
+  /// this model and spends this user's budget. The handle must not outlive
+  /// the deployment or be used after it moves.
   [[nodiscard]] std::unique_ptr<attack::BlackBoxModel> replicate() override {
-    auto copy = std::make_unique<DeployedModel>(model_.clone(), spec_,
-                                                privacy_, site_,
-                                                model_version_);
-    copy->queries_ = queries_;
-    return copy;
+    return std::make_unique<attack::BlackBoxRef>(*this);
   }
 
   [[nodiscard]] std::size_t num_classes() const override {
@@ -132,12 +102,12 @@ class DeployedModel final : public attack::BlackBoxModel {
   /// Top-k next locations for a single encoded window — the service's
   /// primary operation (e.g. prefetching content for likely destinations).
   [[nodiscard]] std::vector<std::uint16_t> predict_top_k(
-      const mobility::Window& window, std::size_t k);
+      const mobility::Window& window, std::size_t k) const;
 
   /// Batched top-k: encodes all windows into one multi-row sequence and runs
   /// ONE forward pass, so a coalescing serving engine amortizes the LSTM
   /// across B queries. Row r of the result is bit-identical to
-  /// predict_top_k(windows[r], k): every kernel under forward() accumulates
+  /// predict_top_k(windows[r], k): every kernel under infer() accumulates
   /// per-row in a fixed order and the top-k reduction is per-row, so batching
   /// never changes what any user is served (the Section V-B service-quality
   /// invariant, now also batch-size-independent).
@@ -147,11 +117,11 @@ class DeployedModel final : public attack::BlackBoxModel {
   /// nullptr — the default — keeps the call exactly as before).
   [[nodiscard]] std::vector<std::vector<std::uint16_t>> predict_top_k_batch(
       std::span<const mobility::Window> windows, std::size_t k,
-      PredictStageSeconds* stages = nullptr);
+      PredictStageSeconds* stages = nullptr) const;
 
   [[nodiscard]] DeploymentSite site() const noexcept { return site_; }
   [[nodiscard]] std::size_t query_count() const noexcept {
-    return queries_->load(std::memory_order_relaxed);
+    return queries_.count.load(std::memory_order_relaxed);
   }
   [[nodiscard]] double temperature() const noexcept {
     return privacy_.temperature();
@@ -170,17 +140,11 @@ class DeployedModel final : public attack::BlackBoxModel {
   /// within the nn/quant.hpp tolerance rather than bit-identically.
   [[nodiscard]] bool quantized() const { return nn::is_quantized(model_); }
 
-  /// Forwards to the model (nn/activations.hpp): opt this deployment into
-  /// (or back out of) the bounded-error fast activation kernels.
-  void set_activation_mode(nn::ActivationMode mode) noexcept {
-    model_.set_activation_mode(mode);
-  }
-
   /// Model-update bookkeeping: the attack query budget is cumulative per
   /// USER, not per model object, so a replacement deployment published for
   /// the same user inherits the count the old one accumulated.
   void set_query_count(std::size_t count) noexcept {
-    queries_->store(count, std::memory_order_relaxed);
+    queries_.count.store(count, std::memory_order_relaxed);
   }
 
   /// Replaces the model in place (on-device Pelican model update, Section
@@ -195,8 +159,8 @@ class DeployedModel final : public attack::BlackBoxModel {
   }
 
  private:
-  void add_queries(std::size_t rows) noexcept {
-    queries_->fetch_add(rows, std::memory_order_relaxed);
+  void add_queries(std::size_t rows) const noexcept {
+    queries_.count.fetch_add(rows, std::memory_order_relaxed);
   }
 
   nn::SequenceClassifier model_;
@@ -204,13 +168,22 @@ class DeployedModel final : public attack::BlackBoxModel {
   PrivacyLayer privacy_;
   DeploymentSite site_;
   std::uint32_t model_version_ = 0;
-  // Atomic: a publisher snapshots the count (DeploymentRegistry::publish)
-  // while serving threads add to it under only their per-deployment lock.
-  // Behind a shared_ptr for address stability: scoring replicas (see
-  // replicate()) hold the same counter, and the deployment itself may move
-  // between containers/tiers while they do.
-  std::shared_ptr<std::atomic<std::size_t>> queries_ =
-      std::make_shared<std::atomic<std::size_t>>(0);
+  // Atomic: serving threads and scoring workers add to it concurrently,
+  // and a publisher snapshots it (DeploymentRegistry::publish). Mutable:
+  // the const read paths spend budget too. Deployments are movable so they
+  // can live in containers and be handed between tiers; a move (not
+  // thread-safe) copies the count, since std::atomic itself cannot move.
+  struct QueryCount {
+    mutable std::atomic<std::size_t> count{0};
+    QueryCount() = default;
+    QueryCount(QueryCount&& other) noexcept
+        : count(other.count.load(std::memory_order_relaxed)) {}
+    QueryCount& operator=(QueryCount&& other) noexcept {
+      count.store(other.count.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
+  } queries_;
 };
 
 }  // namespace pelican::core

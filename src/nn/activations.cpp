@@ -1,209 +1,25 @@
 #include "nn/activations.hpp"
 
-#include <algorithm>
-#include <cstring>
-
-#include "nn/simd.hpp"
-
 namespace pelican::nn {
-
-namespace {
-
-// Cephes-style expf: exp(x) = 2^n * exp(r) with n = floor(x*log2e + 1/2)
-// and r = x - n*ln2 (Cody–Waite split so r stays exact), exp(r) by a
-// degree-5 polynomial. Max relative error ~2 ulp over the clamped domain.
-// The scalar and vector implementations below execute the SAME operation
-// chain per element; both are branch-free after the clamp.
-constexpr float kExpHi = 88.3762626647949f;   // below overflow of 2^n scale
-constexpr float kExpLo = -87.3365478515625f;  // above denormal underflow
-constexpr float kLog2e = 1.44269504088896341f;
-constexpr float kLn2Hi = 0.693359375f;
-constexpr float kLn2Lo = -2.12194440e-4f;
-constexpr float kExpP0 = 1.9875691500e-4f;
-constexpr float kExpP1 = 1.3981999507e-3f;
-constexpr float kExpP2 = 8.3334519073e-3f;
-constexpr float kExpP3 = 4.1665795894e-2f;
-constexpr float kExpP4 = 1.6666665459e-1f;
-constexpr float kExpP5 = 5.0000001201e-1f;
-
-// Vector types and load/store plumbing live in nn/simd.hpp (shared with the
-// GEMM and quant kernels); elsewhere the kernels fall back to the scalar
-// loop (kSimdWidth=1).
-#if PELICAN_SIMD_KERNELS
-using simd::vfloat;
-using simd::vint;
-
-inline vfloat vbroadcast(float x) noexcept { return simd::broadcast(x); }
-inline vfloat vload(const float* p) noexcept { return simd::load(p); }
-inline void vstore(float* p, vfloat v) noexcept { simd::store(p, v); }
-
-/// exp over one vector. Mirrors fast_exp() lane for lane.
-inline vfloat vexp(vfloat x) noexcept {
-  const vfloat hi = vbroadcast(kExpHi);
-  const vfloat lo = vbroadcast(kExpLo);
-  // Ordered min/max select — identical results to the scalar std::min/max
-  // clamp for the finite inputs the gate loop produces.
-  x = (x > hi) ? hi : x;
-  x = (x < lo) ? lo : x;
-
-  // n = floor(x*log2e + 0.5): truncate toward zero, then step down one
-  // where truncation rounded up (negative z). The mask of (n > z) converts
-  // to -1.0f exactly, matching the scalar "subtract 1" branch.
-  const vfloat z = x * kLog2e + 0.5f;
-  const vint zi = __builtin_convertvector(z, vint);
-  vfloat n = __builtin_convertvector(zi, vfloat);
-  n += __builtin_convertvector(n > z, vfloat);
-
-  vfloat r = x - n * kLn2Hi;
-  r = r - n * kLn2Lo;
-
-  vfloat p = vbroadcast(kExpP0);
-  p = p * r + kExpP1;
-  p = p * r + kExpP2;
-  p = p * r + kExpP3;
-  p = p * r + kExpP4;
-  p = p * r + kExpP5;
-  p = p * (r * r) + r;
-  p = p + 1.0f;
-
-  // 2^n by exponent-field construction; n is within [-127, 127] after the
-  // clamp so the shift cannot wrap.
-  const vint biased = (__builtin_convertvector(n, vint) + 127) << 23;
-  vfloat scale;
-  std::memcpy(&scale, &biased, sizeof(scale));
-  return p * scale;
-}
-
-inline vfloat vsigmoid(vfloat x) noexcept {
-  return vbroadcast(1.0f) / (vexp(-x) + 1.0f);
-}
-
-inline vfloat vtanh(vfloat x) noexcept {
-  const vfloat e = vexp(x + x);
-  return (e - 1.0f) / (e + 1.0f);
-}
-#endif
-
-}  // namespace
-
-float fast_exp(float x) noexcept {
-  x = std::min(x, kExpHi);
-  x = std::max(x, kExpLo);
-
-  const float z = x * kLog2e + 0.5f;
-  const auto zi = static_cast<std::int32_t>(z);  // truncates toward zero
-  float n = static_cast<float>(zi);
-  n += (n > z) ? -1.0f : 0.0f;  // floor correction, same op as the mask add
-
-  float r = x - n * kLn2Hi;
-  r = r - n * kLn2Lo;
-
-  float p = kExpP0;
-  p = p * r + kExpP1;
-  p = p * r + kExpP2;
-  p = p * r + kExpP3;
-  p = p * r + kExpP4;
-  p = p * r + kExpP5;
-  p = p * (r * r) + r;
-  p = p + 1.0f;
-
-  const std::int32_t biased = (static_cast<std::int32_t>(n) + 127) << 23;
-  float scale;
-  std::memcpy(&scale, &biased, sizeof(scale));
-  return p * scale;
-}
-
-float fast_sigmoid(float x) noexcept { return 1.0f / (fast_exp(-x) + 1.0f); }
-
-float fast_tanh(float x) noexcept {
-  const float e = fast_exp(x + x);
-  return (e - 1.0f) / (e + 1.0f);
-}
-
-void sigmoid_inplace(float* x, std::size_t n, ActivationMode mode) {
-  if (mode == ActivationMode::kExact) {
-    for (std::size_t i = 0; i < n; ++i) x[i] = sigmoid(x[i]);
-    return;
-  }
-  std::size_t i = 0;
-#if PELICAN_SIMD_KERNELS
-  for (; i + kSimdWidth <= n; i += kSimdWidth) {
-    vstore(x + i, vsigmoid(vload(x + i)));
-  }
-#endif
-  for (; i < n; ++i) x[i] = fast_sigmoid(x[i]);
-}
-
-void tanh_inplace(float* x, std::size_t n, ActivationMode mode) {
-  if (mode == ActivationMode::kExact) {
-    for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
-    return;
-  }
-  std::size_t i = 0;
-#if PELICAN_SIMD_KERNELS
-  for (; i + kSimdWidth <= n; i += kSimdWidth) {
-    vstore(x + i, vtanh(vload(x + i)));
-  }
-#endif
-  for (; i < n; ++i) x[i] = fast_tanh(x[i]);
-}
 
 void lstm_gate_pass(float* gates, const float* bias, const float* c_prev,
                     float* c_out, float* tanh_c_out, float* h_out,
-                    std::size_t hidden, ActivationMode mode) {
+                    std::size_t hidden) {
   float* gi = gates;
   float* gf = gates + hidden;
   float* gg = gates + 2 * hidden;
   float* go = gates + 3 * hidden;
-
-  if (mode == ActivationMode::kExact) {
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const float i = sigmoid(gi[j] + bias[j]);
-      const float f = sigmoid(gf[j] + bias[hidden + j]);
-      const float g = std::tanh(gg[j] + bias[2 * hidden + j]);
-      const float o = sigmoid(go[j] + bias[3 * hidden + j]);
-      gi[j] = i;
-      gf[j] = f;
-      gg[j] = g;
-      go[j] = o;
-      const float c = f * c_prev[j] + i * g;
-      const float tc = std::tanh(c);
-      c_out[j] = c;
-      tanh_c_out[j] = tc;
-      h_out[j] = o * tc;
-    }
-    return;
-  }
-
-  std::size_t j = 0;
-#if PELICAN_SIMD_KERNELS
-  for (; j + kSimdWidth <= hidden; j += kSimdWidth) {
-    const vfloat i = vsigmoid(vload(gi + j) + vload(bias + j));
-    const vfloat f = vsigmoid(vload(gf + j) + vload(bias + hidden + j));
-    const vfloat g = vtanh(vload(gg + j) + vload(bias + 2 * hidden + j));
-    const vfloat o = vsigmoid(vload(go + j) + vload(bias + 3 * hidden + j));
-    vstore(gi + j, i);
-    vstore(gf + j, f);
-    vstore(gg + j, g);
-    vstore(go + j, o);
-    const vfloat c = f * vload(c_prev + j) + i * g;
-    const vfloat tc = vtanh(c);
-    vstore(c_out + j, c);
-    vstore(tanh_c_out + j, tc);
-    vstore(h_out + j, o * tc);
-  }
-#endif
-  for (; j < hidden; ++j) {
-    const float i = fast_sigmoid(gi[j] + bias[j]);
-    const float f = fast_sigmoid(gf[j] + bias[hidden + j]);
-    const float g = fast_tanh(gg[j] + bias[2 * hidden + j]);
-    const float o = fast_sigmoid(go[j] + bias[3 * hidden + j]);
+  for (std::size_t j = 0; j < hidden; ++j) {
+    const float i = sigmoid(gi[j] + bias[j]);
+    const float f = sigmoid(gf[j] + bias[hidden + j]);
+    const float g = std::tanh(gg[j] + bias[2 * hidden + j]);
+    const float o = sigmoid(go[j] + bias[3 * hidden + j]);
     gi[j] = i;
     gf[j] = f;
     gg[j] = g;
     go[j] = o;
     const float c = f * c_prev[j] + i * g;
-    const float tc = fast_tanh(c);
+    const float tc = std::tanh(c);
     c_out[j] = c;
     tanh_c_out[j] = tc;
     h_out[j] = o * tc;

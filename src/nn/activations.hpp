@@ -1,70 +1,23 @@
-// Pointwise activation kernels (ISSUE 6): the single shared definition of
-// sigmoid/tanh for the whole library, an in-place vectorized form of each,
-// and the fused LSTM gate-activation + cell-update pass that Lstm::forward
-// and QuantizedLstm::forward run per row.
+// Pointwise activation kernels: the single shared definition of sigmoid for
+// the whole library and the fused LSTM gate-activation + cell-update pass
+// that Lstm and QuantizedLstm run per row.
 //
-// Two execution modes, selected per call (layers default to kExact):
-//
-//   kExact      — scalar std::exp / std::tanh, exactly the arithmetic the
-//       seed's gate loop performed. Bit-identical to the historical forward
-//       for every input; this is the default and the mode the serving
-//       bit-identity contract (nn/matrix.hpp) extends over.
-//   kFastApprox — SIMD-vectorized polynomial approximations (opt-in). The
-//       width is probed at compile time (kSimdWidth below); trailing
-//       elements run the same arithmetic scalar-wise, so a value's bits
-//       never depend on whether it fell in a full vector or the tail.
-//       Bounded error vs the exact mode, measured over [-30, 30] and
-//       regression-tested in tests/nn/activations_test.cpp:
-//         |fast_sigmoid - sigmoid| <= 4e-7 absolute
-//         |fast_tanh   - tanh|     <= 8e-7 absolute
-//       Downstream top-k CAN differ from exact mode when two logits sit
-//       closer than the propagated error — which is why fast mode is opt-in
-//       per layer/model (SequenceClassifier::set_activation_mode) and never
-//       the default on a serving path.
+// Both use scalar std::exp / std::tanh, exactly the arithmetic the seed's
+// gate loop performed, so they are bit-identical to the historical forward
+// for every input — the serving bit-identity contract (nn/matrix.hpp)
+// extends over them.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 namespace pelican::nn {
 
-enum class ActivationMode : std::uint8_t { kExact = 0, kFastApprox = 1 };
-
-[[nodiscard]] constexpr const char* to_string(ActivationMode mode) noexcept {
-  return mode == ActivationMode::kExact ? "exact" : "fast_approx";
-}
-
-/// Float lanes per vector in the fast-mode kernels, probed from what the
-/// compiler was actually allowed to emit (not from what the build host
-/// supports at runtime): 16 under AVX-512, 8 under AVX/AVX2, 4 under SSE2
-/// or NEON, 1 otherwise (pure scalar fallback, still bounded-error).
-#if defined(__AVX512F__)
-inline constexpr std::size_t kSimdWidth = 16;
-#elif defined(__AVX__)
-inline constexpr std::size_t kSimdWidth = 8;
-#elif defined(__SSE2__) || defined(__ARM_NEON)
-inline constexpr std::size_t kSimdWidth = 4;
-#else
-inline constexpr std::size_t kSimdWidth = 1;
-#endif
-
 /// THE logistic sigmoid — hoisted out of lstm.cpp so there is exactly one
-/// definition (and one test) in the library. Exact mode everywhere.
+/// definition (and one test) in the library.
 [[nodiscard]] inline float sigmoid(float x) noexcept {
   return 1.0f / (1.0f + std::exp(-x));
 }
-
-/// Scalar forms of the fast-mode approximations. These perform the SAME
-/// primitive operations, in the same order, as one lane of the vector
-/// kernels — the tail-handling contract above depends on it.
-[[nodiscard]] float fast_exp(float x) noexcept;
-[[nodiscard]] float fast_sigmoid(float x) noexcept;
-[[nodiscard]] float fast_tanh(float x) noexcept;
-
-/// In-place pointwise kernels over a contiguous span.
-void sigmoid_inplace(float* x, std::size_t n, ActivationMode mode);
-void tanh_inplace(float* x, std::size_t n, ActivationMode mode);
 
 /// Fused LSTM gate pass for ONE row of a (batch x 4H) pre-activation
 /// buffer: consumes gates laid out [i | f | g | o] (each `hidden` wide),
@@ -77,12 +30,12 @@ void tanh_inplace(float* x, std::size_t n, ActivationMode mode);
 ///   c = f * c_prev + i * g   tanh_c = tanh(c)   h = o * tanh_c
 ///
 /// `gates` is overwritten with the post-activation values (what backward
-/// consumes). In kExact mode this is bit-identical to the unfused
-/// bias-then-activate sequence: g + b is the identical float add, and each
-/// element's operation chain is unchanged — only the number of sweeps over
-/// memory drops.
+/// consumes). This is bit-identical to the unfused bias-then-activate
+/// sequence: g + b is the identical float add, and each element's
+/// operation chain is unchanged — only the number of sweeps over memory
+/// drops.
 void lstm_gate_pass(float* gates, const float* bias, const float* c_prev,
                     float* c_out, float* tanh_c_out, float* h_out,
-                    std::size_t hidden, ActivationMode mode);
+                    std::size_t hidden);
 
 }  // namespace pelican::nn

@@ -18,6 +18,10 @@ class Dropout final : public SequenceLayer {
   /// `rate` in [0, 1): probability of zeroing an activation.
   Dropout(double rate, std::size_t dim, std::uint64_t seed);
 
+  /// Inference is the identity.
+  using SequenceLayer::infer;
+  Sequence infer(const Sequence& input) const override { return input; }
+
   Sequence forward(const Sequence& input, bool training) override;
   Sequence backward(const Sequence& grad_output) override;
 

@@ -1,7 +1,13 @@
 // Layer abstraction for sequence models.
 //
-// A Sequence is a time-major list of (batch x dim) matrices. Layers cache
-// whatever they need during forward() and consume it in backward().
+// A Sequence is a time-major list of (batch x dim) matrices. A layer has two
+// forward paths with the same outputs, bit for bit:
+//
+//   infer()   — const inference. Writes only its result and call-local
+//       scratch, so any number of threads may run it on one layer at once.
+//       Serving, privacy-scaled queries and evaluation all go through it.
+//   forward() — the training path. Caches whatever backward() needs.
+//
 // backward() always produces gradients with respect to the layer input —
 // even for frozen layers — because the model-inversion attack (paper
 // Section III-B2) differentiates the loss all the way down to the input
@@ -13,7 +19,6 @@
 #include <vector>
 
 #include "common/serialize.hpp"
-#include "nn/activations.hpp"
 #include "nn/matrix.hpp"
 #include "nn/sparse.hpp"
 
@@ -26,14 +31,23 @@ class SequenceLayer {
  public:
   virtual ~SequenceLayer() = default;
 
-  /// Maps an input sequence to an output sequence of the same length.
-  /// `training` toggles stochastic behavior (dropout).
+  /// Maps an input sequence to an output sequence of the same length,
+  /// without touching the layer: the inference path (header comment).
+  [[nodiscard]] virtual Sequence infer(const Sequence& input) const = 0;
+
+  /// Sparse-input inference for one-hot encodings. The default densifies
+  /// and delegates; layers with a real fast path override. Bit-identical to
+  /// infer(to_dense(input)) — see nn/sparse.hpp for why — so callers may
+  /// pick the encoding freely.
+  [[nodiscard]] virtual Sequence infer(const SparseSequence& input) const {
+    return infer(to_dense(input));
+  }
+
+  /// infer() plus the caches backward() consumes. `training` toggles
+  /// stochastic behavior (dropout); with it off the outputs equal infer()'s.
   virtual Sequence forward(const Sequence& input, bool training) = 0;
 
-  /// Sparse-input forward for one-hot encodings. The default densifies and
-  /// delegates; layers with a real fast path (Lstm) override. Guaranteed
-  /// bit-identical to forward(to_dense(input), training) — see
-  /// nn/sparse.hpp for why — so callers may pick the encoding freely.
+  /// Sparse-input forward, the same contract as the sparse infer().
   virtual Sequence forward_sparse(const SparseSequence& input, bool training) {
     return forward(to_dense(input), training);
   }
@@ -49,12 +63,6 @@ class SequenceLayer {
   void zero_grad() {
     for (Matrix* g : gradients()) g->zero();
   }
-
-  /// Selects the pointwise-activation execution mode (nn/activations.hpp)
-  /// for layers that have one (Lstm, QuantizedLstm); a no-op elsewhere.
-  /// kExact is every layer's default; kFastApprox is the opt-in
-  /// bounded-error vectorized path.
-  virtual void set_activation_mode(ActivationMode /*mode*/) noexcept {}
 
   /// Frozen layers still compute input gradients but are skipped by the
   /// optimizer (used by transfer-learning personalization, Fig. 1b/1c).

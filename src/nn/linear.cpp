@@ -1,5 +1,6 @@
 #include "nn/linear.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pelican::nn {
@@ -10,38 +11,51 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng)
       grad_weight_(out_dim, in_dim, 0.0f),
       grad_bias_(1, out_dim, 0.0f) {}
 
-Matrix Linear::forward(const Matrix& x) {
+Matrix Linear::infer(const Matrix& x) const {
   if (x.cols() != input_dim()) {
-    throw std::invalid_argument("Linear::forward: input width mismatch");
+    throw std::invalid_argument("Linear: input width mismatch");
   }
   Matrix y;
   if (is_quantized()) {
-    // Inference-only: no input cache (backward throws anyway).
     qmatmul(x, qweight_, y);
-    add_row_broadcast(y, bias_.row(0));
-    return y;
+  } else {
+    matmul_bt(x, weight_, y);
   }
-  cached_input_ = x;
-  cached_sparse_ = SparseRows();
-  matmul_bt(x, weight_, y);
   add_row_broadcast(y, bias_.row(0));
   return y;
 }
 
-Matrix Linear::forward(const SparseRows& x) {
+Matrix Linear::infer(const SparseRows& x) const {
   if (x.cols() != input_dim()) {
-    throw std::invalid_argument("Linear::forward: input width mismatch");
+    throw std::invalid_argument("Linear: input width mismatch");
   }
   Matrix y;
   if (is_quantized()) {
     sparse_qmatmul(x, qweight_, y);
-    add_row_broadcast(y, bias_.row(0));
-    return y;
+  } else {
+    sparse_matmul_bt(x, weight_, y);
   }
-  cached_input_ = Matrix();
-  cached_sparse_ = x;
-  sparse_matmul_bt(x, weight_, y);
   add_row_broadcast(y, bias_.row(0));
+  return y;
+}
+
+// Quantized heads are inference-only (backward throws), so they cache
+// nothing.
+Matrix Linear::forward(const Matrix& x) {
+  Matrix y = infer(x);
+  if (!is_quantized()) {
+    cached_input_ = x;
+    cached_sparse_ = SparseRows();
+  }
+  return y;
+}
+
+Matrix Linear::forward(const SparseRows& x) {
+  Matrix y = infer(x);
+  if (!is_quantized()) {
+    cached_input_ = Matrix();
+    cached_sparse_ = x;
+  }
   return y;
 }
 
@@ -98,14 +112,14 @@ void Linear::save(BinaryWriter& writer) const {
 
 Linear Linear::load(BinaryReader& reader) {
   const std::uint8_t format = reader.read_u8();
+  Linear layer;
   if (format == 1) {
-    Linear layer;
     layer.qweight_ = QuantizedMatrix::load(reader);
-    layer.bias_.resize(1, layer.qweight_.rows());
     const auto b = reader.read_f32_vector();
-    if (b.size() != layer.bias_.size()) {
+    if (b.size() != layer.qweight_.rows()) {
       throw SerializeError("Linear::load: bias size mismatch");
     }
+    layer.bias_.resize(1, b.size());
     std::copy(b.begin(), b.end(), layer.bias_.data());
     layer.trainable_ = false;
     return layer;
@@ -116,18 +130,18 @@ Linear Linear::load(BinaryReader& reader) {
   }
   const std::uint64_t out_dim = reader.read_u64();
   const std::uint64_t in_dim = reader.read_u64();
-  Linear layer;
-  layer.weight_.resize(out_dim, in_dim);
+  // The stored vectors come first: the reader bounds their lengths by the
+  // bytes left, so hostile header dimensions can only fail the comparison
+  // below, never size an allocation.
   const auto w = reader.read_f32_vector();
-  if (w.size() != layer.weight_.size()) {
-    throw SerializeError("Linear::load: weight size mismatch");
+  const auto b = reader.read_f32_vector();
+  if (w.size() != checked_product(out_dim, in_dim, "Linear::load") ||
+      b.size() != out_dim) {
+    throw SerializeError("Linear::load: size mismatch");
   }
+  layer.weight_.resize(out_dim, in_dim);
   std::copy(w.begin(), w.end(), layer.weight_.data());
   layer.bias_.resize(1, out_dim);
-  const auto b = reader.read_f32_vector();
-  if (b.size() != layer.bias_.size()) {
-    throw SerializeError("Linear::load: bias size mismatch");
-  }
   std::copy(b.begin(), b.end(), layer.bias_.data());
   layer.grad_weight_.resize(out_dim, in_dim);
   layer.grad_bias_.resize(1, out_dim);

@@ -21,12 +21,16 @@ class Linear {
   /// Xavier-initialized weight (out_dim x in_dim), zero bias.
   Linear(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  /// y = x W^T + b. Caches x for backward.
-  [[nodiscard]] Matrix forward(const Matrix& x);
+  /// y = x W^T + b, the const inference path: writes nothing but y.
+  [[nodiscard]] Matrix infer(const Matrix& x) const;
 
   /// One-hot fast path: x W^T as nnz row gathers of W^T. Bit-identical to
-  /// forward(x.to_dense()) for finite weights (nn/sparse.hpp); backward()
-  /// works after either forward.
+  /// infer(x.to_dense()) for finite weights (nn/sparse.hpp).
+  [[nodiscard]] Matrix infer(const SparseRows& x) const;
+
+  /// infer(x), also caching x for backward() (fp32 heads only; backward()
+  /// works after either encoding).
+  [[nodiscard]] Matrix forward(const Matrix& x);
   [[nodiscard]] Matrix forward(const SparseRows& x);
 
   /// Accumulates dW, db; returns dx. Throws std::logic_error on a

@@ -1,5 +1,6 @@
 #include "nn/lstm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,13 +21,15 @@ Lstm::Lstm(std::size_t input_dim, std::size_t hidden_dim, Rng& rng)
   for (std::size_t j = 0; j < h; ++j) bias_(0, h + j) = 1.0f;
 }
 
-template <typename InputProduct>
-Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
-                           InputProduct&& input_product) {
+template <typename Cache, typename InputProduct>
+Sequence Lstm::run_forward(std::size_t steps, std::size_t batch, Cache& cache,
+                           InputProduct&& input_product) const {
   const std::size_t hidden = hidden_dim();
 
-  cache_.clear();
-  cache_.resize(steps);
+  if constexpr (kCaches<Cache>) {
+    cache.clear();
+    cache.resize(steps);
+  }
   Sequence output(steps);
 
   Matrix h_prev(batch, hidden, 0.0f);
@@ -46,9 +49,11 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
   Matrix hidden_chain;
 
   for (std::size_t t = 0; t < steps; ++t) {
-    StepCache& step = cache_[t];
-    step.prev_hidden = h_prev;
-    step.prev_cell = c_prev;
+    StepCache& step = cache[t];
+    if constexpr (kCaches<Cache>) {
+      step.prev_hidden = h_prev;
+      step.prev_cell = c_prev;
+    }
 
     // Pre-activations: gates = x W_ih^T + h_prev W_hh^T + b. The input
     // product is supplied by the caller (dense GEMM or sparse gather);
@@ -68,15 +73,15 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
     Matrix h_next(batch, hidden);
 
     // Bias add, gate activations, and the cell update in ONE sweep over the
-    // gates buffer (nn/activations.hpp). Exact mode (the default) performs
-    // the identical per-element operation chain the unfused loop did.
+    // gates buffer (nn/activations.hpp), the identical per-element
+    // operation chain the unfused loop did.
     const float* bias = bias_.row(0).data();
     for (std::size_t r = 0; r < batch; ++r) {
       lstm_gate_pass(gates.data() + r * 4 * hidden, bias,
                      c_prev.data() + r * hidden,
                      step.cell.data() + r * hidden,
                      step.tanh_cell.data() + r * hidden,
-                     h_next.data() + r * hidden, hidden, mode_);
+                     h_next.data() + r * hidden, hidden);
     }
 
     step.gates = std::move(gates);
@@ -87,8 +92,9 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch,
   return output;
 }
 
-Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
-  if (input.empty()) throw std::invalid_argument("Lstm::forward: empty input");
+template <typename Cache>
+Sequence Lstm::run_dense(const Sequence& input, Cache& cache) const {
+  if (input.empty()) throw std::invalid_argument("Lstm: empty input");
   const std::size_t batch = input[0].rows();
   // Hoist the input-weight pack out of the timestep loop when the total
   // work amortizes it (matmul_bt would otherwise re-transpose w_ih_ every
@@ -96,14 +102,14 @@ Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
   // either way.
   Matrix w_ih_t;
   if (batch * input.size() >= kGemmPackMinRows) transposed(w_ih_, w_ih_t);
-  return run_forward(input.size(), batch,
+  return run_forward(input.size(), batch, cache,
                      [&](std::size_t t, StepCache& step, Matrix& gates) {
                        const Matrix& x = input[t];
                        if (x.cols() != input_dim() || x.rows() != batch) {
                          throw std::invalid_argument(
-                             "Lstm::forward: input shape mismatch");
+                             "Lstm: input shape mismatch");
                        }
-                       step.input = x;
+                       if constexpr (kCaches<Cache>) step.input = x;
                        if (w_ih_t.empty()) {
                          matmul_bt(x, w_ih_, gates);
                        } else {
@@ -112,10 +118,9 @@ Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
                      });
 }
 
-Sequence Lstm::forward_sparse(const SparseSequence& input, bool /*training*/) {
-  if (input.empty()) {
-    throw std::invalid_argument("Lstm::forward_sparse: empty input");
-  }
+template <typename Cache>
+Sequence Lstm::run_sparse(const SparseSequence& input, Cache& cache) const {
+  if (input.empty()) throw std::invalid_argument("Lstm: empty input");
   const std::size_t batch = input[0].rows();
   // One packed W_ih^T is shared by every timestep's gather when the total
   // gathered work amortizes it; tiny batches gather strided columns of
@@ -126,20 +131,38 @@ Sequence Lstm::forward_sparse(const SparseSequence& input, bool /*training*/) {
   Matrix w_ih_t;
   if (total_nnz >= input_dim()) w_ih_t = transposed(w_ih_);
 
-  return run_forward(input.size(), batch,
+  return run_forward(input.size(), batch, cache,
                      [&](std::size_t t, StepCache& step, Matrix& gates) {
                        const SparseRows& x = input[t];
                        if (x.cols() != input_dim() || x.rows() != batch) {
                          throw std::invalid_argument(
-                             "Lstm::forward_sparse: input shape mismatch");
+                             "Lstm: sparse input shape mismatch");
                        }
-                       step.sparse_input = x;
+                       if constexpr (kCaches<Cache>) step.sparse_input = x;
                        if (w_ih_t.empty()) {
                          sparse_matmul_bt(x, w_ih_, gates);
                        } else {
                          sparse_matmul_pre_t(x, w_ih_t, gates);
                        }
                      });
+}
+
+Sequence Lstm::infer(const Sequence& input) const {
+  NoCache none;
+  return run_dense(input, none);
+}
+
+Sequence Lstm::infer(const SparseSequence& input) const {
+  NoCache none;
+  return run_sparse(input, none);
+}
+
+Sequence Lstm::forward(const Sequence& input, bool /*training*/) {
+  return run_dense(input, cache_);
+}
+
+Sequence Lstm::forward_sparse(const SparseSequence& input, bool /*training*/) {
+  return run_sparse(input, cache_);
 }
 
 Sequence Lstm::backward(const Sequence& grad_output) {
@@ -218,7 +241,6 @@ std::unique_ptr<SequenceLayer> Lstm::clone() const {
   copy->grad_w_hh_ = Matrix(w_hh_.rows(), w_hh_.cols());
   copy->grad_bias_ = Matrix(1, bias_.cols());
   copy->set_trainable(trainable());
-  copy->mode_ = mode_;
   return copy;
 }
 
@@ -235,25 +257,29 @@ void Lstm::save(BinaryWriter& writer) const {
 std::unique_ptr<Lstm> Lstm::load(BinaryReader& reader) {
   const std::uint64_t input_dim = reader.read_u64();
   const std::uint64_t hidden = reader.read_u64();
+  // The stored vectors come first: the reader bounds their lengths by the
+  // bytes left, so hostile header dimensions can only fail the comparison
+  // below, never size an allocation.
+  const std::vector<float> w_ih = reader.read_f32_vector();
+  const std::vector<float> w_hh = reader.read_f32_vector();
+  const std::vector<float> bias = reader.read_f32_vector();
+  const std::uint64_t gates = checked_product(4, hidden, "Lstm::load");
+  if (w_ih.size() != checked_product(gates, input_dim, "Lstm::load") ||
+      w_hh.size() != checked_product(gates, hidden, "Lstm::load") ||
+      bias.size() != gates) {
+    throw SerializeError("Lstm::load: size mismatch");
+  }
+
   auto layer = std::make_unique<Lstm>();
-  layer->w_ih_.resize(4 * hidden, input_dim);
-  layer->w_hh_.resize(4 * hidden, hidden);
-  layer->bias_.resize(1, 4 * hidden);
-
-  auto load_into = [](Matrix& m, const std::vector<float>& src,
-                      const char* what) {
-    if (src.size() != m.size()) {
-      throw SerializeError(std::string("Lstm::load size mismatch: ") + what);
-    }
-    std::copy(src.begin(), src.end(), m.data());
-  };
-  load_into(layer->w_ih_, reader.read_f32_vector(), "w_ih");
-  load_into(layer->w_hh_, reader.read_f32_vector(), "w_hh");
-  load_into(layer->bias_, reader.read_f32_vector(), "bias");
-
-  layer->grad_w_ih_.resize(4 * hidden, input_dim);
-  layer->grad_w_hh_.resize(4 * hidden, hidden);
-  layer->grad_bias_.resize(1, 4 * hidden);
+  layer->w_ih_.resize(gates, input_dim);
+  layer->w_hh_.resize(gates, hidden);
+  layer->bias_.resize(1, gates);
+  std::copy(w_ih.begin(), w_ih.end(), layer->w_ih_.data());
+  std::copy(w_hh.begin(), w_hh.end(), layer->w_hh_.data());
+  std::copy(bias.begin(), bias.end(), layer->bias_.data());
+  layer->grad_w_ih_.resize(gates, input_dim);
+  layer->grad_w_hh_.resize(gates, hidden);
+  layer->grad_bias_.resize(1, gates);
   layer->set_trainable(reader.read_u8() != 0);
   return layer;
 }

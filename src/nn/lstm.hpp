@@ -8,10 +8,10 @@
 #pragma once
 
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "nn/activations.hpp"
 #include "nn/layer.hpp"
 
 namespace pelican::nn {
@@ -21,13 +21,17 @@ class Lstm final : public SequenceLayer {
   Lstm() = default;
   Lstm(std::size_t input_dim, std::size_t hidden_dim, Rng& rng);
 
-  Sequence forward(const Sequence& input, bool training) override;
+  Sequence infer(const Sequence& input) const override;
 
   /// One-hot fast path: computes x·W_ih^T as row gathers over the sparse
   /// entries (an embedding lookup of nnz rows of W_ih^T per timestep)
   /// instead of a dense input_dim x 4*hidden product. Bit-identical to the
-  /// dense forward for finite weights (nn/sparse.hpp); backward() works
-  /// after either forward.
+  /// dense path for finite weights (nn/sparse.hpp).
+  Sequence infer(const SparseSequence& input) const override;
+
+  /// The same recurrence as infer(), also filling the per-step cache that
+  /// backward() consumes; backward() works after either encoding.
+  Sequence forward(const Sequence& input, bool training) override;
   Sequence forward_sparse(const SparseSequence& input, bool training) override;
 
   Sequence backward(const Sequence& grad_output) override;
@@ -59,17 +63,6 @@ class Lstm final : public SequenceLayer {
   [[nodiscard]] const Matrix& w_hh() const noexcept { return w_hh_; }
   [[nodiscard]] const Matrix& bias() const noexcept { return bias_; }
 
-  /// Gate-activation execution mode (nn/activations.hpp). kExact (default)
-  /// keeps the bit-identical contract; kFastApprox is the opt-in
-  /// bounded-error vectorized path. Not serialized — an execution
-  /// preference, not a model parameter; clone() carries it.
-  void set_activation_mode(ActivationMode mode) noexcept override {
-    mode_ = mode;
-  }
-  [[nodiscard]] ActivationMode activation_mode() const noexcept {
-    return mode_;
-  }
-
  private:
   // Parameters. w_ih_: (4H x I), w_hh_: (4H x H), bias_: (1 x 4H).
   Matrix w_ih_;
@@ -78,7 +71,6 @@ class Lstm final : public SequenceLayer {
   Matrix grad_w_ih_;
   Matrix grad_w_hh_;
   Matrix grad_bias_;
-  ActivationMode mode_ = ActivationMode::kExact;
 
   // Forward cache (per timestep) consumed by backward(). Exactly one of
   // input / sparse_input is populated, depending on which forward ran.
@@ -93,11 +85,29 @@ class Lstm final : public SequenceLayer {
   };
   std::vector<StepCache> cache_;
 
-  /// Shared body of both forwards: runs the recurrence with `input_product`
-  /// supplying this timestep's x·W_ih^T pre-activations.
-  template <typename InputProduct>
-  Sequence run_forward(std::size_t steps, std::size_t batch,
-                       InputProduct&& input_product);
+  /// The cache sink infer() passes: every timestep gets the same scratch
+  /// StepCache, and the recurrence skips the fields only backward() reads.
+  struct NoCache {
+    StepCache scratch;
+    StepCache& operator[](std::size_t /*t*/) noexcept { return scratch; }
+  };
+  template <typename Cache>
+  static constexpr bool kCaches = !std::is_same_v<Cache, NoCache>;
+
+  /// Each encoding's front: checks shapes, hoists the W_ih pack and runs
+  /// the recurrence with its input product into `cache` (cache_ or NoCache).
+  template <typename Cache>
+  Sequence run_dense(const Sequence& input, Cache& cache) const;
+  template <typename Cache>
+  Sequence run_sparse(const SparseSequence& input, Cache& cache) const;
+
+  /// The one recurrence body, with `input_product` supplying each
+  /// timestep's x·W_ih^T pre-activations. Its cache is a compile-time sink:
+  /// the training instantiation fills one StepCache per timestep, and the
+  /// NoCache one compiles the StepCache copies away.
+  template <typename Cache, typename InputProduct>
+  Sequence run_forward(std::size_t steps, std::size_t batch, Cache& cache,
+                       InputProduct&& input_product) const;
 };
 
 }  // namespace pelican::nn

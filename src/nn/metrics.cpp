@@ -9,15 +9,28 @@ namespace pelican::nn {
 
 Matrix forward_batch(SequenceClassifier& model, const BatchSource& data,
                      std::span<const std::uint32_t> indices,
-                     std::vector<std::int32_t>& y, bool training) {
+                     std::vector<std::int32_t>& y) {
   if (data.sparse()) {
     SparseSequence sx;
     data.materialize_sparse(indices, sx, y);
-    return model.forward(sx, training);
+    return model.forward(sx, /*training=*/true);
   }
   Sequence x;
   data.materialize(indices, x, y);
-  return model.forward(x, training);
+  return model.forward(x, /*training=*/true);
+}
+
+Matrix infer_batch(const SequenceClassifier& model, const BatchSource& data,
+                   std::span<const std::uint32_t> indices,
+                   std::vector<std::int32_t>& y) {
+  if (data.sparse()) {
+    SparseSequence sx;
+    data.materialize_sparse(indices, sx, y);
+    return model.infer(sx);
+  }
+  Sequence x;
+  data.materialize(indices, x, y);
+  return model.infer(x);
 }
 
 bool topk_hit(std::span<const float> scores, std::size_t label,
@@ -34,7 +47,7 @@ bool topk_hit(std::span<const float> scores, std::size_t label,
   return true;
 }
 
-std::vector<double> topk_accuracies(SequenceClassifier& model,
+std::vector<double> topk_accuracies(const SequenceClassifier& model,
                                     const BatchSource& data,
                                     std::span<const std::size_t> ks,
                                     std::size_t batch_size) {
@@ -48,8 +61,7 @@ std::vector<double> topk_accuracies(SequenceClassifier& model,
     indices.resize(end - start);
     std::iota(indices.begin(), indices.end(),
               static_cast<std::uint32_t>(start));
-    const Matrix logits =
-        forward_batch(model, data, indices, y, /*training=*/false);
+    const Matrix logits = infer_batch(model, data, indices, y);
     for (std::size_t r = 0; r < logits.rows(); ++r) {
       for (std::size_t ki = 0; ki < ks.size(); ++ki) {
         if (topk_hit(logits.row(r), static_cast<std::size_t>(y[r]), ks[ki])) {
@@ -62,8 +74,9 @@ std::vector<double> topk_accuracies(SequenceClassifier& model,
   return hits;
 }
 
-double topk_accuracy(SequenceClassifier& model, const BatchSource& data,
-                     std::size_t k, std::size_t batch_size) {
+double topk_accuracy(const SequenceClassifier& model,
+                     const BatchSource& data, std::size_t k,
+                     std::size_t batch_size) {
   const std::size_t ks[] = {k};
   return topk_accuracies(model, data, ks, batch_size)[0];
 }

@@ -13,23 +13,28 @@
 namespace pelican::nn {
 
 /// Materializes the indexed batch in the source's preferred encoding
-/// (sparse one-hot when BatchSource::sparse(), dense otherwise), runs a
-/// forward pass, and fills `y`. The single dispatch point shared by the
-/// train/eval loops — logits are bit-identical across encodings.
+/// (sparse one-hot when BatchSource::sparse(), dense otherwise), runs the
+/// training forward (caching for backward), and fills `y`. Logits are
+/// bit-identical across encodings.
 [[nodiscard]] Matrix forward_batch(SequenceClassifier& model,
                                    const BatchSource& data,
                                    std::span<const std::uint32_t> indices,
-                                   std::vector<std::int32_t>& y,
-                                   bool training);
+                                   std::vector<std::int32_t>& y);
+
+/// The same batch through the const inference path, for evaluation.
+[[nodiscard]] Matrix infer_batch(const SequenceClassifier& model,
+                                 const BatchSource& data,
+                                 std::span<const std::uint32_t> indices,
+                                 std::vector<std::int32_t>& y);
 
 /// Fraction of samples whose label is among the k highest logits.
-[[nodiscard]] double topk_accuracy(SequenceClassifier& model,
+[[nodiscard]] double topk_accuracy(const SequenceClassifier& model,
                                    const BatchSource& data, std::size_t k,
                                    std::size_t batch_size = 256);
 
 /// Evaluates several k values in one pass over the data.
 [[nodiscard]] std::vector<double> topk_accuracies(
-    SequenceClassifier& model, const BatchSource& data,
+    const SequenceClassifier& model, const BatchSource& data,
     std::span<const std::size_t> ks, std::size_t batch_size = 256);
 
 /// Top-k hit test on a single score row.

@@ -35,6 +35,34 @@ std::size_t SequenceClassifier::input_dim() const {
   return layers_.front()->input_dim();
 }
 
+namespace {
+
+/// The shared body of both infer overloads: the first layer takes the
+/// input in its own encoding, everything above it is dense.
+template <typename Input>
+Matrix infer_stack(const std::vector<std::unique_ptr<SequenceLayer>>& layers,
+                   const Linear& head, const Input& input) {
+  if (input.empty()) {
+    throw std::invalid_argument("SequenceClassifier::infer: empty input");
+  }
+  if (layers.empty()) return head.infer(input.back());
+  Sequence activations = layers.front()->infer(input);
+  for (std::size_t i = 1; i < layers.size(); ++i) {
+    activations = layers[i]->infer(activations);
+  }
+  return head.infer(activations.back());
+}
+
+}  // namespace
+
+Matrix SequenceClassifier::infer(const Sequence& input) const {
+  return infer_stack(layers_, head_, input);
+}
+
+Matrix SequenceClassifier::infer(const SparseSequence& input) const {
+  return infer_stack(layers_, head_, input);
+}
+
 Matrix SequenceClassifier::forward(const Sequence& input, bool training) {
   if (input.empty()) {
     throw std::invalid_argument("SequenceClassifier::forward: empty input");
@@ -83,13 +111,13 @@ Matrix SequenceClassifier::forward(const SparseSequence& input,
 }
 
 Matrix SequenceClassifier::predict_proba(const Sequence& input,
-                                         double temperature) {
-  return softmax(forward(input, /*training=*/false), temperature);
+                                         double temperature) const {
+  return softmax(infer(input), temperature);
 }
 
 Matrix SequenceClassifier::predict_proba(const SparseSequence& input,
-                                         double temperature) {
-  return softmax(forward(input, /*training=*/false), temperature);
+                                         double temperature) const {
+  return softmax(infer(input), temperature);
 }
 
 void SequenceClassifier::zero_grad() {
@@ -182,10 +210,6 @@ std::unique_ptr<SequenceLayer> load_layer(BinaryReader& reader) {
   if (kind == "qlstm") return QuantizedLstm::load(reader);
   if (kind == "dropout") return Dropout::load(reader);
   throw SerializeError("load_layer: unknown layer kind '" + kind + "'");
-}
-
-void SequenceClassifier::set_activation_mode(ActivationMode mode) noexcept {
-  for (const auto& layer : layers_) layer->set_activation_mode(mode);
 }
 
 SequenceClassifier quantize_for_serving(const SequenceClassifier& model) {

@@ -49,14 +49,20 @@ class SequenceClassifier {
   [[nodiscard]] std::size_t num_classes() const { return head_.output_dim(); }
 
   /// Runs the stack and the head on the last timestep; returns logits
-  /// (batch x classes). Caches activations for backward().
-  [[nodiscard]] Matrix forward(const Sequence& input, bool training = false);
+  /// (batch x classes). The const inference path (nn/layer.hpp): it writes
+  /// nothing in the model, so any number of threads may share one model.
+  [[nodiscard]] Matrix infer(const Sequence& input) const;
 
   /// One-hot fast path: the first layer consumes the sparse encoding
   /// directly (Lstm gathers rows of W_ih^T instead of a dense product);
-  /// everything above it is dense. Bit-identical to
-  /// forward(to_dense(input), training) — the serving and attack layers
-  /// rely on this to switch encodings freely.
+  /// everything above it is dense. Bit-identical to infer(to_dense(input))
+  /// — the serving and attack layers rely on this to switch encodings
+  /// freely.
+  [[nodiscard]] Matrix infer(const SparseSequence& input) const;
+
+  /// The training forward: the same logits as infer() when `training` is
+  /// off, plus the activations backward() consumes.
+  [[nodiscard]] Matrix forward(const Sequence& input, bool training = false);
   [[nodiscard]] Matrix forward(const SparseSequence& input,
                                bool training = false);
 
@@ -64,11 +70,11 @@ class SequenceClassifier {
   /// returns dL/dinput (full sequence), enabling input-space attacks.
   [[nodiscard]] Sequence backward(const Matrix& grad_logits);
 
-  /// Convenience: forward + temperature-scaled softmax, inference mode.
+  /// Convenience: infer + temperature-scaled softmax.
   [[nodiscard]] Matrix predict_proba(const Sequence& input,
-                                     double temperature = 1.0);
+                                     double temperature = 1.0) const;
   [[nodiscard]] Matrix predict_proba(const SparseSequence& input,
-                                     double temperature = 1.0);
+                                     double temperature = 1.0) const;
 
   void zero_grad();
 
@@ -83,11 +89,6 @@ class SequenceClassifier {
   [[nodiscard]] std::size_t parameter_count() const;
 
   [[nodiscard]] SequenceClassifier clone() const;
-
-  /// Forwards to every layer (nn/activations.hpp): kExact (default) keeps
-  /// the bit-exact libm activations; kFastApprox opts this model instance
-  /// into the bounded-error vectorized kernels. Not serialized.
-  void set_activation_mode(ActivationMode mode) noexcept;
 
   void save(BinaryWriter& writer) const;
   void save_file(const std::filesystem::path& path) const;

@@ -12,9 +12,6 @@ namespace pelican::nn {
 /// Splits [0, extent) into `chunks` contiguous ranges (at most extent) and
 /// runs fn(begin, end) on each across the pool. The ranges are disjoint, so
 /// per-element results never depend on the split (the matrix.hpp contract).
-/// Kernels may run under a deployment's serve lock, which a scheduler
-/// drain's pool tasks wait on, so a split that finds the pool busy runs on
-/// its caller instead of waiting (parallel_for_unless_busy).
 template <typename Fn>
 void parallel_ranges(std::size_t extent, std::size_t chunks, Fn&& fn) {
   chunks = std::max<std::size_t>(1, std::min(chunks, extent));
@@ -22,7 +19,7 @@ void parallel_ranges(std::size_t extent, std::size_t chunks, Fn&& fn) {
     fn(std::size_t{0}, extent);
     return;
   }
-  parallel_for_unless_busy(chunks, [&](std::size_t c) {
+  parallel_for(chunks, [&](std::size_t c) {
     fn(extent * c / chunks, extent * (c + 1) / chunks);
   });
 }

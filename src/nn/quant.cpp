@@ -163,7 +163,9 @@ QuantizedMatrix QuantizedMatrix::load(BinaryReader& reader) {
   q.cols_ = reader.read_u64();
   const std::vector<std::int8_t> row_major = reader.read_i8_vector();
   q.scales_ = reader.read_f32_vector();
-  if (row_major.size() != q.rows_ * q.cols_ || q.scales_.size() != q.rows_) {
+  if (row_major.size() !=
+          checked_product(q.rows_, q.cols_, "QuantizedMatrix::load") ||
+      q.scales_.size() != q.rows_) {
     throw SerializeError("QuantizedMatrix::load: size mismatch");
   }
   q.values_.resize(row_major.size());

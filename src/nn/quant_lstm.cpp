@@ -22,7 +22,7 @@ QuantizedLstm::QuantizedLstm(QuantizedMatrix w_ih, QuantizedMatrix w_hh,
 template <typename InputProduct>
 Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
                                     std::size_t input_macs,
-                                    InputProduct&& input_product) {
+                                    InputProduct&& input_product) const {
   const std::size_t hidden = hidden_dim();
   const std::size_t width = 4 * hidden;
   Sequence output(steps, Matrix(batch, hidden));
@@ -57,8 +57,8 @@ Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
       for (std::size_t r = 0; r < rows; ++r) {
         lstm_gate_pass(gates.data() + r * width, bias,
                        c_prev.data() + r * hidden, c_next.data() + r * hidden,
-                       tanh_c.data() + r * hidden, h_out + r * hidden, hidden,
-                       mode_);
+                       tanh_c.data() + r * hidden, h_out + r * hidden,
+                       hidden);
       }
       std::swap(c_prev, c_next);
     }
@@ -66,14 +66,14 @@ Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
   return output;
 }
 
-Sequence QuantizedLstm::forward(const Sequence& input, bool /*training*/) {
+Sequence QuantizedLstm::infer(const Sequence& input) const {
   if (input.empty()) {
-    throw std::invalid_argument("QuantizedLstm::forward: empty input");
+    throw std::invalid_argument("QuantizedLstm: empty input");
   }
   const std::size_t batch = input[0].rows();
   for (const Matrix& x : input) {
     if (x.cols() != input_dim() || x.rows() != batch) {
-      throw std::invalid_argument("QuantizedLstm::forward: shape mismatch");
+      throw std::invalid_argument("QuantizedLstm: shape mismatch");
     }
   }
   const std::size_t in = input_dim();
@@ -85,17 +85,15 @@ Sequence QuantizedLstm::forward(const Sequence& input, bool /*training*/) {
       });
 }
 
-Sequence QuantizedLstm::forward_sparse(const SparseSequence& input,
-                                       bool /*training*/) {
+Sequence QuantizedLstm::infer(const SparseSequence& input) const {
   if (input.empty()) {
-    throw std::invalid_argument("QuantizedLstm::forward_sparse: empty input");
+    throw std::invalid_argument("QuantizedLstm: empty sparse input");
   }
   const std::size_t batch = input[0].rows();
   std::size_t nnz = 0;
   for (const SparseRows& x : input) {
     if (x.cols() != input_dim() || x.rows() != batch) {
-      throw std::invalid_argument(
-          "QuantizedLstm::forward_sparse: shape mismatch");
+      throw std::invalid_argument("QuantizedLstm: sparse shape mismatch");
     }
     nnz += x.nnz();
   }

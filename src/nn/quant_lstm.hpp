@@ -3,20 +3,19 @@
 // at model-publish time.
 //
 // Same recurrence, same [i f g o] gate layout, same fused gate pass
-// (nn/activations.hpp — exact activations by default, fast mode opt-in);
-// only the weight products differ: the input product gathers one contiguous
-// int8 column per one-hot entry (dequant-free — see quant.hpp) and the
-// recurrence accumulates fp32 activations against int8 weights a quarter
-// the size of their fp32 originals. A batch splits into row ranges across
-// the pool, each running every timestep on its own, and the first step
-// skips the product of the all-zero initial state, whose exact value it
-// adds instead.
+// (nn/activations.hpp); only the weight products differ: the input product
+// gathers one contiguous int8 column per one-hot entry (dequant-free — see
+// quant.hpp) and the recurrence accumulates fp32 activations against int8
+// weights a quarter the size of their fp32 originals. A batch splits into
+// row ranges across the pool, each running every timestep on its own, and
+// the first step skips the product of the all-zero initial state, whose
+// exact value it adds instead.
 //
 // Inference-only is structural, not a convention: there is no forward
-// cache, backward() throws, parameters()/gradients() are empty, and the
-// layer constructs untrainable. Training always happens in fp32; a
-// quantized artifact is what the store publishes for serving (ModelStore
-// PublishFormat::kInt8).
+// cache (forward() is infer()), backward() throws, parameters()/gradients()
+// are empty, and the layer constructs untrainable. Training always happens
+// in fp32; a quantized artifact is what the store publishes for serving
+// (ModelStore PublishFormat::kInt8).
 #pragma once
 
 #include <memory>
@@ -36,8 +35,16 @@ class QuantizedLstm final : public SequenceLayer {
   /// is 4H floats total and feeds the fused gate pass directly).
   QuantizedLstm(QuantizedMatrix w_ih, QuantizedMatrix w_hh, Matrix bias);
 
-  Sequence forward(const Sequence& input, bool training) override;
-  Sequence forward_sparse(const SparseSequence& input, bool training) override;
+  Sequence infer(const Sequence& input) const override;
+  Sequence infer(const SparseSequence& input) const override;
+
+  Sequence forward(const Sequence& input, bool /*training*/) override {
+    return infer(input);
+  }
+  Sequence forward_sparse(const SparseSequence& input,
+                          bool /*training*/) override {
+    return infer(input);
+  }
 
   /// Quantized layers are inference-only; the fp32 original is the
   /// trainable artifact.
@@ -57,13 +64,6 @@ class QuantizedLstm final : public SequenceLayer {
   [[nodiscard]] std::unique_ptr<SequenceLayer> clone() const override;
   [[nodiscard]] std::string kind() const override { return "qlstm"; }
 
-  void set_activation_mode(ActivationMode mode) noexcept override {
-    mode_ = mode;
-  }
-  [[nodiscard]] ActivationMode activation_mode() const noexcept {
-    return mode_;
-  }
-
   [[nodiscard]] const Matrix& bias() const noexcept { return bias_; }
 
   void save(BinaryWriter& writer) const override;
@@ -79,13 +79,13 @@ class QuantizedLstm final : public SequenceLayer {
   /// per row over all timesteps, which sizes the pool split.
   template <typename InputProduct>
   Sequence run_forward(std::size_t steps, std::size_t batch,
-                       std::size_t input_macs, InputProduct&& input_product);
+                       std::size_t input_macs,
+                       InputProduct&& input_product) const;
 
   // The gate weights (4H rows, per-row scales); immutable.
   QuantizedMatrix w_ih_;              // 4H x I: gather + dense input product
   QuantizedMatrix w_hh_;              // 4H x H: recurrence
   Matrix bias_;                       // 1 x 4H, fp32
-  ActivationMode mode_ = ActivationMode::kExact;
 };
 
 }  // namespace pelican::nn

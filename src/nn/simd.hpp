@@ -1,6 +1,6 @@
 // Internal explicit-SIMD helpers shared by the nn kernels (matrix.cpp,
-// quant.cpp, activations.cpp). GCC/Clang generic vector extensions, width
-// probed at compile time (nn/activations.hpp kSimdWidth).
+// quant.cpp). GCC/Clang generic vector extensions, width probed at compile
+// time (kSimdWidth below).
 //
 // Why explicit vectors instead of trusting the auto-vectorizer: the default
 // -O2 cost model refuses runtime-trip-count loops, so the axpy kernels'
@@ -13,10 +13,27 @@
 // scalar forms and the matrix.hpp contract is unaffected.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
-#include "nn/activations.hpp"  // kSimdWidth
+namespace pelican::nn {
+
+/// Float lanes per vector, probed from what the compiler was actually
+/// allowed to emit (not from what the build host supports at runtime): 16
+/// under AVX-512, 8 under AVX/AVX2, 4 under SSE2 or NEON, 1 otherwise (the
+/// helpers below then fall back to scalar stand-ins).
+#if defined(__AVX512F__)
+inline constexpr std::size_t kSimdWidth = 16;
+#elif defined(__AVX__)
+inline constexpr std::size_t kSimdWidth = 8;
+#elif defined(__SSE2__) || defined(__ARM_NEON)
+inline constexpr std::size_t kSimdWidth = 4;
+#else
+inline constexpr std::size_t kSimdWidth = 1;
+#endif
+
+}  // namespace pelican::nn
 
 namespace pelican::nn::simd {
 

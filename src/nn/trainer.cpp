@@ -50,8 +50,7 @@ TrainReport train(SequenceClassifier& model, const BatchSource& data,
                                                    end - start);
 
       model.zero_grad();
-      const Matrix logits =
-          forward_batch(model, data, indices, y, /*training=*/true);
+      const Matrix logits = forward_batch(model, data, indices, y);
       const LossResult loss = softmax_cross_entropy(logits, y);
       (void)model.backward(loss.grad_logits);
 
@@ -93,8 +92,8 @@ TrainReport train(SequenceClassifier& model, const BatchSource& data,
   return report;
 }
 
-double evaluate_loss(SequenceClassifier& model, const BatchSource& data,
-                     std::size_t batch_size) {
+double evaluate_loss(const SequenceClassifier& model,
+                     const BatchSource& data, std::size_t batch_size) {
   if (data.size() == 0) return 0.0;
   std::vector<std::int32_t> y;
   std::vector<std::uint32_t> indices;
@@ -105,8 +104,7 @@ double evaluate_loss(SequenceClassifier& model, const BatchSource& data,
     indices.resize(end - start);
     std::iota(indices.begin(), indices.end(),
               static_cast<std::uint32_t>(start));
-    const Matrix logits =
-        forward_batch(model, data, indices, y, /*training=*/false);
+    const Matrix logits = infer_batch(model, data, indices, y);
     const LossResult loss = softmax_cross_entropy(logits, y);
     total += loss.loss * static_cast<double>(end - start);
     count += end - start;

@@ -40,7 +40,7 @@ TrainReport train(SequenceClassifier& model, const BatchSource& data,
                   const BatchSource* validation = nullptr);
 
 /// Mean cross-entropy of `model` over `data` (inference mode).
-[[nodiscard]] double evaluate_loss(SequenceClassifier& model,
+[[nodiscard]] double evaluate_loss(const SequenceClassifier& model,
                                    const BatchSource& data,
                                    std::size_t batch_size = 256);
 

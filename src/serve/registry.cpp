@@ -119,9 +119,10 @@ void DeploymentRegistry::install_replacement(
       std::move(model), current->spec(), current->privacy(), current->site(),
       version);
   // The attack query budget is cumulative per user across model versions.
-  // The count is snapshotted here; a forward in flight during the swap may
-  // add its rows to the retiring model only — an undercount bounded by one
-  // batch, on the conservative side for privacy auditing.
+  // The count is snapshotted here; forwards in flight during the swap may
+  // add their rows to the retiring model only — an undercount bounded by
+  // the batches in flight for this user, on the conservative side for
+  // privacy auditing.
   next->set_query_count(current->query_count());
   (void)slot_handle.publish(std::move(next));
 }

@@ -5,14 +5,15 @@
 // The registry maps user ids to deployment SLOTS across N independently
 // locked shards. A shard's lock protects only the map — it is held for a
 // hash lookup, never for model work. All model access goes through
-// DeploymentHandle, a stable reference to one user's slot with two locks of
-// its own:
+// DeploymentHandle, a stable reference to one user's slot. The slot's one
+// lock, ptr_mutex, guards the shared_ptr<DeployedModel> itself and is held
+// only for pointer copies/swaps (nanoseconds), never across model work.
 //
-//   serve_mutex — serializes forwards. Forward passes mutate per-model
-//       activation caches, so per-user exclusivity is a correctness
-//       requirement; distinct users never share this lock.
-//   ptr_mutex   — guards the shared_ptr<DeployedModel> itself, held only
-//       for pointer copies/swaps (nanoseconds), never across model work.
+// Serving takes no lock at all around the model: predictions and queries
+// run the model's const inference path (nn/layer.hpp), which writes only
+// its own outputs, and count queries on an atomic. So any number of
+// threads may serve one user at once, including several chunks of that
+// user in one scheduler drain.
 //
 // Model updates (the paper's Section V-A4 re-personalize-and-redeploy loop)
 // therefore never stall serving: publish() builds the replacement model
@@ -51,30 +52,27 @@ class DeploymentHandle {
     return slot_ != nullptr;
   }
 
-  /// Runs `fn(DeployedModel&)` with this deployment's serve lock held and
-  /// returns its result. Only requests for the SAME user contend here.
+  /// Runs `fn(DeployedModel&)` on a snapshot of the current model (a
+  /// concurrent publish cannot swap it out from under `fn`) and returns its
+  /// result. No lock is held around `fn`, so calls for one user run side by
+  /// side: `fn` may use only the deployment's read paths (query, predict).
   template <typename Fn>
   decltype(auto) with_model(Fn&& fn) const {
     require();
-    const MutexLock serve_lock(slot_->serve_mutex);
-    // Snapshot the pointer under ptr_mutex: a concurrent publish may swap
-    // it at any moment, and this forward must run on one consistent model.
-    const std::shared_ptr<core::DeployedModel> model = slot_->load();
-    return std::forward<Fn>(fn)(*model);
+    return std::forward<Fn>(fn)(*slot_->load());
   }
 
-  /// Shared-ownership snapshot of the current model for metadata reads
-  /// (version, temperature, spec). Do NOT run forwards through it: forwards
-  /// are stateful and require the serve lock that with_model takes.
+  /// Shared-ownership snapshot of the current model: metadata reads
+  /// (version, temperature, spec) and the const predict_top_k paths.
   [[nodiscard]] std::shared_ptr<const core::DeployedModel> snapshot() const {
     require();
     return slot_->load();
   }
 
   /// Installs `next` as this deployment's model with an atomic pointer
-  /// swap. Does not take the serve lock: an in-flight forward finishes on
-  /// the old model (kept alive by its snapshot) while later requests see
-  /// `next`. Returns the model that was replaced.
+  /// swap: an in-flight forward finishes on the old model (kept alive by
+  /// its snapshot) while later requests see `next`. Returns the model that
+  /// was replaced.
   std::shared_ptr<core::DeployedModel> publish(
       std::shared_ptr<core::DeployedModel> next) const {
     require();
@@ -88,10 +86,6 @@ class DeploymentHandle {
   friend class DeploymentRegistry;
 
   struct Slot {
-    /// Serializes forwards on this deployment (never guards a member —
-    /// forward passes mutate per-model activation caches through the
-    /// shared_ptr, which the analysis cannot attribute to a field).
-    mutable Mutex serve_mutex;
     mutable Mutex ptr_mutex;
     std::shared_ptr<core::DeployedModel> model PELICAN_GUARDED_BY(ptr_mutex);
 
@@ -194,9 +188,9 @@ class DeploymentRegistry {
   /// shard in turn, so the snapshot is per-shard consistent).
   [[nodiscard]] std::vector<std::uint32_t> user_ids() const;
 
-  /// Runs `fn(DeployedModel&)` with only this deployment's serve lock held
-  /// and returns its result; the shard lock is held just for the handle
-  /// lookup. Throws std::out_of_range when the user is not deployed.
+  /// DeploymentHandle::with_model on `user_id`'s deployment; the shard
+  /// lock is held just for the handle lookup. Throws std::out_of_range when
+  /// the user is not deployed.
   template <typename Fn>
   decltype(auto) with_model(std::uint32_t user_id, Fn&& fn) const {
     return handle(user_id).with_model(std::forward<Fn>(fn));

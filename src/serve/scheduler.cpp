@@ -252,9 +252,9 @@ void BatchScheduler::execute(std::vector<Pending> items) {
   }
   const std::uint64_t assembled_ns = instrument ? obs::now_ns() : 0;
 
-  // One pool task per coalesced batch: chunks of distinct users run
-  // concurrently; chunks of the same user serialize on that deployment's
-  // serve lock (never on a shard or registry lock).
+  // One pool task per coalesced batch. Chunks run concurrently, those of
+  // one user included: inference is const and takes no lock (the registry
+  // takes one only for the pointer snapshot).
   parallel_for(chunks.size(), [&](std::size_t c) {
     const Chunk& chunk = chunks[c];
     std::vector<mobility::Window> windows;

@@ -7,8 +7,8 @@
 // queries — under a max-batch / max-delay policy: a drain fires as soon as a
 // full batch is queued, or when the oldest request has waited max_delay,
 // whichever comes first. Drains execute across ThreadPool::global() workers,
-// one coalesced batch per task, so distinct users' batches run on distinct
-// cores while per-deployment serve locks keep each model single-threaded.
+// one coalesced batch per task, so batches run on distinct cores — those of
+// one user too, since inference is const and takes no lock.
 //
 // Responses are deterministic: batching never reorders or changes results
 // (predict_top_k_batch is bit-identical per row to single queries), so

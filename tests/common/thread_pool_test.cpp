@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -105,9 +104,8 @@ TEST(ThreadPool, GlobalAliveDuringNormalExecution) {
 
 TEST(ThreadPool, ConcurrentSubmittersSerialize) {
   // parallel_for from many threads at once: submit_mutex_ admits one batch
-  // at a time, and parallel_for_unless_busy runs inline while another batch
-  // holds the pool; every batch must still cover all of its indices. This
-  // is the contention pattern the TSan lane leans on hardest.
+  // at a time; every batch must still cover all of its indices. This is the
+  // contention pattern the TSan lane leans on hardest.
   ThreadPool pool(4);
   constexpr int kSubmitters = 8;
   std::vector<std::atomic<int>> counts(kSubmitters);
@@ -115,41 +113,11 @@ TEST(ThreadPool, ConcurrentSubmittersSerialize) {
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&pool, &counts, s] {
-      const auto count = [&counts, s](std::size_t) { ++counts[s]; };
-      if (s % 2 == 0) {
-        pool.parallel_for(100, count);
-      } else {
-        pool.parallel_for_unless_busy(100, count);
-      }
+      pool.parallel_for(100, [&counts, s](std::size_t) { ++counts[s]; });
     });
   }
   for (auto& t : submitters) t.join();
   for (const auto& c : counts) EXPECT_EQ(c.load(), 100);
-}
-
-TEST(ThreadPool, BusyPoolRunsTheCallerInlineInsteadOfWaiting) {
-  // The serving lock cycle: a scheduler drain's tasks hold the pool and
-  // wait on a deployment's serve lock, while the thread holding that lock
-  // splits its forward across the pool. Waiting for the pool there would
-  // deadlock; parallel_for_unless_busy must run inline and let the drain
-  // finish.
-  ThreadPool pool(4);
-  std::mutex serve_lock;
-  std::unique_lock<std::mutex> held(serve_lock);
-  std::atomic<bool> waiting{false};
-  std::thread drain([&] {
-    pool.parallel_for(2, [&](std::size_t) {
-      waiting = true;
-      const std::lock_guard<std::mutex> guard(serve_lock);
-    });
-  });
-  while (!waiting) std::this_thread::yield();
-
-  std::atomic<int> rows{0};
-  pool.parallel_for_unless_busy(8, [&](std::size_t) { ++rows; });
-  EXPECT_EQ(rows.load(), 8);
-  held.unlock();
-  drain.join();
 }
 
 TEST(ThreadPool, FreeFunctionCoversAll) {

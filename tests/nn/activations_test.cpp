@@ -31,8 +31,9 @@ std::vector<float> grid(float lo, float hi, std::size_t n) {
   return xs;
 }
 
-// The awkward span lengths: below / just above / well above kSimdWidth with
-// a nonzero tail in every case (for width 4: tails of 1, 1, 3).
+// The awkward lengths: below / just above / well above kSimdWidth
+// (nn/simd.hpp) with a nonzero tail in every case (for width 4: tails of 1,
+// 1, 3).
 const std::size_t kTailSizes[] = {17, 33, 127};
 
 TEST(Activations, SigmoidIsTheOneDefinition) {
@@ -43,70 +44,6 @@ TEST(Activations, SigmoidIsTheOneDefinition) {
   }
   EXPECT_GT(sigmoid(5.0f), 0.99f);
   EXPECT_LT(sigmoid(-5.0f), 0.01f);
-}
-
-TEST(Activations, ExactInplaceMatchesScalarLoopBits) {
-  Rng rng(1);
-  for (const std::size_t n : kTailSizes) {
-    std::vector<float> sig(n), tanh_v(n), ref(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sig[i] = tanh_v[i] = ref[i] = rng.normal() * 4.0f;
-    }
-    sigmoid_inplace(sig.data(), n, ActivationMode::kExact);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(same_bits(sig[i], sigmoid(ref[i]))) << n << ":" << i;
-    }
-    tanh_inplace(tanh_v.data(), n, ActivationMode::kExact);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(same_bits(tanh_v[i], std::tanh(ref[i]))) << n << ":" << i;
-    }
-  }
-}
-
-TEST(Activations, FastKernelsWithinDocumentedBounds) {
-  // The bounds the header documents over [-30, 30]; a dense grid plus the
-  // saturation extremes. If a kernel change moves the max error past these,
-  // the header's contract must be re-measured, not the test loosened.
-  float max_sig_err = 0.0f, max_tanh_err = 0.0f;
-  for (const float x : grid(-30.0f, 30.0f, 200001)) {
-    max_sig_err =
-        std::max(max_sig_err, std::abs(fast_sigmoid(x) - sigmoid(x)));
-    max_tanh_err =
-        std::max(max_tanh_err, std::abs(fast_tanh(x) - std::tanh(x)));
-  }
-  EXPECT_LE(max_sig_err, 4e-7f);
-  EXPECT_LE(max_tanh_err, 8e-7f);
-  // Saturation: far inputs must not blow up (fast_exp clamps its range).
-  EXPECT_NEAR(fast_sigmoid(100.0f), 1.0f, 1e-6f);
-  EXPECT_NEAR(fast_sigmoid(-100.0f), 0.0f, 1e-6f);
-  EXPECT_NEAR(fast_tanh(100.0f), 1.0f, 1e-6f);
-  EXPECT_NEAR(fast_tanh(-100.0f), -1.0f, 1e-6f);
-}
-
-TEST(Activations, FastInplaceBitsIndependentOfLanePosition) {
-  // The tail contract: an element's result must not depend on whether it
-  // was processed in a full vector or the scalar tail. Computing each
-  // element alone (guaranteed tail/scalar path) must reproduce the batched
-  // kernel bit-for-bit.
-  Rng rng(2);
-  for (const std::size_t n : kTailSizes) {
-    std::vector<float> batched(n), ref(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batched[i] = ref[i] = rng.normal() * 6.0f;
-    }
-    sigmoid_inplace(batched.data(), n, ActivationMode::kFastApprox);
-    for (std::size_t i = 0; i < n; ++i) {
-      float alone = ref[i];
-      sigmoid_inplace(&alone, 1, ActivationMode::kFastApprox);
-      EXPECT_TRUE(same_bits(batched[i], alone)) << n << ":" << i;
-      EXPECT_TRUE(same_bits(alone, fast_sigmoid(ref[i]))) << n << ":" << i;
-    }
-    std::vector<float> batched_t = ref;
-    tanh_inplace(batched_t.data(), n, ActivationMode::kFastApprox);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(same_bits(batched_t[i], fast_tanh(ref[i]))) << n << ":" << i;
-    }
-  }
 }
 
 TEST(Activations, FusedGatePassExactMatchesUnfusedReference) {
@@ -137,7 +74,7 @@ TEST(Activations, FusedGatePassExactMatchesUnfusedReference) {
 
     std::vector<float> c(hidden), tanh_c(hidden), h(hidden);
     lstm_gate_pass(gates.data(), bias.data(), c_prev.data(), c.data(),
-                   tanh_c.data(), h.data(), hidden, ActivationMode::kExact);
+                   tanh_c.data(), h.data(), hidden);
     for (std::size_t i = 0; i < 4 * hidden; ++i) {
       EXPECT_TRUE(same_bits(gates[i], ref_gates[i])) << hidden << ":" << i;
     }
@@ -159,52 +96,23 @@ SparseSequence one_hot(std::size_t steps, std::size_t batch, std::size_t dim,
 }
 
 TEST(Activations, LstmSparseDenseBitIdenticalAtSimdTailSizes) {
-  // The ISSUE 6 SIMD-tail regression: hidden sizes that leave every tail
-  // length, through the full fused pass, in both activation modes.
+  // The SIMD-tail regression: hidden sizes that leave every tail length of
+  // the vectorized GEMM kernels, through the full fused pass.
   for (const std::size_t hidden : kTailSizes) {
-    for (const ActivationMode mode :
-         {ActivationMode::kExact, ActivationMode::kFastApprox}) {
-      Rng rng(100 + hidden);
-      Lstm lstm(19, hidden, rng);
-      lstm.set_activation_mode(mode);
-      const SparseSequence sparse = one_hot(3, 5, 19, rng);
-      const Sequence dense = to_dense(sparse);
-      const Sequence out_d = lstm.forward(dense, false);
-      const Sequence out_s = lstm.forward_sparse(sparse, false);
-      ASSERT_EQ(out_d.size(), out_s.size());
-      for (std::size_t t = 0; t < out_d.size(); ++t) {
-        for (std::size_t i = 0; i < out_d[t].size(); ++i) {
-          EXPECT_TRUE(same_bits(out_d[t].flat()[i], out_s[t].flat()[i]))
-              << to_string(mode) << " h=" << hidden << " t=" << t;
-        }
+    Rng rng(100 + hidden);
+    Lstm lstm(19, hidden, rng);
+    const SparseSequence sparse = one_hot(3, 5, 19, rng);
+    const Sequence dense = to_dense(sparse);
+    const Sequence out_d = lstm.forward(dense, false);
+    const Sequence out_s = lstm.forward_sparse(sparse, false);
+    ASSERT_EQ(out_d.size(), out_s.size());
+    for (std::size_t t = 0; t < out_d.size(); ++t) {
+      for (std::size_t i = 0; i < out_d[t].size(); ++i) {
+        EXPECT_TRUE(same_bits(out_d[t].flat()[i], out_s[t].flat()[i]))
+            << " h=" << hidden << " t=" << t;
       }
     }
   }
-}
-
-TEST(Activations, FastModeTracksExactWithinTolerance) {
-  Rng rng(4);
-  Lstm lstm(11, 33, rng);
-  const SparseSequence input = one_hot(4, 3, 11, rng);
-  const Sequence exact = lstm.forward_sparse(input, false);
-  lstm.set_activation_mode(ActivationMode::kFastApprox);
-  const Sequence fast = lstm.forward_sparse(input, false);
-  for (std::size_t t = 0; t < exact.size(); ++t) {
-    for (std::size_t i = 0; i < exact[t].size(); ++i) {
-      // Per-step activation error is ~1e-6 (documented bounds above);
-      // recurrence over 4 steps amplifies modestly.
-      EXPECT_NEAR(exact[t].flat()[i], fast[t].flat()[i], 1e-5f);
-    }
-  }
-}
-
-TEST(Activations, CloneCarriesMode) {
-  Rng rng(5);
-  Lstm lstm(4, 6, rng);
-  lstm.set_activation_mode(ActivationMode::kFastApprox);
-  const auto copy = lstm.clone();
-  EXPECT_EQ(static_cast<const Lstm&>(*copy).activation_mode(),
-            ActivationMode::kFastApprox);
 }
 
 }  // namespace

@@ -124,6 +124,27 @@ TEST(Linear, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.forward(x), layer.forward(x));
 }
 
+TEST(Linear, LoadRejectsHugeDimensionsBeforeAllocating) {
+  // A CRC-valid fp32 head claiming out_dim = 2^40 with no stored weights:
+  // the loader must compare against the stored vectors before it sizes
+  // anything, and fail typed instead of with std::bad_alloc.
+  const auto path =
+      std::filesystem::temp_directory_path() / "pelican_linear_huge_test.bin";
+  {
+    BinaryWriter writer(path, 1);
+    writer.write_u8(0);  // fp32 storage
+    writer.write_u64(std::uint64_t{1} << 40);
+    writer.write_u64(1);
+    writer.write_f32_span({});
+    writer.write_f32_span({});
+    writer.write_u8(1);
+    writer.finish();
+  }
+  BinaryReader reader(path, 1);
+  EXPECT_THROW((void)Linear::load(reader), SerializeError);
+  std::filesystem::remove(path);
+}
+
 TEST(Linear, DimsReportCorrectly) {
   Rng rng(7);
   const Linear layer(5, 9, rng);

@@ -220,6 +220,26 @@ TEST(Lstm, SaveLoadRoundTrip) {
             loaded->forward(input, false).back());
 }
 
+TEST(Lstm, LoadRejectsHugeDimensionsBeforeAllocating) {
+  // A CRC-valid layer claiming hidden = 2^40 with no stored weights must
+  // fail typed, not allocate 4 * 2^40 x input_dim floats first.
+  const auto path =
+      std::filesystem::temp_directory_path() / "pelican_lstm_huge_test.bin";
+  {
+    BinaryWriter writer(path, 1);
+    writer.write_u64(1);                       // input_dim
+    writer.write_u64(std::uint64_t{1} << 40);  // hidden
+    writer.write_f32_span({});
+    writer.write_f32_span({});
+    writer.write_f32_span({});
+    writer.write_u8(1);
+    writer.finish();
+  }
+  BinaryReader reader(path, 1);
+  EXPECT_THROW((void)Lstm::load(reader), SerializeError);
+  std::filesystem::remove(path);
+}
+
 TEST(Lstm, StatefulAcrossStepsNotAcrossCalls) {
   Rng rng(15);
   Lstm lstm(2, 3, rng);

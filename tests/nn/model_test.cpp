@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "common/rng.hpp"
@@ -185,6 +186,97 @@ TEST(SequenceClassifier, DropoutOnlyActiveInTraining) {
   const Matrix c = model.forward(input, /*training=*/true);
   const Matrix d = model.forward(input, /*training=*/true);
   EXPECT_NE(c, d);  // training jitters through dropout
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+SparseSequence one_hot_sequence(std::size_t steps, std::size_t batch,
+                                std::size_t dim, Rng& rng) {
+  SparseSequence x(steps, SparseRows(batch, dim));
+  for (SparseRows& step : x) {
+    for (std::size_t r = 0; r < batch; ++r) {
+      step.add(r, rng.below(dim / 2), 1.0f);
+      step.add(r, dim / 2 + rng.below(dim - dim / 2), 1.0f);
+    }
+  }
+  return x;
+}
+
+TEST(SequenceClassifier, InferEqualsInferenceForwardBitForBit) {
+  // The const inference path against forward(x, false) over fp32 and int8
+  // weights, both encodings, 1-2 layers (the 2-layer model has dropout),
+  // batch 1/7/64 and 1-5 steps.
+  constexpr std::size_t kDim = 13;
+  for (const std::size_t layers : {1, 2}) {
+    for (const std::size_t batch : {1, 7, 64}) {
+      for (std::size_t steps = 1; steps <= 5; ++steps) {
+        Rng rng(100 * layers + 10 * batch + steps);
+        SequenceClassifier fp32 =
+            layers == 1 ? make_one_layer_lstm(kDim, 9, 6, 0.0, rng)
+                        : make_two_layer_lstm(kDim, 9, 6, 0.3, rng);
+        SequenceClassifier int8 = quantize_for_serving(fp32);
+        const SparseSequence sparse = one_hot_sequence(steps, batch, kDim, rng);
+        const Sequence dense = to_dense(sparse);
+        for (SequenceClassifier* model : {&fp32, &int8}) {
+          const SequenceClassifier& frozen = *model;
+          EXPECT_TRUE(same_bits(frozen.infer(dense),
+                                model->forward(dense, false)))
+              << "dense layers=" << layers << " batch=" << batch
+              << " steps=" << steps << " int8=" << (model == &int8);
+          EXPECT_TRUE(same_bits(frozen.infer(sparse),
+                                model->forward(sparse, false)))
+              << "sparse layers=" << layers << " batch=" << batch
+              << " steps=" << steps << " int8=" << (model == &int8);
+        }
+      }
+    }
+  }
+}
+
+TEST(SequenceClassifier, InferBetweenForwardAndBackwardLeavesGradients) {
+  // forward(a); infer(b); backward(g) must give the gradients of
+  // forward(a); backward(g): infer may not touch the training caches. Two
+  // clones (the same dropout stream), in training mode, both encodings.
+  Rng rng(31);
+  const SequenceClassifier original = make_two_layer_lstm(8, 5, 4, 0.3, rng);
+  const SparseSequence a_sparse = one_hot_sequence(3, 6, 8, rng);
+  const SparseSequence b_sparse = one_hot_sequence(4, 2, 8, rng);
+  const Matrix grad = Matrix::randn(6, 4, 1.0f, rng);
+
+  for (const bool sparse : {false, true}) {
+    SequenceClassifier plain = original.clone();
+    SequenceClassifier interleaved = original.clone();
+    const auto run = [&](SequenceClassifier& model, bool with_infer) {
+      model.zero_grad();
+      if (sparse) {
+        (void)model.forward(a_sparse, /*training=*/true);
+        if (with_infer) (void)model.infer(b_sparse);
+      } else {
+        (void)model.forward(to_dense(a_sparse), /*training=*/true);
+        if (with_infer) (void)model.infer(to_dense(b_sparse));
+      }
+      return model.backward(grad);
+    };
+    const Sequence dx_plain = run(plain, false);
+    const Sequence dx_interleaved = run(interleaved, true);
+
+    ASSERT_EQ(dx_plain.size(), dx_interleaved.size());
+    for (std::size_t t = 0; t < dx_plain.size(); ++t) {
+      EXPECT_TRUE(same_bits(dx_plain[t], dx_interleaved[t]))
+          << "input gradient, step " << t << " sparse=" << sparse;
+    }
+    const auto params_plain = plain.all_params();
+    const auto params_interleaved = interleaved.all_params();
+    ASSERT_EQ(params_plain.size(), params_interleaved.size());
+    for (std::size_t i = 0; i < params_plain.size(); ++i) {
+      EXPECT_TRUE(same_bits(*params_plain[i].grad,
+                            *params_interleaved[i].grad))
+          << "parameter gradient " << i << " sparse=" << sparse;
+    }
+  }
 }
 
 }  // namespace

@@ -87,6 +87,26 @@ TEST(QuantizedMatrix, SerializeRoundTripUnderCrc) {
   std::filesystem::remove(path);
 }
 
+TEST(QuantizedMatrix, LoadRejectsDimensionsWhoseProductOverflows) {
+  // rows * cols = 2 * 2^63 wraps to 0 in 64 bits, which an unchecked size
+  // check matches against an empty values vector; the transpose loop then
+  // walks 2^63 columns. A CRC-valid file like that must fail typed.
+  const auto path =
+      std::filesystem::temp_directory_path() / "qmat_overflow_test.bin";
+  {
+    BinaryWriter writer(path, 1);
+    writer.write_u64(2);
+    writer.write_u64(std::uint64_t{1} << 63);
+    writer.write_i8_span({});
+    const float scales[] = {1.0f, 1.0f};
+    writer.write_f32_span(scales);
+    writer.finish();
+  }
+  BinaryReader reader(path, 1);
+  EXPECT_THROW((void)QuantizedMatrix::load(reader), SerializeError);
+  std::filesystem::remove(path);
+}
+
 TEST(QuantKernels, DenseMatchesManualDequantizedProduct) {
   Rng rng(3);
   const Matrix x = Matrix::randn(4, 6, 1.0f, rng);
@@ -254,8 +274,7 @@ TEST(QuantizedLstmTest, ForwardMatchesReferenceRecurrence) {
       }
       lstm_gate_pass(gates.data(), lstm.bias().data(), c.data() + r * hidden,
                      c_next.data() + r * hidden, tanh_c.data() + r * hidden,
-                     h_next.data() + r * hidden, hidden,
-                     ActivationMode::kExact);
+                     h_next.data() + r * hidden, hidden);
     }
     h = h_next;
     c = c_next;
