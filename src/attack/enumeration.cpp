@@ -28,6 +28,11 @@ using mobility::Window;
 /// embarrassingly parallel: each entry bin owns a fixed-size disjoint slice
 /// of the output, so the slices are filled across ThreadPool::global() and
 /// the merged ordering is identical to the serial loop by construction.
+///
+/// Every candidate copies the known step bit for bit, and candidates that
+/// share it stay in adjacent rows. Keep both: nn::Lstm runs a step once for
+/// a run of adjacent rows whose inputs so far are bit-equal (nn/lstm.hpp),
+/// so for A1 every query computes x_{t-2} once instead of per row.
 std::vector<Candidate> brute_force(Adversary adversary, const Window& window,
                                    std::span<const std::uint16_t> locations,
                                    bool parallel) {

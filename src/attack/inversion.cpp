@@ -34,7 +34,10 @@ std::vector<double> score_candidates(BlackBoxModel& model,
     const std::size_t count =
         std::min(query_batch, candidates.size() - start);
     // Candidates are one-hot by construction; query through the sparse
-    // fast path (bit-identical confidences, nnz-row input products).
+    // fast path (bit-identical confidences, nnz-row input products). Rows
+    // follow enumeration order, which keeps candidates that share their
+    // known step adjacent: nn::Lstm computes such a run's shared leading
+    // step once (nn/lstm.hpp), so reordering them costs time.
     nn::SparseSequence x(mobility::kWindowSteps,
                          nn::SparseRows(count, spec.input_dim()));
     for (nn::SparseRows& step : x) step.reserve(4 * count);
@@ -69,6 +72,10 @@ std::vector<double> score_candidates_parallel(
     std::uint16_t observed_next, std::span<const double> prior,
     std::size_t query_batch,
     std::span<const std::unique_ptr<BlackBoxModel>> replicas) {
+  if (query_batch == 0) {
+    throw std::invalid_argument(
+        "score_candidates_parallel: query_batch must be > 0");
+  }
   // One contiguous chunk per worker. Chunking (not per-batch round-robin)
   // keeps every worker on one handle no matter which pool thread picks the
   // index up, and a worker count of one degenerates to the serial path.

@@ -1,7 +1,11 @@
 #include "nn/lstm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
@@ -21,10 +25,67 @@ Lstm::Lstm(std::size_t input_dim, std::size_t hidden_dim, Rng& rng)
   for (std::size_t j = 0; j < h; ++j) bias_(0, h + j) = 1.0f;
 }
 
-template <typename Cache, typename InputProduct>
-Sequence Lstm::run_forward(std::size_t steps, std::size_t batch, Cache& cache,
+namespace {
+
+/// Whether row r of x holds the bits of row r - 1.
+bool same_as_row_above(const Matrix& x, std::size_t r) {
+  return std::memcmp(x.row(r).data(), x.row(r - 1).data(),
+                     x.cols() * sizeof(float)) == 0;
+}
+
+/// Sparse rows compare columns and value bits, so +0 and -0 entries differ.
+bool same_as_row_above(const SparseRows& x, std::size_t r) {
+  return std::ranges::equal(
+      x.row(r), x.row(r - 1),
+      [](const SparseRows::Entry& a, const SparseRows::Entry& b) {
+        return a.col == b.col && std::bit_cast<std::uint32_t>(a.val) ==
+                                     std::bit_cast<std::uint32_t>(b.val);
+      });
+}
+
+/// out = the rows `rows` of x, in order.
+void gather_rows(const Matrix& x, std::span<const std::size_t> rows,
+                 Matrix& out) {
+  out.resize(rows.size(), x.cols());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    std::copy_n(x.row(rows[j]).data(), x.cols(), out.row(j).data());
+  }
+}
+
+void gather_rows(const SparseRows& x, std::span<const std::size_t> rows,
+                 SparseRows& out) {
+  out = SparseRows(rows.size(), x.cols());
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    for (const SparseRows::Entry& e : x.row(rows[j])) out.add(j, e.col, e.val);
+  }
+}
+
+/// Row r of `rows` = row g of `groups` for each r in [start[g], start[g+1]).
+void expand_groups(const Matrix& groups, std::span<const std::size_t> start,
+                   Matrix& rows) {
+  rows.resize(start.back(), groups.cols());
+  for (std::size_t g = 0; g + 1 < start.size(); ++g) {
+    for (std::size_t r = start[g]; r < start[g + 1]; ++r) {
+      std::copy_n(groups.row(g).data(), groups.cols(), rows.row(r).data());
+    }
+  }
+}
+
+}  // namespace
+
+template <typename Cache, typename Rows, typename InputProduct>
+Sequence Lstm::run_forward(const std::vector<Rows>& input, Cache& cache,
                            InputProduct&& input_product) const {
+  if (input.empty()) throw std::invalid_argument("Lstm: empty input");
+  const std::size_t steps = input.size();
+  const std::size_t batch = input[0].rows();
+  for (const Rows& x : input) {
+    if (x.cols() != input_dim() || x.rows() != batch) {
+      throw std::invalid_argument("Lstm: input shape mismatch");
+    }
+  }
   const std::size_t hidden = hidden_dim();
+  const std::size_t width = 4 * hidden;
 
   if constexpr (kCaches<Cache>) {
     cache.clear();
@@ -32,96 +93,138 @@ Sequence Lstm::run_forward(std::size_t steps, std::size_t batch, Cache& cache,
   }
   Sequence output(steps);
 
-  Matrix h_prev(batch, hidden, 0.0f);
-  Matrix c_prev(batch, hidden, 0.0f);
-
   // The recurrence weight is invariant across timesteps, so one pack is
   // shared by every step's product when the total work amortizes it: the
   // packed axpy kernel vectorizes across the 4H gate columns (nn/simd.hpp),
-  // where the no-pack dot kernel is one serial chain per column — at batch
-  // 1 this product is most of the step time. Very short batch-1 windows
-  // stay on matmul_bt's dot kernel, which beats paying the pack. Both forms
-  // compute each gate element's product chain from +0 and add it to the
-  // input product once — identical bits, the matmul_bt accumulate contract.
+  // where the no-pack dot kernel is one serial chain per column. Very short
+  // batch-1 windows stay on matmul_bt's dot kernel, which beats paying the
+  // pack. Both forms compute each gate element's product chain from +0 —
+  // identical bits (nn/matrix.hpp) — and the step adds that chain to the
+  // input product once, as matmul_bt's accumulate mode does.
   const bool pack_recurrence = batch * steps >= kGemmPackMinRows;
   Matrix w_hh_t;
   if (pack_recurrence) transposed(w_hh_, w_hh_t);
-  Matrix hidden_chain;
+
+  // The previous step's groups as row boundaries: group g is the rows
+  // [prev[g], prev[g + 1]), and its state is row g of h_prev and c_prev.
+  // Before step 0 every row holds the zero state: one group, whose h and c
+  // are both the +0 row c_prev starts as.
+  std::vector<std::size_t> prev =
+      batch > 0 ? std::vector<std::size_t>{0, batch}
+                : std::vector<std::size_t>{0};
+  std::vector<std::size_t> next;
+  Matrix c_prev(1, hidden);
+  const Matrix* h_prev = &c_prev;
+  Matrix h_leaders;  // h_prev when groups are fewer than rows
+  Rows x_leaders;    // the input product's rows, likewise
+  Matrix gates, chain, c_next, tanh_c;
+  const float* bias = bias_.row(0).data();
 
   for (std::size_t t = 0; t < steps; ++t) {
-    StepCache& step = cache[t];
-    if constexpr (kCaches<Cache>) {
-      step.prev_hidden = h_prev;
-      step.prev_cell = c_prev;
+    // Refine the groups: a row starts a new one unless it shares the row
+    // above's previous group and its input at t. Rows that are each their
+    // own group already stay so, without a compare.
+    const bool refine = prev.size() <= batch;
+    if (refine) {
+      next.clear();
+      next.reserve(batch + 1);
+      for (std::size_t g = 0; g + 1 < prev.size(); ++g) {
+        next.push_back(prev[g]);
+        for (std::size_t r = prev[g] + 1; r < prev[g + 1]; ++r) {
+          if (!same_as_row_above(input[t], r)) next.push_back(r);
+        }
+      }
+      next.push_back(batch);
     }
+    const std::vector<std::size_t>& start = refine ? next : prev;
+    const std::size_t groups = start.size() - 1;
+    const std::span<const std::size_t> leaders(start.data(), groups);
 
-    // Pre-activations: gates = x W_ih^T + h_prev W_hh^T + b. The input
-    // product is supplied by the caller (dense GEMM or sparse gather);
-    // both leave gates with identical bits, so everything downstream is
-    // shared.
-    Matrix gates;
-    input_product(t, step, gates);
+    // Pre-activations: gates = x W_ih^T + h_prev W_hh^T + b, once per
+    // group. The caller's input product (dense GEMM or sparse gather;
+    // identical bits either way) runs on each group's first row, the
+    // recurrence chain is one product row per previous group, and the bias
+    // joins in the gate pass.
+    const Rows* x = &input[t];
+    if (groups < batch) {
+      gather_rows(input[t], leaders, x_leaders);
+      x = &x_leaders;
+    }
+    input_product(*x, gates);
     if (pack_recurrence) {
-      matmul(h_prev, w_hh_t, hidden_chain);
-      gates += hidden_chain;
+      matmul(*h_prev, w_hh_t, chain);
     } else {
-      matmul_bt(h_prev, w_hh_, gates, /*accumulate=*/true);
+      matmul_bt(*h_prev, w_hh_, chain);
     }
 
-    step.cell.resize(batch, hidden);
-    step.tanh_cell.resize(batch, hidden);
-    Matrix h_next(batch, hidden);
-
-    // Bias add, gate activations, and the cell update in ONE sweep over the
-    // gates buffer (nn/activations.hpp), the identical per-element
-    // operation chain the unfused loop did.
-    const float* bias = bias_.row(0).data();
-    for (std::size_t r = 0; r < batch; ++r) {
-      lstm_gate_pass(gates.data() + r * 4 * hidden, bias,
-                     c_prev.data() + r * hidden,
-                     step.cell.data() + r * hidden,
-                     step.tanh_cell.data() + r * hidden,
-                     h_next.data() + r * hidden, hidden);
+    // Bias add, gate activations and the cell update in one sweep per
+    // group (nn/activations.hpp); its h goes to the group's first row of
+    // the output and is copied to the others.
+    c_next.resize(groups, hidden);
+    tanh_c.resize(groups, hidden);
+    Matrix& h_next = output[t];
+    h_next.resize(batch, hidden);
+    std::size_t p = 0;  // the previous group holding group g
+    for (std::size_t g = 0; g < groups; ++g) {
+      while (prev[p + 1] <= start[g]) ++p;
+      float* gate_row = gates.row(g).data();
+      const float* chain_row = chain.row(p).data();
+      for (std::size_t j = 0; j < width; ++j) gate_row[j] += chain_row[j];
+      float* h = h_next.row(start[g]).data();
+      lstm_gate_pass(gate_row, bias, c_prev.row(p).data(),
+                     c_next.row(g).data(), tanh_c.row(g).data(), h, hidden);
+      for (std::size_t r = start[g] + 1; r < start[g + 1]; ++r) {
+        std::copy_n(h, hidden, h_next.row(r).data());
+      }
     }
 
-    step.gates = std::move(gates);
-    h_prev = h_next;
-    c_prev = step.cell;
-    output[t] = std::move(h_next);
+    if constexpr (kCaches<Cache>) {
+      StepCache& step = cache[t];
+      if constexpr (std::is_same_v<Rows, Matrix>) {
+        step.input = input[t];
+      } else {
+        step.sparse_input = input[t];
+      }
+      step.prev_hidden = t == 0 ? Matrix(batch, hidden) : output[t - 1];
+      step.prev_cell = t == 0 ? Matrix(batch, hidden) : cache[t - 1].cell;
+      expand_groups(gates, start, step.gates);
+      expand_groups(c_next, start, step.cell);
+      expand_groups(tanh_c, start, step.tanh_cell);
+    }
+
+    std::swap(c_prev, c_next);
+    if (groups == batch) {
+      h_prev = &h_next;
+    } else {
+      gather_rows(h_next, leaders, h_leaders);
+      h_prev = &h_leaders;
+    }
+    if (refine) std::swap(prev, next);
   }
   return output;
 }
 
 template <typename Cache>
 Sequence Lstm::run_dense(const Sequence& input, Cache& cache) const {
-  if (input.empty()) throw std::invalid_argument("Lstm: empty input");
-  const std::size_t batch = input[0].rows();
   // Hoist the input-weight pack out of the timestep loop when the total
   // work amortizes it (matmul_bt would otherwise re-transpose w_ih_ every
   // step, and its small-batch fallback is the serial dot kernel); same bits
   // either way.
   Matrix w_ih_t;
-  if (batch * input.size() >= kGemmPackMinRows) transposed(w_ih_, w_ih_t);
-  return run_forward(input.size(), batch, cache,
-                     [&](std::size_t t, StepCache& step, Matrix& gates) {
-                       const Matrix& x = input[t];
-                       if (x.cols() != input_dim() || x.rows() != batch) {
-                         throw std::invalid_argument(
-                             "Lstm: input shape mismatch");
-                       }
-                       if constexpr (kCaches<Cache>) step.input = x;
-                       if (w_ih_t.empty()) {
-                         matmul_bt(x, w_ih_, gates);
-                       } else {
-                         matmul(x, w_ih_t, gates);
-                       }
-                     });
+  if (!input.empty() && input[0].rows() * input.size() >= kGemmPackMinRows) {
+    transposed(w_ih_, w_ih_t);
+  }
+  return run_forward(input, cache, [&](const Matrix& x, Matrix& gates) {
+    if (w_ih_t.empty()) {
+      matmul_bt(x, w_ih_, gates);
+    } else {
+      matmul(x, w_ih_t, gates);
+    }
+  });
 }
 
 template <typename Cache>
 Sequence Lstm::run_sparse(const SparseSequence& input, Cache& cache) const {
-  if (input.empty()) throw std::invalid_argument("Lstm: empty input");
-  const std::size_t batch = input[0].rows();
   // One packed W_ih^T is shared by every timestep's gather when the total
   // gathered work amortizes it; tiny batches gather strided columns of
   // W_ih directly instead (sparse_matmul_bt makes the same choice per call,
@@ -130,21 +233,13 @@ Sequence Lstm::run_sparse(const SparseSequence& input, Cache& cache) const {
   for (const SparseRows& x : input) total_nnz += x.nnz();
   Matrix w_ih_t;
   if (total_nnz >= input_dim()) w_ih_t = transposed(w_ih_);
-
-  return run_forward(input.size(), batch, cache,
-                     [&](std::size_t t, StepCache& step, Matrix& gates) {
-                       const SparseRows& x = input[t];
-                       if (x.cols() != input_dim() || x.rows() != batch) {
-                         throw std::invalid_argument(
-                             "Lstm: sparse input shape mismatch");
-                       }
-                       if constexpr (kCaches<Cache>) step.sparse_input = x;
-                       if (w_ih_t.empty()) {
-                         sparse_matmul_bt(x, w_ih_, gates);
-                       } else {
-                         sparse_matmul_pre_t(x, w_ih_t, gates);
-                       }
-                     });
+  return run_forward(input, cache, [&](const SparseRows& x, Matrix& gates) {
+    if (w_ih_t.empty()) {
+      sparse_matmul_bt(x, w_ih_, gates);
+    } else {
+      sparse_matmul_pre_t(x, w_ih_t, gates);
+    }
+  });
 }
 
 Sequence Lstm::infer(const Sequence& input) const {

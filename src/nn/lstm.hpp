@@ -5,6 +5,27 @@
 // Initial hidden and cell states are zero. The layer maps a T-step sequence
 // of (batch x input_dim) to a T-step sequence of (batch x hidden_dim); the
 // paper's models read the final timestep.
+//
+// Shared prefixes are computed once. At each timestep the batch's rows fall
+// into groups of adjacent rows with one state: a row joins the group of the
+// row above it when both were in one group at the previous step and their
+// inputs at this step are bit-equal (memcmp for dense rows, column and value
+// bits for sparse ones, so +0 and -0 entries differ). Before step 0 every
+// row is in one group, the zero state. A step runs the input product and
+// the gate pass once per group and the recurrence product once per
+// previous-step group, then copies each group's h to its rows.
+//
+// This is exact: every output row of a product depends only on its own
+// input row (the nn/matrix.hpp contract), so a group's result has the bits
+// each member would compute alone, and the zero state's chain, computed as
+// one row, has the bits of every row's (non-finite weights included).
+// Training runs the same step and expands each group into the per-row
+// caches backward() reads. A batch of distinct rows costs one row compare
+// per row at step 0 and none after it. The inputs that gain are attack
+// queries whose candidates share a known step in adjacent rows: brute-force
+// and time-based A1 copy x_{t-2} into every candidate, and A3 emits runs
+// that share their context step (attack/enumeration.hpp). A2 queries and
+// batch-1 serving share only the zero state.
 #pragma once
 
 #include <memory>
@@ -85,28 +106,26 @@ class Lstm final : public SequenceLayer {
   };
   std::vector<StepCache> cache_;
 
-  /// The cache sink infer() passes: every timestep gets the same scratch
-  /// StepCache, and the recurrence skips the fields only backward() reads.
-  struct NoCache {
-    StepCache scratch;
-    StepCache& operator[](std::size_t /*t*/) noexcept { return scratch; }
-  };
+  /// The cache sink infer() passes: nothing is kept for backward().
+  struct NoCache {};
   template <typename Cache>
   static constexpr bool kCaches = !std::is_same_v<Cache, NoCache>;
 
-  /// Each encoding's front: checks shapes, hoists the W_ih pack and runs
-  /// the recurrence with its input product into `cache` (cache_ or NoCache).
+  /// Each encoding's front: hoists the W_ih pack and runs the recurrence
+  /// with its input product into `cache` (cache_ or NoCache).
   template <typename Cache>
   Sequence run_dense(const Sequence& input, Cache& cache) const;
   template <typename Cache>
   Sequence run_sparse(const SparseSequence& input, Cache& cache) const;
 
-  /// The one recurrence body, with `input_product` supplying each
-  /// timestep's x·W_ih^T pre-activations. Its cache is a compile-time sink:
-  /// the training instantiation fills one StepCache per timestep, and the
-  /// NoCache one compiles the StepCache copies away.
-  template <typename Cache, typename InputProduct>
-  Sequence run_forward(std::size_t steps, std::size_t batch, Cache& cache,
+  /// The one recurrence body over either encoding (Rows is Matrix or
+  /// SparseRows), with the groups of the header comment: it checks shapes,
+  /// and `input_product(rows, gates)` writes the x·W_ih^T pre-activations
+  /// of `rows`, each group's first row. Its cache is a compile-time sink:
+  /// the training instantiation expands each group's values into one
+  /// per-row StepCache per timestep, and the NoCache one keeps nothing.
+  template <typename Cache, typename Rows, typename InputProduct>
+  Sequence run_forward(const std::vector<Rows>& input, Cache& cache,
                        InputProduct&& input_product) const;
 };
 

@@ -118,6 +118,17 @@ TEST(Inversion, ResultAccessorsAndValidation) {
   no_ks.ks.clear();
   EXPECT_THROW((void)run_inversion(model, targets, targets, uniform, no_ks),
                std::invalid_argument);
+
+  // A zero batch is rejected before the parallel scorer divides by it.
+  for (const bool parallel : {false, true}) {
+    auto no_batch = base_config();
+    no_batch.query_batch = 0;
+    no_batch.parallel_scoring = parallel;
+    EXPECT_THROW(
+        (void)run_inversion(model, targets, targets, uniform, no_batch),
+        std::invalid_argument)
+        << "parallel_scoring=" << parallel;
+  }
 }
 
 TEST(Inversion, ScoreCandidatesExposesPerLocationScores) {

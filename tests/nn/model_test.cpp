@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/dropout.hpp"
@@ -205,33 +209,200 @@ SparseSequence one_hot_sequence(std::size_t steps, std::size_t batch,
   return x;
 }
 
+/// One input row: the two hot columns of each step, drawn as
+/// one_hot_sequence draws them.
+using Row = std::vector<std::array<std::size_t, 2>>;
+
+Row random_row(std::size_t steps, std::size_t dim, Rng& rng) {
+  Row row(steps);
+  for (auto& step : row) {
+    step = {rng.below(dim / 2), dim / 2 + rng.below(dim - dim / 2)};
+  }
+  return row;
+}
+
+SparseSequence encode_rows(std::span<const Row> rows, std::size_t dim) {
+  SparseSequence x(rows.front().size(), SparseRows(rows.size(), dim));
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (const std::size_t col : rows[r][t]) x[t].add(r, col, 1.0f);
+    }
+  }
+  return x;
+}
+
+/// The input patterns of InferEqualsInferenceForwardBitForBit: random rows
+/// at three batch sizes, and rows that share steps the way attack queries
+/// share their known step.
+enum class Pattern {
+  kRandom1,
+  kRandom7,
+  kRandom64,
+  kSharedPrefix,     // runs of rows sharing their first s steps, s < steps
+  kDuplicates,       // A A A B B
+  kAba,              // A B A: equal rows that are not adjacent
+  kEqualAfterStep0,  // rows that differ at step 0 only
+};
+
+std::vector<Row> pattern_rows(Pattern pattern, std::size_t steps,
+                              std::size_t dim, Rng& rng) {
+  const auto random = [&] { return random_row(steps, dim, rng); };
+  std::vector<Row> rows;
+  switch (pattern) {
+    case Pattern::kRandom1:
+    case Pattern::kRandom7:
+    case Pattern::kRandom64: {
+      const std::size_t batch = pattern == Pattern::kRandom1   ? 1
+                                : pattern == Pattern::kRandom7 ? 7
+                                                               : 64;
+      for (std::size_t r = 0; r < batch; ++r) rows.push_back(random());
+      break;
+    }
+    case Pattern::kSharedPrefix:
+      for (std::size_t shared = 1; shared < steps; ++shared) {
+        for (int run = 0; run < 2; ++run) {
+          const Row head = random();
+          for (int i = 0; i < 3; ++i) {
+            Row row = random();
+            std::copy_n(head.begin(), shared, row.begin());
+            rows.push_back(row);
+          }
+        }
+      }
+      rows.push_back(random());
+      break;
+    case Pattern::kDuplicates: {
+      const Row a = random();
+      const Row b = random();
+      rows = {a, a, a, b, b};
+      break;
+    }
+    case Pattern::kAba: {
+      const Row a = random();
+      const Row b = random();
+      rows = {a, b, a};
+      break;
+    }
+    case Pattern::kEqualAfterStep0: {
+      // A row may join the group above only if both shared the previous
+      // step's group, so these rows stay apart at every step.
+      const Row later = random();
+      for (std::size_t i = 0; i < 4; ++i) {
+        Row row = later;
+        row[0] = {i, dim / 2 + i};
+        rows.push_back(row);
+      }
+      break;
+    }
+  }
+  return rows;
+}
+
 TEST(SequenceClassifier, InferEqualsInferenceForwardBitForBit) {
-  // The const inference path against forward(x, false) over fp32 and int8
-  // weights, both encodings, 1-2 layers (the 2-layer model has dropout),
-  // batch 1/7/64 and 1-5 steps.
+  // The const inference path against forward(x, false) and against each
+  // row inferred alone at batch 1, over fp32 and int8 weights, both
+  // encodings, 1-3 layers (the 2-layer model has dropout; the 3-layer one
+  // is the TL-FE shape the attack queries), 1-5 steps and every input
+  // pattern above.
   constexpr std::size_t kDim = 13;
-  for (const std::size_t layers : {1, 2}) {
-    for (const std::size_t batch : {1, 7, 64}) {
+  constexpr Pattern kPatterns[] = {
+      Pattern::kRandom1,    Pattern::kRandom7, Pattern::kRandom64,
+      Pattern::kSharedPrefix, Pattern::kDuplicates, Pattern::kAba,
+      Pattern::kEqualAfterStep0};
+  for (const std::size_t layers : {1, 2, 3}) {
+    for (const Pattern pattern : kPatterns) {
       for (std::size_t steps = 1; steps <= 5; ++steps) {
-        Rng rng(100 * layers + 10 * batch + steps);
+        Rng rng(1000 * layers + 10 * static_cast<std::size_t>(pattern) +
+                steps);
         SequenceClassifier fp32 =
             layers == 1 ? make_one_layer_lstm(kDim, 9, 6, 0.0, rng)
                         : make_two_layer_lstm(kDim, 9, 6, 0.3, rng);
+        if (layers == 3) {
+          fp32.insert_layer(fp32.layer_count(),
+                            std::make_unique<Lstm>(9, 9, rng));
+        }
         SequenceClassifier int8 = quantize_for_serving(fp32);
-        const SparseSequence sparse = one_hot_sequence(steps, batch, kDim, rng);
+        const std::vector<Row> rows = pattern_rows(pattern, steps, kDim, rng);
+        const SparseSequence sparse = encode_rows(rows, kDim);
         const Sequence dense = to_dense(sparse);
         for (SequenceClassifier* model : {&fp32, &int8}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "layers=" << layers << " pattern="
+                       << static_cast<int>(pattern) << " steps=" << steps
+                       << " int8=" << (model == &int8));
           const SequenceClassifier& frozen = *model;
-          EXPECT_TRUE(same_bits(frozen.infer(dense),
-                                model->forward(dense, false)))
-              << "dense layers=" << layers << " batch=" << batch
-              << " steps=" << steps << " int8=" << (model == &int8);
-          EXPECT_TRUE(same_bits(frozen.infer(sparse),
-                                model->forward(sparse, false)))
-              << "sparse layers=" << layers << " batch=" << batch
-              << " steps=" << steps << " int8=" << (model == &int8);
+          const Matrix from_dense = frozen.infer(dense);
+          const Matrix from_sparse = frozen.infer(sparse);
+          EXPECT_TRUE(same_bits(from_dense, model->forward(dense, false)));
+          EXPECT_TRUE(same_bits(from_sparse, model->forward(sparse, false)));
+          for (std::size_t r = 0; r < rows.size(); ++r) {
+            const SparseSequence alone =
+                encode_rows(std::span<const Row>(&rows[r], 1), kDim);
+            const Matrix sparse_alone = frozen.infer(alone);
+            const Matrix dense_alone = frozen.infer(to_dense(alone));
+            EXPECT_EQ(std::memcmp(sparse_alone.data(),
+                                  from_sparse.row(r).data(),
+                                  sparse_alone.size() * sizeof(float)),
+                      0)
+                << "sparse row " << r;
+            EXPECT_EQ(std::memcmp(dense_alone.data(), from_dense.row(r).data(),
+                                  dense_alone.size() * sizeof(float)),
+                      0)
+                << "dense row " << r;
+          }
         }
       }
+    }
+  }
+}
+
+TEST(SequenceClassifier, TrainingGradientsIgnoreRowGrouping) {
+  // The training forward groups bit-equal rows as infer() does and expands
+  // each group into backward()'s per-row caches. A batch of duplicated
+  // windows and its twin, where every other duplicate has one +0.0 entry
+  // set to -0.0 (rows bitwise distinct, so nothing groups, but arithmetic
+  // identical), must give the same gradient bits. Clones share the dropout
+  // stream, so both models see the same masks.
+  Rng rng(43);
+  constexpr std::size_t kDim = 8;
+  for (const std::size_t layers : {1, 2}) {
+    const SequenceClassifier original =
+        layers == 1 ? make_one_layer_lstm(kDim, 5, 4, 0.0, rng)
+                    : make_two_layer_lstm(kDim, 5, 4, 0.3, rng);
+    const Row a = random_row(3, kDim, rng);
+    const Row b = random_row(3, kDim, rng);
+    const std::vector<Row> rows = {a, a, a, b, b, b, b};
+    const Sequence duplicated = to_dense(encode_rows(rows, kDim));
+    Sequence twin = duplicated;
+    for (const std::size_t r : {1, 4, 6}) {
+      const std::size_t col = (rows[r][0][0] + 1) % (kDim / 2);  // a +0.0
+      ASSERT_EQ(twin[0](r, col), 0.0f);
+      twin[0](r, col) = -0.0f;
+    }
+    const Matrix grad = Matrix::randn(rows.size(), 4, 1.0f, rng);
+
+    const auto run = [&](SequenceClassifier& model, const Sequence& input) {
+      model.zero_grad();
+      (void)model.forward(input, /*training=*/true);
+      return model.backward(grad);
+    };
+    SequenceClassifier grouped = original.clone();
+    SequenceClassifier distinct = original.clone();
+    const Sequence dx_grouped = run(grouped, duplicated);
+    const Sequence dx_distinct = run(distinct, twin);
+
+    ASSERT_EQ(dx_grouped.size(), dx_distinct.size());
+    for (std::size_t t = 0; t < dx_grouped.size(); ++t) {
+      EXPECT_TRUE(same_bits(dx_grouped[t], dx_distinct[t]))
+          << "input gradient, step " << t << " layers=" << layers;
+    }
+    const auto params_grouped = grouped.all_params();
+    const auto params_distinct = distinct.all_params();
+    ASSERT_EQ(params_grouped.size(), params_distinct.size());
+    for (std::size_t i = 0; i < params_grouped.size(); ++i) {
+      EXPECT_TRUE(
+          same_bits(*params_grouped[i].grad, *params_distinct[i].grad))
+          << "parameter gradient " << i << " layers=" << layers;
     }
   }
 }

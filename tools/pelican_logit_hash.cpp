@@ -10,19 +10,32 @@
 //   fp32 <16 hex digits>
 //   int8 <16 hex digits>
 //
+// Two more lines hash batches whose rows share leading steps, as attack
+// queries do (hidden 17/64 x layers 1/2/3 x steps 2/3/5, 18 shapes): runs
+// of rows sharing their first s steps for s = 1..steps-1, a row repeated
+// exactly, an A-B-A triple and rows equal after step 0, all in one batch:
+//
+//   fp32-prefix <16 hex digits>
+//   int8-prefix <16 hex digits>
+//
 // A change that must keep served bits (a kernel rewrite, a new inference
-// path) builds this tool on both trees and compares the two lines. The tool
-// itself exits 1 when a dense and a sparse query of the same input differ,
-// which the nn contract forbids for both formats.
+// path) builds this tool on both trees and compares the four lines. The
+// tool itself exits 1 when a dense and a sparse query of the same input
+// differ, or when a row of a prefix batch differs from that row queried
+// alone; the nn contract forbids both for both formats.
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/privacy_layer.hpp"
 #include "core/service.hpp"
 #include "mobility/dataset.hpp"
+#include "nn/lstm.hpp"
 #include "nn/model.hpp"
 #include "nn/sparse.hpp"
 
@@ -63,6 +76,129 @@ nn::SparseSequence one_hot_input(std::size_t steps, std::size_t batch,
     }
   }
   return x;
+}
+
+/// One input row: the four hot columns of each step.
+using Row = std::vector<std::array<std::size_t, 4>>;
+
+Row random_row(std::size_t steps, std::size_t dim, Rng& rng) {
+  Row row(steps);
+  for (auto& step : row) {
+    for (std::size_t block = 0; block < 4; ++block) {
+      const std::size_t lo = dim * block / 4;
+      const std::size_t hi = dim * (block + 1) / 4;
+      step[block] = lo + rng.below(hi - lo);
+    }
+  }
+  return row;
+}
+
+/// Rows that share leading steps, in adjacent rows as the attack's
+/// enumerators emit them: for each s in 1..steps-1, three runs of four rows
+/// sharing their first s steps; then one row three times; then A, B, A;
+/// then three rows that differ at step 0 only, which must not share state.
+std::vector<Row> prefix_rows(std::size_t steps, std::size_t dim, Rng& rng) {
+  std::vector<Row> rows;
+  for (std::size_t shared = 1; shared < steps; ++shared) {
+    for (int run = 0; run < 3; ++run) {
+      const Row prefix = random_row(shared, dim, rng);
+      for (int i = 0; i < 4; ++i) {
+        Row row = prefix;
+        const Row suffix = random_row(steps - shared, dim, rng);
+        row.insert(row.end(), suffix.begin(), suffix.end());
+        rows.push_back(row);
+      }
+    }
+  }
+  const Row twice = random_row(steps, dim, rng);
+  rows.insert(rows.end(), 3, twice);
+  const Row a = random_row(steps, dim, rng);
+  const Row b = random_row(steps, dim, rng);
+  rows.push_back(a);
+  rows.push_back(b);
+  rows.push_back(a);
+  const Row later = random_row(steps, dim, rng);
+  for (std::size_t i = 0; i < 3; ++i) {
+    Row row = later;
+    row[0][0] = i;  // distinct hot columns in the first block
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+nn::SparseSequence encode(std::span<const Row> rows, std::size_t steps,
+                          std::size_t dim) {
+  nn::SparseSequence x(steps, nn::SparseRows(rows.size(), dim));
+  for (std::size_t t = 0; t < steps; ++t) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (const std::size_t col : rows[r][t]) x[t].add(r, col, 1.0f);
+    }
+  }
+  return x;
+}
+
+/// Hashes the prefix batches' query bits into fp32_hash and int8_hash;
+/// returns the number of batches that disagree with their rows queried
+/// one at a time or across encodings.
+int hash_prefix_batches(const mobility::EncodingSpec& spec,
+                        std::uint64_t& fp32_hash, std::uint64_t& int8_hash) {
+  int mismatches = 0;
+  for (const std::size_t hidden : {17, 64}) {
+    for (const std::size_t layers : {1, 2, 3}) {
+      for (const std::size_t steps : {2, 3, 5}) {
+        Rng rng(7'000'000 + 1'000 * hidden + 10 * layers + steps);
+        nn::SequenceClassifier fp32 =
+            layers == 1
+                ? nn::make_one_layer_lstm(spec.input_dim(), hidden,
+                                          spec.num_locations, 0.0, rng)
+                : nn::make_two_layer_lstm(spec.input_dim(), hidden,
+                                          spec.num_locations, 0.1, rng);
+        if (layers == 3) {
+          // The transfer-learning feature-extraction shape the attack
+          // queries: one more LSTM between the base and the head.
+          fp32.insert_layer(fp32.layer_count(),
+                            std::make_unique<nn::Lstm>(hidden, hidden, rng));
+        }
+        nn::SequenceClassifier int8 = nn::quantize_for_serving(fp32);
+        const std::vector<Row> rows =
+            prefix_rows(steps, spec.input_dim(), rng);
+        const nn::SparseSequence sparse =
+            encode(rows, steps, spec.input_dim());
+        const nn::Sequence dense = nn::to_dense(sparse);
+
+        const auto run = [&](nn::SequenceClassifier model,
+                             std::uint64_t& hash, const char* format) {
+          core::DeployedModel deployment(std::move(model), spec,
+                                         core::PrivacyLayer(0.5),
+                                         core::DeploymentSite::kInCloud);
+          const nn::Matrix from_dense = deployment.query(dense);
+          const nn::Matrix from_sparse = deployment.query(sparse);
+          fnv1a(hash, from_dense);
+          fnv1a(hash, from_sparse);
+          bool agree = same_bits(from_dense, from_sparse);
+          for (std::size_t r = 0; r < rows.size(); ++r) {
+            const nn::Matrix alone = deployment.query(
+                encode(std::span<const Row>(&rows[r], 1), steps,
+                       spec.input_dim()));
+            agree = agree && std::memcmp(alone.data(),
+                                         from_sparse.row(r).data(),
+                                         alone.size() * sizeof(float)) == 0;
+          }
+          if (!agree) {
+            std::fprintf(stderr,
+                         "%s-prefix hidden=%zu layers=%zu steps=%zu: the "
+                         "batch differs from its rows queried alone or "
+                         "across encodings\n",
+                         format, hidden, layers, steps);
+            ++mismatches;
+          }
+        };
+        run(std::move(fp32), fp32_hash, "fp32");
+        run(std::move(int8), int8_hash, "int8");
+      }
+    }
+  }
+  return mismatches;
 }
 
 }  // namespace
@@ -114,7 +250,15 @@ int main() {
     }
   }
 
+  std::uint64_t fp32_prefix_hash = kFnvOffset;
+  std::uint64_t int8_prefix_hash = kFnvOffset;
+  mismatches += hash_prefix_batches(spec, fp32_prefix_hash, int8_prefix_hash);
+
   std::printf("fp32 %016llx\n", static_cast<unsigned long long>(fp32_hash));
   std::printf("int8 %016llx\n", static_cast<unsigned long long>(int8_hash));
+  std::printf("fp32-prefix %016llx\n",
+              static_cast<unsigned long long>(fp32_prefix_hash));
+  std::printf("int8-prefix %016llx\n",
+              static_cast<unsigned long long>(int8_prefix_hash));
   return mismatches == 0 ? 0 : 1;
 }
