@@ -1,6 +1,7 @@
 #include "router/router.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -16,6 +17,20 @@ namespace {
 std::chrono::steady_clock::duration millis(double ms) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
+}
+
+/// Whole milliseconds from now until `at`, rounded up (poll()'s unit).
+int millis_until(std::chrono::steady_clock::time_point at) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      at - std::chrono::steady_clock::now());
+  return static_cast<int>(std::clamp<std::chrono::milliseconds::rep>(
+      left.count(), 0, std::numeric_limits<int>::max()));
+}
+
+double millis_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 }  // namespace
@@ -70,12 +85,22 @@ std::size_t Router::add_backend(const std::string& address) {
         exchange(*backend, encode_health(), config_.request_timeout_ms);
     (void)decode_health_reply(reply);
   }
-  const MutexLock lock(mutex_);
-  // A quarantined address is NOT re-added here: the recovery prober owns
-  // its way back (double membership would split its partitions).
-  if (backends_.contains(address) || quarantined_.contains(address)) return 0;
-  backends_.emplace(address, std::move(backend));
-  return partitioner_.add_backend(address);
+  std::size_t moved = 0;
+  LedgerSlice joined;
+  {
+    const MutexLock lock(mutex_);
+    // A quarantined address is NOT re-added here: the recovery prober owns
+    // its way back (double membership would split its partitions).
+    if (backends_.contains(address) || quarantined_.contains(address)) {
+      return 0;
+    }
+    backends_.emplace(address, std::move(backend));
+    moved = partitioner_.add_backend(address);
+    joined = ledger_owned_by(address);
+  }
+  // The partitions it took carry users deployed before it joined.
+  redeploy(joined);
+  return moved;
 }
 
 std::shared_ptr<Router::Backend> Router::find_backend(
@@ -89,8 +114,9 @@ std::shared_ptr<Router::Backend> Router::find_backend(
 std::vector<std::uint8_t> Router::exchange(Backend& backend,
                                            std::span<const std::uint8_t> frame,
                                            double timeout_ms,
-                                           ExchangeCancel* cancel,
-                                           bool clears_strikes) {
+                                           bool clears_strikes, Hedge* hedge) {
+  bool hedged = false;    // the hedge runs at most once per exchange
+  bool answered = false;  // whether it answered
   for (int attempt = 0;; ++attempt) {
     Socket socket;
     bool from_pool = false;
@@ -111,95 +137,124 @@ std::vector<std::uint8_t> Router::exchange(Backend& backend,
         ++backend.open_connections;  // reserve a slot, connect off-lock
       }
     }
+    // Hands the slot back: a connection that finished its exchange parks
+    // for reuse; any other is discarded, its state unknown.
+    const auto release = [&](bool reuse) {
+      const MutexLock lock(backend.pool_mutex);
+      if (reuse && backend.alive.load()) {
+        backend.idle.push_back(std::move(socket));
+      } else {
+        --backend.open_connections;  // discarded, or the pool is torn down
+      }
+      backend.pool_cv.notify_one();
+    };
     if (!from_pool) {
       try {
         socket = Socket::connect_to(backend.parsed);
       } catch (...) {
-        const MutexLock lock(backend.pool_mutex);
-        --backend.open_connections;
-        backend.pool_cv.notify_one();
+        release(false);
         throw;
       }
     }
     socket.set_io_timeout(timeout_ms);
-    if (cancel != nullptr) {
-      const MutexLock lock(cancel->mutex);
-      if (cancel->cancelled) {
-        // The race is already decided; hand the untouched connection back.
-        const MutexLock pool_lock(backend.pool_mutex);
-        if (backend.alive.load()) {
-          backend.idle.push_back(std::move(socket));
-        } else {
-          --backend.open_connections;
-        }
-        backend.pool_cv.notify_one();
-        throw WireError("exchange cancelled: " + backend.address);
-      }
-      cancel->active = &socket;
-    }
-    // The in-flight socket must be de-registered before it leaves this
-    // frame (pool hand-back or discard): a late cancel() must never
-    // shut down a socket someone else now owns.
-    const auto unregister = [cancel] {
-      if (cancel != nullptr) {
-        const MutexLock lock(cancel->mutex);
-        cancel->active = nullptr;
-      }
-    };
     try {
       socket.send_frame(frame);
-      std::vector<std::uint8_t> reply = socket.recv_frame();
-      unregister();
-      socket.set_io_timeout(0);  // pooled connections are blocking at rest
-      {
-        const MutexLock lock(backend.pool_mutex);
-        if (backend.alive.load()) {
-          backend.idle.push_back(std::move(socket));
-        } else {
-          --backend.open_connections;  // pool is being torn down
+      const auto sent = std::chrono::steady_clock::now();
+      // A hedge due after the primary's deadline never fires: the primary
+      // times out first.
+      if (hedge != nullptr && !hedged &&
+          (timeout_ms <= 0.0 || hedge->at < sent + millis(timeout_ms)) &&
+          !socket.wait_readable(millis_until(hedge->at))) {
+        hedged = true;
+        answered = hedge->fire();
+        if (answered && !socket.wait_readable(0)) {
+          // The hedge's answer came first. The primary's reply is still
+          // owed on this connection, so it never goes back to the pool.
+          release(false);
+          hedge->won = true;
+          return {};
         }
-        backend.pool_cv.notify_one();
+        if (timeout_ms > 0.0) {
+          // The primary keeps what is left of its deadline.
+          socket.set_io_timeout(
+              std::max(timeout_ms - millis_since(sent), 0.001));
+        }
       }
+      std::vector<std::uint8_t> reply = socket.recv_frame();
+      socket.set_io_timeout(0);  // pooled connections are blocking at rest
+      release(true);
       if (clears_strikes) {
         backend.timeout_strikes.store(0, std::memory_order_relaxed);
       }
       return reply;
-    } catch (const WireTimeout&) {
-      // Mid-exchange deadline: the connection's state is unknown, discard
-      // it. Never retried here — the caller owns the hung-engine handling.
-      unregister();
-      const MutexLock lock(backend.pool_mutex);
-      --backend.open_connections;
-      backend.pool_cv.notify_one();
-      throw;
-    } catch (const WireError&) {
-      unregister();
-      {
-        const MutexLock lock(backend.pool_mutex);
-        --backend.open_connections;
-        backend.pool_cv.notify_one();
+    } catch (const WireError& error) {
+      // Mid-exchange failure: the connection's state is unknown.
+      release(false);
+      if (answered) {
+        hedge->won = true;  // the primary's readable reply broke
+        return {};
       }
-      if (cancel != nullptr && cancel->was_cancelled()) throw;
-      if (from_pool && attempt == 0) {
-        // A pooled connection can rot while parked (the engine restarted:
-        // first reuse sees EPIPE/ECONNRESET). That says nothing about the
-        // backend NOW — retry once on a fresh connection before declaring
-        // it dead. Every wire verb is idempotent (reads trivially; deploy/
-        // publish re-install the same version; drain re-requests a drain),
-        // and the failed send/recv never delivered a reply, so re-issuing
-        // the frame is safe.
+      // A deadline is never retried here — the caller owns the hung-engine
+      // handling. A pooled connection, though, can rot while parked (the
+      // engine restarted: first reuse sees EPIPE/ECONNRESET). That says
+      // nothing about the backend NOW — retry once on a fresh connection
+      // before declaring it dead. Every wire verb is idempotent (reads
+      // trivially; deploy/publish re-install the same version; drain
+      // re-requests a drain), and the failed send/recv never delivered a
+      // reply, so re-issuing the frame is safe.
+      if (from_pool && attempt == 0 &&
+          dynamic_cast<const WireTimeout*>(&error) == nullptr) {
         reconnects_counter_->add();
         continue;
       }
       throw;
     } catch (...) {
-      unregister();
-      const MutexLock lock(backend.pool_mutex);
-      --backend.open_connections;
-      backend.pool_cv.notify_one();
+      release(false);
       throw;
     }
   }
+}
+
+std::vector<serve::PredictResponse> Router::hedge_read(
+    Backend& target, std::span<const serve::PredictRequest> batch,
+    std::span<const std::uint8_t> frame, double timeout_ms) {
+  // The target may not hold these users yet: re-deploy them from the
+  // ledger first. Deploys are idempotent, and the target pulls the SAME
+  // (user, version) artifacts from the shared store — which is why the
+  // hedged answer is bit-identical to the primary's and taking whichever
+  // comes first is sound.
+  std::vector<DeployCommand> deploys;
+  {
+    const MutexLock lock(mutex_);
+    for (const serve::PredictRequest& request : batch) {
+      const std::uint32_t user = request.user_id;
+      if (std::ranges::find(deploys, user, &DeployCommand::user_id) !=
+          deploys.end()) {
+        continue;
+      }
+      const auto it = ledger_.find(user);
+      if (it == ledger_.end()) {
+        throw WireError("hedge: user " + std::to_string(user) +
+                        " not in ledger");
+      }
+      deploys.push_back(
+          {user, it->second.version, it->second.temperature, it->second.spec});
+    }
+  }
+  Socket socket = Socket::connect_to(target.parsed);
+  socket.set_io_timeout(timeout_ms);
+  for (const DeployCommand& deploy : deploys) {
+    socket.send_frame(encode_deploy(deploy));
+    const Ack ack = decode_ack(socket.recv_frame());
+    if (!ack.ok) throw WireError("hedge deploy refused: " + ack.message);
+  }
+  socket.send_frame(frame);
+  auto answers = decode_predict_replies(socket.recv_frame());
+  if (answers.size() != batch.size()) {
+    throw WireError("predict reply count mismatch from " + target.address);
+  }
+  target.timeout_strikes.store(0, std::memory_order_relaxed);
+  return answers;
 }
 
 void Router::handle_backend_failure(const std::string& address,
@@ -215,7 +270,7 @@ void Router::quarantine_backend(const std::string& address,
 void Router::remove_backend(const std::string& address,
                             bool stash_quarantined, std::uint64_t trace_id) {
   std::shared_ptr<Backend> backend;
-  std::vector<std::pair<std::uint32_t, Deployment>> to_redeploy;
+  LedgerSlice to_redeploy;
   {
     const MutexLock lock(mutex_);
     const auto it = backends_.find(address);
@@ -227,11 +282,7 @@ void Router::remove_backend(const std::string& address,
     // The users about to move are exactly those the removed backend owned —
     // collect them BEFORE the repartition so the ledger walk and the
     // ownership table agree.
-    for (const auto& [user, record] : ledger_) {
-      if (partitioner_.owner_of(user) == address) {
-        to_redeploy.emplace_back(user, record);
-      }
-    }
+    to_redeploy = ledger_owned_by(address);
     partitioner_.remove_backend(address);
     backends_.erase(it);
     if (stash_quarantined) {
@@ -261,10 +312,20 @@ void Router::remove_backend(const std::string& address,
     backend->pool_cv.notify_all();
   }
   // Failover re-deploy: the fleet-shared store still holds every model, so
-  // surviving owners just pull the same (user, version) keys. Best-effort —
-  // a cascading failure here is handled by its own failover, and a fully
-  // dead fleet surfaces as rejected responses.
-  for (const auto& [user, record] : to_redeploy) {
+  // surviving owners just pull the same (user, version) keys.
+  redeploy(to_redeploy);
+}
+
+Router::LedgerSlice Router::ledger_owned_by(const std::string& address) const {
+  LedgerSlice owned;
+  for (const auto& [user, record] : ledger_) {
+    if (partitioner_.owner_of(user) == address) owned.emplace_back(user, record);
+  }
+  return owned;
+}
+
+void Router::redeploy(const LedgerSlice& users) {
+  for (const auto& [user, record] : users) {
     try {
       (void)admin_to_owner(
           user, encode_deploy(
@@ -317,7 +378,7 @@ void Router::handle_backend_timeout(const std::string& address,
 }
 
 void Router::unquarantine_backend(const std::string& address) {
-  std::vector<std::pair<std::uint32_t, Deployment>> to_redeploy;
+  LedgerSlice to_redeploy;
   {
     const MutexLock lock(mutex_);
     const auto it = quarantined_.find(address);
@@ -332,23 +393,12 @@ void Router::unquarantine_backend(const std::string& address) {
     // owns. It likely still holds their models, but it may have missed
     // deploys/publishes while quarantined — deploys are idempotent, so
     // re-issuing from the ledger reconciles it with the fleet's truth.
-    for (const auto& [user, record] : ledger_) {
-      if (partitioner_.owner_of(user) == address) {
-        to_redeploy.emplace_back(user, record);
-      }
-    }
+    to_redeploy = ledger_owned_by(address);
     unquarantines_counter_->add();
   }
   events_.emit(obs::EventType::kUnquarantine, address,
                "probe answered past hold-down; partitions restored");
-  for (const auto& [user, record] : to_redeploy) {
-    try {
-      (void)admin_to_owner(
-          user, encode_deploy(
-                    {user, record.version, record.temperature, record.spec}));
-    } catch (const std::exception&) {
-    }
-  }
+  redeploy(to_redeploy);
 }
 
 bool Router::in_quarantine_holddown(const Backend& backend) const {
@@ -602,12 +652,13 @@ std::vector<serve::PredictResponse> Router::serve(
         groups.begin(), groups.end());
     std::vector<std::vector<std::size_t>> failed(fan_out.size());
 
-    // One short-lived forwarding thread per owning backend. Deliberately
-    // NOT ThreadPool::global(): these bodies BLOCK on socket I/O, which
-    // would park compute workers the in-process engine path and attack
-    // scoring share, and parallel_for serializes concurrent submissions —
-    // two client threads in serve() would serialize their network waits.
-    // Spawn cost (~tens of µs) is noise against a wire round trip.
+    // A fan-out over more than one backend forwards each group from a
+    // short-lived thread of its own; a single group (every batch-1 read)
+    // runs in the caller's thread. Deliberately NOT ThreadPool::global():
+    // these bodies BLOCK on socket I/O, which would park compute workers
+    // the in-process engine path and attack scoring share, and
+    // parallel_for serializes concurrent submissions — two client threads
+    // in serve() would serialize their network waits.
     auto forward = [&](std::size_t g) {
       const auto& [address, indices] = fan_out[g];
       const auto backend = find_backend(address);
@@ -655,181 +706,64 @@ std::vector<serve::PredictResponse> Router::serve(
       const std::uint64_t sent_ns = instrument ? obs::now_ns() : 0;
       forwards_.fetch_add(1, std::memory_order_relaxed);
 
-      // The primary exchange runs in its own thread so this (coordinator)
-      // thread can fire a hedge when the reply is late. All race state
-      // lives under one mutex; the cancel token lets the winner sever the
-      // loser's socket.
-      struct RaceState {
-        Mutex mutex;
-        std::condition_variable cv;
-        bool primary_done PELICAN_GUARDED_BY(mutex) = false;
-        bool primary_timeout PELICAN_GUARDED_BY(mutex) = false;
-        bool primary_failed PELICAN_GUARDED_BY(mutex) = false;
-        bool have_result PELICAN_GUARDED_BY(mutex) = false;
-        bool hedge_won PELICAN_GUARDED_BY(mutex) = false;
-        std::vector<serve::PredictResponse> result PELICAN_GUARDED_BY(mutex);
-      } race;
-      ExchangeCancel cancel;
-
-      std::thread primary([&] {
-        try {
-          const auto reply = exchange(*backend, frame, timeout_ms, &cancel,
-                                      /*clears_strikes=*/true);
-          auto decoded = decode_predict_replies(reply);
-          if (decoded.size() != indices.size()) {
-            throw WireError("predict reply count mismatch from " + address);
-          }
-          const MutexLock lock(race.mutex);
-          race.primary_done = true;
-          if (!race.have_result) {
-            race.have_result = true;
-            race.result = std::move(decoded);
-          }
-        } catch (const WireTimeout&) {
-          const MutexLock lock(race.mutex);
-          race.primary_done = true;
-          race.primary_timeout = true;
-        } catch (const std::exception&) {
-          const MutexLock lock(race.mutex);
-          race.primary_done = true;
-          race.primary_failed = true;
-        }
-        race.cv.notify_all();
-      });
-
-      // Wait for the primary up to the hedge delay (forever when hedging
-      // is off — the exchange timeout still bounds the wait).
-      bool primary_late = false;
-      {
-        MutexLock lock(race.mutex);
-        if (hedge_delay >= 0.0) {
-          const auto hedge_at =
-              std::chrono::steady_clock::now() + millis(hedge_delay);
-          while (!race.primary_done) {
-            if (!lock.wait_until(race.cv, hedge_at)) break;  // delay elapsed
-          }
-        } else {
-          while (!race.primary_done) lock.wait(race.cv);
-        }
-        primary_late = !race.primary_done;
-      }
-
-      // Hedge: the primary is late, the budget allows another duplicate,
-      // and the fleet has a second choice.
-      bool hedged = false;
+      // The exchange polls for the reply until the hedge delay; if it is
+      // late, the hedge fires from this thread when the budget allows
+      // another duplicate and the fleet has a second choice.
+      std::vector<serve::PredictResponse> answers;
+      std::string hedge_target;
       std::uint64_t hedge_start_ns = 0;
-      if (primary_late && hedge_delay >= 0.0) {
+      Hedge hedge;
+      hedge.at = std::chrono::steady_clock::now() + millis(hedge_delay);
+      hedge.fire = [&] {
         const std::uint64_t fired =
             hedges_fired_.load(std::memory_order_relaxed);
         const std::uint64_t total = forwards_.load(std::memory_order_relaxed);
-        const bool budget_ok =
-            static_cast<double>(fired + 1) <=
-            config_.hedge_budget_fraction * static_cast<double>(total);
-        const std::string target =
-            budget_ok ? hedge_candidate(address) : std::string{};
+        if (static_cast<double>(fired + 1) >
+            config_.hedge_budget_fraction * static_cast<double>(total)) {
+          return false;
+        }
+        const std::string target = hedge_candidate(address);
         const auto target_backend =
             target.empty() ? nullptr : find_backend(target);
-        if (target_backend != nullptr) {
-          hedged = true;
-          hedge_start_ns = obs::now_ns();
-          hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-          hedges_counter_->add();
-          try {
-            // The hedge target may not hold these users yet: re-deploy
-            // them from the ledger first. Deploys are idempotent, and the
-            // target pulls the SAME (user, version) artifacts from the
-            // shared store — which is why the hedged answer is
-            // bit-identical to the primary's and taking whichever comes
-            // first is sound.
-            std::vector<std::uint32_t> users;
-            for (const std::size_t i : indices) {
-              if (std::find(users.begin(), users.end(), reqs[i].user_id) ==
-                  users.end()) {
-                users.push_back(reqs[i].user_id);
-              }
-            }
-            for (const std::uint32_t user : users) {
-              std::optional<Deployment> record;
-              {
-                const MutexLock lock(mutex_);
-                const auto it = ledger_.find(user);
-                if (it != ledger_.end()) record = it->second;
-              }
-              if (!record.has_value()) {
-                throw WireError("hedge: user " + std::to_string(user) +
-                                " not in ledger");
-              }
-              const Ack ack = decode_ack(exchange(
-                  *target_backend,
-                  encode_deploy({user, record->version, record->temperature,
-                                 record->spec}),
-                  config_.request_timeout_ms));
-              if (!ack.ok) {
-                throw WireError("hedge deploy refused: " + ack.message);
-              }
-            }
-            const auto reply =
-                exchange(*target_backend, frame, timeout_ms,
-                         /*cancel=*/nullptr, /*clears_strikes=*/true);
-            auto decoded = decode_predict_replies(reply);
-            if (decoded.size() != indices.size()) {
-              throw WireError("predict reply count mismatch from " + target);
-            }
-            bool winner = false;
-            {
-              const MutexLock lock(race.mutex);
-              if (!race.have_result) {
-                race.have_result = true;
-                race.hedge_won = true;
-                race.result = std::move(decoded);
-                winner = true;
-              }
-            }
-            if (winner) {
-              hedge_wins_counter_->add();
-              if (instrument) {
-                events_.emit(obs::EventType::kHedgeWin, target,
-                             "duplicate read beat " + address,
-                             trace_ids.empty() ? 0 : trace_ids.front());
-              }
-              cancel.cancel();  // sever the straggling primary
-            }
-          } catch (const std::exception&) {
-            // The hedge lost or failed; the primary (or the next retry
-            // round) still owns this slice. Hedge failures never fail the
-            // TARGET over — it was drafted in, not proven guilty.
-          }
+        if (target_backend == nullptr) return false;
+        hedge_target = target;
+        hedge_start_ns = obs::now_ns();
+        hedges_fired_.fetch_add(1, std::memory_order_relaxed);
+        hedges_counter_->add();
+        try {
+          answers = hedge_read(*target_backend, batch, frame, timeout_ms);
+          return true;
+        } catch (const std::exception&) {
+          // Hedge failures never fail the TARGET over — it was drafted in,
+          // not proven guilty. The primary's read goes on.
+          return false;
         }
-      }
+      };
 
-      // Wait out the primary — bounded by its exchange timeout, or by the
-      // hedge winner severing its socket.
-      {
-        MutexLock lock(race.mutex);
-        while (!race.primary_done) lock.wait(race.cv);
-      }
-      primary.join();
-
-      bool have_result = false;
-      bool hedge_won = false;
       bool primary_timeout = false;
       bool primary_failed = false;
-      std::vector<serve::PredictResponse> result;
-      {
-        const MutexLock lock(race.mutex);
-        have_result = race.have_result;
-        hedge_won = race.hedge_won;
-        primary_timeout = race.primary_timeout;
-        primary_failed = race.primary_failed;
-        result = std::move(race.result);
+      try {
+        const auto reply =
+            exchange(*backend, frame, timeout_ms, /*clears_strikes=*/true,
+                     hedge_delay >= 0.0 ? &hedge : nullptr);
+        if (!hedge.won) {
+          answers = decode_predict_replies(reply);
+          if (answers.size() != indices.size()) {
+            throw WireError("predict reply count mismatch from " + address);
+          }
+        }
+      } catch (const WireTimeout&) {
+        primary_timeout = true;
+      } catch (const std::exception&) {
+        primary_failed = true;
       }
 
-      if (have_result) {
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          responses[indices[j]] = std::move(result[j]);
-        }
-      } else {
+      if (primary_timeout || primary_failed) {
         failed[g] = indices;
+      } else {
+        for (std::size_t j = 0; j < indices.size(); ++j) {
+          responses[indices[j]] = std::move(answers[j]);
+        }
       }
 
       if (instrument) {
@@ -839,7 +773,7 @@ std::vector<serve::PredictResponse> Router::serve(
                          sent_ns - encode_start_ns});
         spans.push_back(
             {obs::Stage::kRouterFanout, sent_ns, done_ns - sent_ns});
-        if (hedged) {
+        if (!hedge_target.empty()) {
           spans.push_back(
               {obs::Stage::kHedge, hedge_start_ns, done_ns - hedge_start_ns});
         }
@@ -847,16 +781,20 @@ std::vector<serve::PredictResponse> Router::serve(
 
       // Post-mortem on the primary path. A timeout (or losing the hedge
       // race) is the HUNG-engine signal: probe and maybe quarantine. A
-      // transport error is the dead-engine signal — unless the error was
-      // our own cancel().
+      // transport error is the dead-engine signal.
       const std::uint64_t group_trace =
           trace_ids.empty() ? 0 : trace_ids.front();
-      if (primary_timeout) {
+      if (hedge.won) {
+        hedge_wins_counter_->add();
+        if (instrument) {
+          events_.emit(obs::EventType::kHedgeWin, hedge_target,
+                       "duplicate read beat " + address, group_trace);
+        }
+      }
+      if (primary_timeout || hedge.won) {
         handle_backend_timeout(address, group_trace);
-      } else if (primary_failed && !cancel.was_cancelled()) {
+      } else if (primary_failed) {
         handle_backend_failure(address, group_trace);
-      } else if (hedge_won) {
-        handle_backend_timeout(address, group_trace);
       }
     };
     if (fan_out.size() == 1) {

@@ -57,17 +57,22 @@
 //                engines shed at their admission too. Every exchange is
 //                bounded by request_timeout_ms (clamped to the batch's
 //                remaining budget).
-//   hedging      when a backend's reply has not arrived within the hedge
+//   hedging      when a backend's reply is not readable within the hedge
 //                delay (auto-derived from the observed p99 of the
 //                router_fanout stage histogram, or pinned via
-//                hedge_delay_ms), the SAME predict batch is fired at a
-//                second live backend (after re-deploying the users there
-//                from the ledger — deploys are idempotent), and the first
-//                answer wins. Answers are bit-identical by construction
-//                (same store artifact, same kernels), so which copy wins is
-//                unobservable in the response. A hedge budget
-//                (hedge_budget_fraction) caps hedges to a fraction of
-//                forwards so hedging cannot double fleet load.
+//                hedge_delay_ms), the caller's own thread fires the SAME
+//                predict batch at a second live backend, on one fresh
+//                connection that first re-deploys the users there from the
+//                ledger (deploys are idempotent). The first readable answer
+//                wins: once the hedge answers, the primary's reply is read
+//                only if it is already there, and otherwise its connection
+//                is dropped. Nothing is cancelled; a hedge that fails
+//                leaves the primary's read to finish. Answers are
+//                bit-identical by construction (same store artifact, same
+//                kernels), so which copy wins is unobservable in the
+//                response. A hedge budget (hedge_budget_fraction) caps
+//                hedges to a fraction of forwards so hedging cannot double
+//                fleet load.
 //   quarantine   a backend that times out (WireTimeout) or loses a hedge
 //                race is health-probed with probe_timeout_ms; probe failure
 //                (or quarantine_after_timeouts strikes) QUARANTINES it:
@@ -86,8 +91,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -164,8 +171,9 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Registers an engine backend by wire address and health-checks it
-  /// (throws WireError when unreachable). Returns the number of partitions
-  /// that moved to it.
+  /// (throws WireError when unreachable). The ledger users its partitions
+  /// bring are deployed on it before it returns. Returns the number of
+  /// partitions that moved to it.
   std::size_t add_backend(const std::string& address);
 
   /// Deploys `user` on its owning process: the engine reads (scope, user,
@@ -296,24 +304,15 @@ class Router {
     mobility::EncodingSpec spec;
   };
 
-  /// Lets a hedging coordinator sever a colleague's in-flight exchange:
-  /// the losing side's socket is shut down, its pending I/O fails fast, and
-  /// `cancelled` tells the error handler NOT to treat that failure as a
-  /// backend problem.
-  struct ExchangeCancel {
-    Mutex mutex;
-    Socket* active PELICAN_GUARDED_BY(mutex) = nullptr;
-    bool cancelled PELICAN_GUARDED_BY(mutex) = false;
+  /// Ledger entries, each with its user.
+  using LedgerSlice = std::vector<std::pair<std::uint32_t, Deployment>>;
 
-    void cancel() {
-      const MutexLock lock(mutex);
-      cancelled = true;
-      if (active != nullptr) active->shutdown_both();
-    }
-    [[nodiscard]] bool was_cancelled() {
-      const MutexLock lock(mutex);
-      return cancelled;
-    }
+  /// The hedge of one exchange (see exchange()). `fire` runs the duplicate
+  /// read, keeps its answer, and returns whether it answered.
+  struct Hedge {
+    std::chrono::steady_clock::time_point at;
+    std::function<bool()> fire;
+    bool won = false;
   };
 
   /// Looks up a live backend; null when unknown or dead.
@@ -325,15 +324,31 @@ class Router {
   /// (backend possibly hung) and WireError on transport failure (backend
   /// presumed dead). A connection-level failure on the FIRST attempt —
   /// typically a pooled socket that broke while parked — is retried once on
-  /// a fresh connection before the error propagates. `cancel`, when given,
-  /// registers the in-flight socket so a hedge winner can sever the loser.
-  /// `clears_strikes` marks a DATA-PLANE exchange: only those reset the
-  /// backend's timeout_strikes on success — a metrics poll or health probe
-  /// completing says nothing about a livelocked predict path.
+  /// a fresh connection before the error propagates. `clears_strikes` marks
+  /// a DATA-PLANE exchange: only those reset the backend's timeout_strikes
+  /// on success — a metrics poll or health probe completing says nothing
+  /// about a livelocked predict path.
+  ///
+  /// With a `hedge`, the exchange sends the frame and polls the connection
+  /// until `hedge->at`. If the reply is late, it runs the hedge in this
+  /// thread, at most once; nothing is cancelled. The first readable answer
+  /// wins: after a hedge that answered, the primary is read only if its
+  /// reply is readable; otherwise its connection is discarded, `won` is
+  /// set and no bytes are returned. After a hedge that failed, the primary
+  /// keeps what is left of `timeout_ms`.
   [[nodiscard]] std::vector<std::uint8_t> exchange(
       Backend& backend, std::span<const std::uint8_t> frame,
-      double timeout_ms, ExchangeCancel* cancel = nullptr,
-      bool clears_strikes = false);
+      double timeout_ms, bool clears_strikes = false, Hedge* hedge = nullptr);
+
+  /// Re-deploys `batch`'s users on `target` from the ledger, then reads the
+  /// predict `frame` there: one fresh connection bounded by `timeout_ms`,
+  /// as probe_backend uses. Never the target's pool — the caller holds a
+  /// slot of the primary's, so waiting for one of the target's could close
+  /// a cycle with a caller hedging the other way. Returns the answers and
+  /// clears the target's strikes; throws on any failure.
+  [[nodiscard]] std::vector<serve::PredictResponse> hedge_read(
+      Backend& target, std::span<const serve::PredictRequest> batch,
+      std::span<const std::uint8_t> frame, double timeout_ms);
 
   /// Sends an admin frame to `user`'s owner, failing over (and retrying
   /// once) when the owner is dead. Returns the decoded ack; throws
@@ -379,6 +394,16 @@ class Router {
   /// repartition, tear down the pool, re-deploy the orphaned users.
   void remove_backend(const std::string& address, bool stash_quarantined,
                       std::uint64_t trace_id = 0);
+
+  /// The ledger users `address` owns under the current partitioning: taken
+  /// before a removal repartitions, and after a join has.
+  [[nodiscard]] LedgerSlice ledger_owned_by(const std::string& address) const
+      PELICAN_REQUIRES(mutex_);
+
+  /// Best-effort re-deploy of `users` on their current owners. A cascading
+  /// failure is handled by its own failover, and a fully dead fleet
+  /// surfaces as rejected responses.
+  void redeploy(const LedgerSlice& users);
 
   /// Hedge target for a group owned by `owner`: the next live backend
   /// after it in sorted order; empty when the fleet has no second choice.

@@ -47,6 +47,17 @@ sockaddr_in tcp_sockaddr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
+/// poll() for input on one fd, retried on EINTR. Returns the reported
+/// events, 0 on timeout.
+short poll_input(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  for (;;) {
+    const int rc = ::poll(&pfd, 1, timeout_ms);
+    if (rc < 0 && errno == EINTR) continue;
+    return rc > 0 ? pfd.revents : 0;
+  }
+}
+
 }  // namespace
 
 std::string Address::to_string() const {
@@ -261,6 +272,10 @@ std::vector<std::uint8_t> Socket::recv_frame() {
   return payload;
 }
 
+bool Socket::wait_readable(int timeout_ms) const {
+  return valid() && poll_input(fd_, timeout_ms) != 0;
+}
+
 void Socket::shutdown_both() noexcept {
   if (valid()) (void)::shutdown(fd_, SHUT_RDWR);
 }
@@ -340,13 +355,7 @@ Socket ListenSocket::accept() {
 }
 
 bool ListenSocket::wait_readable(int timeout_ms) const {
-  if (!valid()) return false;
-  pollfd pfd{fd_, POLLIN, 0};
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
-    return rc > 0 && (pfd.revents & POLLIN) != 0;
-  }
+  return valid() && (poll_input(fd_, timeout_ms) & POLLIN) != 0;
 }
 
 void ListenSocket::close() noexcept {

@@ -133,6 +133,11 @@ class Socket {
   void send_bytes(std::string_view data);
   [[nodiscard]] std::size_t recv_some(char* buffer, std::size_t capacity);
 
+  /// Waits up to `timeout_ms` (0 = just look) until a read would not
+  /// block: data, EOF or an error is pending. False on timeout. The
+  /// router's hedged exchange polls its primary with this.
+  [[nodiscard]] bool wait_readable(int timeout_ms) const;
+
   /// Wakes any thread blocked in this socket's I/O with an EOF/error
   /// (used to stop connection-handler threads). Safe from other threads.
   void shutdown_both() noexcept;

@@ -4,6 +4,9 @@
 //   hedge        a stalled predict handler loses the race to a hedged
 //                duplicate on the second engine — bit-identical answer,
 //                no failover, hedge counters visible.
+//   race rules   a primary that answers while its hedge still runs wins;
+//                a hedge that fails leaves the primary to answer; callers
+//                hedging in both directions under full pools all return.
 //   quarantine   an engine stalling predicts AND health probes is
 //                quarantined (partitions move, users re-deploy) and the
 //                serve call still answers within its own call; lifting the
@@ -16,7 +19,10 @@
 // handler thread still sleeping inside a faulted handle_frame.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -38,11 +44,11 @@ struct FaultGuard {
   ~FaultGuard() { fault::Injector::global().clear(); }
 };
 
-/// Polls `condition` for up to five seconds.
+/// Polls `condition` for up to `limit`.
 template <typename Condition>
-bool eventually(Condition condition) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+bool eventually(Condition condition,
+                std::chrono::seconds limit = std::chrono::seconds(5)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
   while (std::chrono::steady_clock::now() < deadline) {
     if (condition()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -89,6 +95,32 @@ class HedgeQuarantineTest : public ::testing::Test {
     }
   }
 
+  /// The other engine of the two: the hedge target of `owner`'s reads.
+  [[nodiscard]] std::string other_than(const std::string& owner) const {
+    return owner == dir_.socket_address(0) ? dir_.socket_address(1)
+                                           : dir_.socket_address(0);
+  }
+
+  /// A router hedging after `hedge_delay_ms`, with neither the budget nor
+  /// a timeout in the way.
+  static RouterConfig hedging_config(double hedge_delay_ms) {
+    RouterConfig config;
+    config.hedge_delay_ms = hedge_delay_ms;
+    config.hedge_budget_fraction = 1.0;
+    config.request_timeout_ms = 10000.0;
+    return config;
+  }
+
+  static fault::Rule rule(const std::string& site, const std::string& peer,
+                          fault::Action action, double delay_ms = 0.0) {
+    fault::Rule rule;
+    rule.site = site;
+    rule.peer = peer;
+    rule.action = action;
+    rule.delay_ms = delay_ms;
+    return rule;
+  }
+
   rt::TempDir dir_;
   std::vector<std::unique_ptr<EngineWorker>> workers_;
   std::vector<serve::PredictRequest> requests_;
@@ -133,6 +165,108 @@ TEST_F(HedgeQuarantineTest, HedgeWinsAgainstStalledPredictHandler) {
             2u);
 
   fault::Injector::global().clear();  // release the stalled handler thread
+}
+
+TEST_F(HedgeQuarantineTest, PrimaryAnsweringWhileItsHedgeRunsWins) {
+  FaultGuard guard;
+  Router router(hedging_config(25.0));
+  deploy_all(router);
+  build_requests();
+  const std::string owner = router.owner_of(requests_[0].user_id);
+
+  // The owner answers in ~150 ms. Its hedge fires at 25 ms but spends
+  // longer re-deploying on the target, so the primary's reply is readable
+  // by the time the hedge's arrives: the primary wins.
+  fault::Injector::global().configure(
+      {rule("engine.handle.predict_batch", owner, fault::Action::kDelay, 150),
+       rule("engine.handle.deploy", other_than(owner), fault::Action::kDelay,
+            400)},
+      /*seed=*/1);
+
+  const auto responses =
+      router.serve(std::vector<serve::PredictRequest>{requests_[0]});
+  ASSERT_TRUE(responses[0].ok);
+  EXPECT_EQ(responses[0].locations, expected_[0]);
+  EXPECT_GE(router.metrics().counter("router_hedges_total").value(), 1u);
+  EXPECT_EQ(router.metrics().counter("router_hedge_wins_total").value(), 0u)
+      << "a hedge answering after the primary must not win";
+  EXPECT_EQ(router.metrics().counter("router_request_timeouts_total").value(),
+            0u)
+      << "a primary that answered earns no strike";
+  EXPECT_EQ(router.live_backends().size(), 2u);
+}
+
+TEST_F(HedgeQuarantineTest, FailedHedgeLeavesThePrimaryToAnswer) {
+  FaultGuard guard;
+  Router router(hedging_config(25.0));
+  deploy_all(router);
+  build_requests();
+  const std::string owner = router.owner_of(requests_[0].user_id);
+  const std::string target = other_than(owner);
+
+  // The owner is late, so the hedge fires; the target drops its deploy, so
+  // the hedge fails. The primary's late answer is the one served.
+  fault::Injector::global().configure(
+      {rule("engine.handle.predict_batch", owner, fault::Action::kDelay, 150),
+       rule("engine.handle.deploy", target, fault::Action::kDrop)},
+      /*seed=*/1);
+
+  const auto responses =
+      router.serve(std::vector<serve::PredictRequest>{requests_[0]});
+  ASSERT_TRUE(responses[0].ok);
+  EXPECT_EQ(responses[0].locations, expected_[0]);
+  EXPECT_GE(router.metrics().counter("router_hedges_total").value(), 1u);
+  EXPECT_EQ(router.metrics().counter("router_hedge_wins_total").value(), 0u);
+  // A failed hedge never fails its target over.
+  EXPECT_EQ(router.live_backends(),
+            (std::vector<std::string>{dir_.socket_address(0),
+                                      dir_.socket_address(1)}));
+}
+
+TEST_F(HedgeQuarantineTest, CrossHedgesUnderFullPoolsAllReturn) {
+  FaultGuard guard;
+  Router router(hedging_config(5.0));
+  deploy_all(router);
+  build_requests();
+
+  // Both engines answer predicts late, so nearly every read hedges at the
+  // other engine — in both directions at once, while 12 callers keep both
+  // pools (4 connections each) full.
+  fault::Injector::global().configure(
+      {rule("engine.handle.predict_batch", "", fault::Action::kDelay, 40)},
+      /*seed=*/1);
+
+  constexpr std::size_t kCallers = 12;
+  constexpr std::size_t kCalls = 5;
+  std::atomic<std::size_t> returned{0};
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        const std::size_t i = (c * kCalls + call) % requests_.size();
+        const auto responses =
+            router.serve(std::vector<serve::PredictRequest>{requests_[i]});
+        if (responses[0].ok && responses[0].locations != expected_[i]) {
+          wrong.fetch_add(1);
+        }
+      }
+      returned.fetch_add(1);
+    });
+  }
+  if (!eventually([&] { return returned.load() == kCallers; },
+                  std::chrono::seconds(20))) {
+    ADD_FAILURE() << returned.load() << " of " << kCallers
+                  << " callers returned within 20 s: hedges that wait for "
+                     "the other engine's pool slots can deadlock";
+    // The wedged callers can never be joined; end the process so the
+    // test fails instead of hanging.
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GE(router.metrics().counter("router_hedges_total").value(), 1u);
 }
 
 TEST_F(HedgeQuarantineTest, StalledEngineIsQuarantinedThenRecovers) {

@@ -116,6 +116,44 @@ TEST(RouterIdentityTest, RoutedResponsesMatchDirectEngineBitForBit) {
   EXPECT_EQ(router_snap.requests_shed, 0u);
 }
 
+TEST(RouterIdentityTest, JoiningBackendServesTheUsersItTakesOver) {
+  constexpr std::uint32_t kUsers = 32;
+  rt::TempDir dir;
+  rt::fill_store(dir.store_root(), kUsers, /*versions=*/1);
+  const auto fleet = rt::start_fleet(dir, /*processes=*/2);
+  Router router;
+  ASSERT_GT(router.add_backend(fleet[0]->address().to_string()), 0u);
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    router.deploy(user, /*version=*/1, tiny_spec(), rt::temperature_of(user));
+  }
+
+  // The joiner takes partitions, and with them users deployed before it
+  // existed: it must serve them at once, not after some failover.
+  const std::string joiner = fleet[1]->address().to_string();
+  ASSERT_GT(router.add_backend(joiner), 0u);
+  std::size_t taken = 0;
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    if (router.owner_of(user) == joiner) ++taken;
+  }
+  EXPECT_GT(taken, 0u) << "the joiner should own some of 32 users";
+
+  Rng rng(11);
+  std::vector<serve::PredictRequest> requests;
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    requests.push_back({user, random_window(rng), 3});
+  }
+  const auto routed = router.serve(requests);
+  ASSERT_EQ(routed.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::uint32_t user = requests[i].user_id;
+    ASSERT_TRUE(routed[i].ok)
+        << "user " << user << " owned by " << router.owner_of(user);
+    EXPECT_EQ(routed[i].locations,
+              rt::reference_deployment(user, 1).predict_top_k(
+                  requests[i].window, requests[i].k));
+  }
+}
+
 TEST(RouterIdentityTest, DeployOfMissingVersionIsRefusedNotFatal) {
   rt::TempDir dir;
   rt::fill_store(dir.store_root(), /*users=*/2, /*versions=*/1);

@@ -33,7 +33,11 @@ TEST(RouterPublishTest, PublishIsFleetVisibleWithZeroTornReads) {
   rt::fill_store(dir.store_root(), kUsers, /*versions=*/2);
   const auto fleet = rt::start_fleet(dir, /*processes=*/2);
 
-  Router router;
+  // Hedging off: a hedge deploys users on a second engine by design, and
+  // the deployment count below asserts the publish was routed, not copied.
+  RouterConfig config;
+  config.hedge_delay_ms = -1.0;
+  Router router(config);
   (void)router.add_backend(fleet[0]->address().to_string());
   (void)router.add_backend(fleet[1]->address().to_string());
   for (std::uint32_t user = 0; user < kUsers; ++user) {
