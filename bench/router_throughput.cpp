@@ -21,10 +21,12 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -95,6 +97,38 @@ double drive(const std::vector<serve::PredictRequest>& requests,
   for (auto& thread : threads) thread.join();
   return watch.seconds();
 }
+
+/// Keeps the first response that was not ok, so a failed run can say
+/// which read failed and how once the clients have stopped.
+class FirstFailure {
+ public:
+  void check(const std::vector<serve::PredictResponse>& responses) {
+    for (const auto& response : responses) {
+      if (response.ok) continue;
+      const MutexLock lock(mutex_);
+      if (!first_) first_ = response;
+      return;
+    }
+  }
+
+  /// Prints the failure to stderr; false when every read was ok.
+  bool report(const std::string& mode) {
+    const MutexLock lock(mutex_);
+    if (!first_) return false;
+    std::cerr << mode << ": read not ok: user " << first_->user_id
+              << ", ok " << first_->ok << ", rejected " << first_->rejected;
+    return true;
+  }
+
+  [[nodiscard]] std::uint32_t user() {
+    const MutexLock lock(mutex_);
+    return first_ ? first_->user_id : 0;
+  }
+
+ private:
+  Mutex mutex_;
+  std::optional<serve::PredictResponse> first_ PELICAN_GUARDED_BY(mutex_);
+};
 
 /// $PELICAN_STATSZ if set, else the ../tools/pelican_statsz sibling of the
 /// calling binary — the same resolution LocalFleet uses for pelican_engined.
@@ -191,14 +225,16 @@ int main() {
     serve::BatchScheduler scheduler(
         registry, {.max_batch = 32,
                    .max_delay = std::chrono::microseconds(2000)});
+    FirstFailure failure;
     const double seconds =
         drive(requests, clients, client_batch,
               [&](const std::vector<serve::PredictRequest>& slice) {
-                const auto responses = scheduler.serve(slice);
-                for (const auto& response : responses) {
-                  if (!response.ok) std::exit(1);
-                }
+                failure.check(scheduler.serve(slice));
               });
+    if (failure.report("engine (in-process)")) {
+      std::cerr << "\n";
+      return 1;
+    }
     baseline_rps = static_cast<double>(requests.size()) / seconds;
     const auto snap = scheduler.stats().snapshot();
     table.add_row({"engine (in-process)", "1", Table::num(baseline_rps, 0),
@@ -235,14 +271,31 @@ int main() {
       front_door.deploy(user, 1, spec, /*temperature=*/1.0);
     }
 
+    FirstFailure failure;
     const double seconds =
         drive(requests, clients, client_batch,
               [&](const std::vector<serve::PredictRequest>& slice) {
-                const auto responses = front_door.serve(slice);
-                for (const auto& response : responses) {
-                  if (!response.ok) std::exit(1);
-                }
+                failure.check(front_door.serve(slice));
               });
+    if (failure.report("router fleet of " + std::to_string(processes))) {
+      // Returning (not exiting) lets LocalFleet reap its engines.
+      const std::uint32_t user = failure.user();
+      std::cerr << ", owner "
+                << (front_door.live_backends().empty()
+                        ? std::string("(none)")
+                        : front_door.owner_of(user));
+      for (const char* counter :
+           {"router_request_timeouts_total", "router_quarantines_total",
+            "router_unquarantines_total", "router_hedges_total",
+            "router_retry_rounds_total"}) {
+        std::cerr << ", " << counter << " "
+                  << front_door.metrics().counter(counter).value();
+      }
+      std::cerr << "\n";
+      std::error_code ec;
+      std::filesystem::remove_all(fleet_root, ec);
+      return 1;
+    }
     const double rps = static_cast<double>(requests.size()) / seconds;
 
     const auto router_snap =

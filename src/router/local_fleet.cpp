@@ -1,6 +1,7 @@
 #include "router/local_fleet.hpp"
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -66,8 +67,14 @@ LocalFleet::LocalFleet(LocalFleetConfig config) : config_(std::move(config)) {
     for (auto& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
 
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid == 0) {
+      // Die with the owner however it exits: an owner that skips this
+      // destructor (std::exit, a sanitizer abort) would otherwise leave
+      // engines holding its output pipes open.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != parent) ::_exit(127);  // the owner is already gone
       ::execv(argv[0], argv.data());
       ::_exit(127);  // exec failed; the parent's readiness wait times out
     }

@@ -8,8 +8,11 @@
 // is fork+exec of the pelican_engined binary — resolved from
 // $PELICAN_ENGINED or as the ../tools sibling of the calling binary — and
 // the constructor blocks until every process accepts connections. The
-// destructor SIGKILLs whatever was not drained/reaped, so a crashing bench
-// never leaks daemons.
+// destructor SIGKILLs whatever was not drained/reaped, and each engine is
+// also SIGKILLed by the kernel when its owner exits without running it
+// (PR_SET_PDEATHSIG), so a crashing bench never leaks daemons. That signal
+// follows the THREAD that forked, not the process: build a LocalFleet on a
+// thread that outlives it.
 #pragma once
 
 #include <sys/types.h>

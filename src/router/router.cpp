@@ -12,6 +12,9 @@
 
 namespace pelican::router {
 
+using membership::Move;
+using membership::Phase;
+
 namespace {
 
 std::chrono::steady_clock::duration millis(double ms) {
@@ -33,10 +36,22 @@ double millis_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// One request/reply on a fresh connection bounded by `timeout_ms`.
+std::vector<std::uint8_t> round_trip(const Address& address,
+                                     std::span<const std::uint8_t> frame,
+                                     double timeout_ms) {
+  Socket socket = Socket::connect_to(address);
+  socket.set_io_timeout(timeout_ms);
+  socket.send_frame(frame);
+  return socket.recv_frame();
+}
+
 }  // namespace
 
 Router::Router(RouterConfig config)
     : config_(config),
+      policy_{config.quarantine_after_timeouts, config.probe_interval_ms,
+              config.quarantine_holddown_ms},
       partitioner_(config.partitions, config.virtual_nodes) {
   if (config_.pool_connections == 0) {
     throw std::invalid_argument("Router: pool_connections must be > 0");
@@ -77,44 +92,31 @@ Router::~Router() {
 }
 
 std::size_t Router::add_backend(const std::string& address) {
-  auto backend = std::make_shared<Backend>(address);
   // Health-check before admitting: a typo'd address must fail the add, not
   // the first serve. Throws WireError when unreachable.
-  {
-    const auto reply =
-        exchange(*backend, encode_health(), config_.request_timeout_ms);
-    (void)decode_health_reply(reply);
+  (void)decode_health_reply(round_trip(parse_address(address),
+                                       encode_health(),
+                                       config_.request_timeout_ms));
+  const auto moved = observe(address, Observation::kJoin);
+  if (!moved) {
+    throw WireError("join of " + address +
+                    " failed: its users could not be deployed there");
   }
-  std::size_t moved = 0;
-  LedgerSlice joined;
-  {
-    const MutexLock lock(mutex_);
-    // A quarantined address is NOT re-added here: the recovery prober owns
-    // its way back (double membership would split its partitions).
-    if (backends_.contains(address) || quarantined_.contains(address)) {
-      return 0;
-    }
-    backends_.emplace(address, std::move(backend));
-    moved = partitioner_.add_backend(address);
-    joined = ledger_owned_by(address);
-  }
-  // The partitions it took carry users deployed before it joined.
-  redeploy(joined);
-  return moved;
+  return *moved;
 }
 
-std::shared_ptr<Router::Backend> Router::find_backend(
-    const std::string& address) const {
+Router::Found Router::find_backend(const std::string& address) const {
   const MutexLock lock(mutex_);
-  const auto it = backends_.find(address);
-  if (it == backends_.end() || !it->second->alive.load()) return nullptr;
-  return it->second;
+  const auto it = members_.find(address);
+  if (it == members_.end() || it->second.state.phase != Phase::kLive) {
+    return {};
+  }
+  return {it->second.backend, it->second.state.strikes > 0};
 }
 
 std::vector<std::uint8_t> Router::exchange(Backend& backend,
                                            std::span<const std::uint8_t> frame,
-                                           double timeout_ms,
-                                           bool clears_strikes, Hedge* hedge) {
+                                           double timeout_ms, Hedge* hedge) {
   bool hedged = false;    // the hedge runs at most once per exchange
   bool answered = false;  // whether it answered
   for (int attempt = 0;; ++attempt) {
@@ -122,12 +124,12 @@ std::vector<std::uint8_t> Router::exchange(Backend& backend,
     bool from_pool = false;
     {
       MutexLock lock(backend.pool_mutex);
-      while (backend.alive.load() && backend.idle.empty() &&
+      while (!backend.closed && backend.idle.empty() &&
              backend.open_connections >= config_.pool_connections) {
         lock.wait(backend.pool_cv);
       }
-      if (!backend.alive.load()) {
-        throw WireError("backend dead: " + backend.address);
+      if (backend.closed) {
+        throw WireError("backend left the fleet: " + backend.address);
       }
       if (!backend.idle.empty()) {
         socket = std::move(backend.idle.back());
@@ -141,10 +143,10 @@ std::vector<std::uint8_t> Router::exchange(Backend& backend,
     // for reuse; any other is discarded, its state unknown.
     const auto release = [&](bool reuse) {
       const MutexLock lock(backend.pool_mutex);
-      if (reuse && backend.alive.load()) {
+      if (reuse && !backend.closed) {
         backend.idle.push_back(std::move(socket));
       } else {
-        --backend.open_connections;  // discarded, or the pool is torn down
+        --backend.open_connections;  // discarded, or the pool is closed
       }
       backend.pool_cv.notify_one();
     };
@@ -183,9 +185,6 @@ std::vector<std::uint8_t> Router::exchange(Backend& backend,
       std::vector<std::uint8_t> reply = socket.recv_frame();
       socket.set_io_timeout(0);  // pooled connections are blocking at rest
       release(true);
-      if (clears_strikes) {
-        backend.timeout_strikes.store(0, std::memory_order_relaxed);
-      }
       return reply;
     } catch (const WireError& error) {
       // Mid-exchange failure: the connection's state is unknown.
@@ -223,13 +222,13 @@ std::vector<serve::PredictResponse> Router::hedge_read(
   // (user, version) artifacts from the shared store — which is why the
   // hedged answer is bit-identical to the primary's and taking whichever
   // comes first is sound.
-  std::vector<DeployCommand> deploys;
+  LedgerSlice users;
   {
     const MutexLock lock(mutex_);
     for (const serve::PredictRequest& request : batch) {
       const std::uint32_t user = request.user_id;
-      if (std::ranges::find(deploys, user, &DeployCommand::user_id) !=
-          deploys.end()) {
+      if (std::ranges::find(users, user, &DeployCommand::user_id) !=
+          users.end()) {
         continue;
       }
       const auto it = ledger_.find(user);
@@ -237,183 +236,184 @@ std::vector<serve::PredictResponse> Router::hedge_read(
         throw WireError("hedge: user " + std::to_string(user) +
                         " not in ledger");
       }
-      deploys.push_back(
-          {user, it->second.version, it->second.temperature, it->second.spec});
+      users.push_back(it->second);
     }
   }
   Socket socket = Socket::connect_to(target.parsed);
   socket.set_io_timeout(timeout_ms);
-  for (const DeployCommand& deploy : deploys) {
-    socket.send_frame(encode_deploy(deploy));
-    const Ack ack = decode_ack(socket.recv_frame());
-    if (!ack.ok) throw WireError("hedge deploy refused: " + ack.message);
-  }
+  deploy_over(socket, users);
   socket.send_frame(frame);
   auto answers = decode_predict_replies(socket.recv_frame());
   if (answers.size() != batch.size()) {
     throw WireError("predict reply count mismatch from " + target.address);
   }
-  target.timeout_strikes.store(0, std::memory_order_relaxed);
   return answers;
 }
 
-void Router::handle_backend_failure(const std::string& address,
-                                    std::uint64_t trace_id) {
-  remove_backend(address, /*stash_quarantined=*/false, trace_id);
+void Router::deploy_over(Socket& socket, const LedgerSlice& users) {
+  for (const DeployCommand& command : users) {
+    socket.send_frame(encode_deploy(command));
+    const Ack ack = decode_ack(socket.recv_frame());
+    if (!ack.ok) {
+      throw std::runtime_error("deploy of user " +
+                               std::to_string(command.user_id) +
+                               " refused: " + ack.message);
+    }
+  }
 }
 
-void Router::quarantine_backend(const std::string& address,
-                                std::uint64_t trace_id) {
-  remove_backend(address, /*stash_quarantined=*/true, trace_id);
-}
-
-void Router::remove_backend(const std::string& address,
-                            bool stash_quarantined, std::uint64_t trace_id) {
-  std::shared_ptr<Backend> backend;
-  LedgerSlice to_redeploy;
+std::optional<std::size_t> Router::observe(const std::string& address,
+                                           Observation observation,
+                                           std::uint64_t trace_id) {
+  membership::Step step;
   {
     const MutexLock lock(mutex_);
-    const auto it = backends_.find(address);
-    if (it == backends_.end() || !it->second->alive.load()) {
-      return;  // another thread already removed this backend
-    }
-    backend = it->second;
-    backend->alive.store(false);
-    // The users about to move are exactly those the removed backend owned —
-    // collect them BEFORE the repartition so the ledger walk and the
-    // ownership table agree.
-    to_redeploy = ledger_owned_by(address);
-    partitioner_.remove_backend(address);
-    backends_.erase(it);
-    if (stash_quarantined) {
-      backend->quarantined_at_ns.store(obs::now_ns(),
-                                       std::memory_order_relaxed);
-      backend->quarantine_count.fetch_add(1, std::memory_order_relaxed);
-      quarantined_.emplace(address, backend);
-      quarantines_counter_->add();
-    }
+    step = step_of(address, observation);
+    if (step.actions.move == Move::kNone) set_state(address, step.state);
   }
-  // Membership transitions always journal (they are rare and are the
-  // events an operator greps for first); trace_id ties the quarantine to
-  // the request whose timeout tripped it.
-  events_.emit(stash_quarantined ? obs::EventType::kQuarantine
-                                 : obs::EventType::kFailover,
-               address,
-               stash_quarantined
-                   ? "suspected hung; partitions moved, watching for recovery"
-                   : "transport failure; partitions moved",
-               trace_id);
+  std::optional<std::size_t> moved = 0;
+  Failures failures;
+  if (step.actions.move != Move::kNone) {
+    const MutexLock transition(transition_mutex_);
+    moved = transit(address, observation, step, failures);
+  }
+  // Membership counters and events come from here only, and only for a
+  // step that took effect.
+  if (moved && step.actions.count_timeout) timeouts_counter_->add();
+  if (moved && step.actions.journal) {
+    const bool out = *step.actions.journal == obs::EventType::kQuarantine;
+    const bool in = *step.actions.journal == obs::EventType::kUnquarantine;
+    if (out) quarantines_counter_->add();
+    if (in) unquarantines_counter_->add();
+    const char* detail =
+        out  ? "suspected hung; partitions moved, watching for recovery"
+        : in ? "probe answered past hold-down; partitions restored"
+             : "transport failure; partitions moved";
+    events_.emit(*step.actions.journal, address, detail, trace_id);
+  }
+  // Seen during the transition's deploys, observed only now that it is
+  // over: a cascading failure runs a transition of its own.
+  for (const auto& [target, failure] : failures) {
+    (void)observe(target, failure, trace_id);
+  }
+  if (moved && step.actions.probe) {
+    const bool ok = probe_backend(parse_address(address));
+    (void)observe(address, ok ? Observation::kProbeOk : Observation::kProbeFail,
+                  trace_id);
+  }
+  return moved;
+}
+
+membership::Step Router::step_of(const std::string& address,
+                                 Observation observation) const {
+  const auto it = members_.find(address);
+  return membership::step(
+      it == members_.end() ? membership::State{} : it->second.state,
+      observation, obs::now_ns(), policy_);
+}
+
+void Router::set_state(const std::string& address,
+                       const membership::State& state) {
+  if (state.phase == Phase::kAbsent) {
+    members_.erase(address);
+    return;
+  }
+  Member& member = members_[address];
+  if (state.phase == Phase::kLive && member.state.phase != Phase::kLive) {
+    member.backend = std::make_shared<Backend>(address);
+  }
+  member.state = state;
+}
+
+std::optional<std::size_t> Router::transit(const std::string& address,
+                                           Observation observation,
+                                           membership::Step& step,
+                                           Failures& failures) {
+  bool in = false;
+  std::optional<Partitioner> next;
+  std::map<std::string, LedgerSlice> moving;
+  std::shared_ptr<Backend> leaver;
+  std::size_t moved = 0;
   {
-    // Tear down the pool and wake any thread parked waiting for a
-    // connection slot — they observe !alive and fail over themselves.
-    const MutexLock lock(backend->pool_mutex);
-    backend->open_connections -= backend->idle.size();
-    backend->idle.clear();
-    backend->pool_cv.notify_all();
-  }
-  // Failover re-deploy: the fleet-shared store still holds every model, so
-  // surviving owners just pull the same (user, version) keys.
-  redeploy(to_redeploy);
-}
-
-Router::LedgerSlice Router::ledger_owned_by(const std::string& address) const {
-  LedgerSlice owned;
-  for (const auto& [user, record] : ledger_) {
-    if (partitioner_.owner_of(user) == address) owned.emplace_back(user, record);
-  }
-  return owned;
-}
-
-void Router::redeploy(const LedgerSlice& users) {
-  for (const auto& [user, record] : users) {
-    try {
-      (void)admin_to_owner(
-          user, encode_deploy(
-                    {user, record.version, record.temperature, record.spec}));
-    } catch (const std::exception&) {
+    const MutexLock lock(mutex_);
+    // Stepped again: another transition may have changed the row since.
+    step = step_of(address, observation);
+    if (step.actions.move == Move::kNone) {
+      set_state(address, step.state);
+      return 0;
+    }
+    in = step.actions.move == Move::kIn;
+    next.emplace(partitioner_);
+    moved = in ? next->add_backend(address) : next->remove_backend(address);
+    moving = moved_users(*next);
+    if (!in) {
+      // A leaving backend stops taking reads at once; those it still owns
+      // wait in serve() until the commit below.
+      leaver = members_.at(address).backend;
+      set_state(address, step.state);
+      leaving_ = address;
     }
   }
+  if (leaver) close_pool(*leaver);
+  // Deploy first: the moved users are on their next owners before any
+  // read is routed there. A rejoiner gets every user it takes back, which
+  // also reconciles deploys and publishes it missed while out. A join or
+  // rejoin that cannot deploy its users does not happen.
+  bool deployed = true;
+  for (const auto& [owner, users] : moving) {
+    deployed = redeploy(owner, users, failures) && deployed;
+  }
+  if (in && !deployed) return std::nullopt;
+  {
+    const MutexLock lock(mutex_);
+    partitioner_ = std::move(*next);
+    if (in) set_state(address, step.state);
+    leaving_.clear();
+  }
+  moved_cv_.notify_all();
+  return moved;
 }
 
-bool Router::probe_backend(Backend& backend) {
-  // Always a fresh connection: the pool (and everything parked in it) may
-  // be exactly what is wedged.
+std::map<std::string, Router::LedgerSlice> Router::moved_users(
+    const Partitioner& next) const {
+  std::map<std::string, LedgerSlice> moving;
+  if (next.backend_count() == 0) return moving;  // nowhere to go
+  const bool owned = partitioner_.backend_count() > 0;
+  for (const auto& [user, record] : ledger_) {
+    const std::string& owner = next.owner_of(user);
+    if (!owned || owner != partitioner_.owner_of(user)) {
+      moving[owner].push_back(record);
+    }
+  }
+  return moving;
+}
+
+bool Router::redeploy(const std::string& address, const LedgerSlice& users,
+                      Failures& failures) {
+  if (users.empty()) return true;
   try {
-    Socket socket = Socket::connect_to(backend.parsed);
-    socket.set_io_timeout(config_.probe_timeout_ms);
-    socket.send_frame(encode_health());
-    (void)decode_health_reply(socket.recv_frame());
+    Socket socket = Socket::connect_to(parse_address(address));
+    socket.set_io_timeout(config_.request_timeout_ms);
+    deploy_over(socket, users);
+    return true;
+  } catch (const WireTimeout&) {
+    failures.emplace_back(address, Observation::kTimeout);
+  } catch (const WireError&) {
+    failures.emplace_back(address, Observation::kTransportError);
+  } catch (const std::exception&) {
+    // Refused: the engine answered, so there is nothing to observe.
+  }
+  return false;
+}
+
+bool Router::probe_backend(const Address& address) {
+  try {
+    (void)decode_health_reply(
+        round_trip(address, encode_health(), config_.probe_timeout_ms));
     return true;
   } catch (const std::exception&) {
     return false;
   }
-}
-
-void Router::handle_backend_timeout(const std::string& address,
-                                    std::uint64_t trace_id) {
-  timeouts_counter_->add();
-  const auto backend = find_backend(address);
-  if (backend == nullptr) return;  // already removed or quarantined
-  const std::uint64_t strikes =
-      backend->timeout_strikes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (strikes >= config_.quarantine_after_timeouts) {
-    // Persistently slow is hung for the caller's purposes, whatever the
-    // health verb says (its handler thread may be fine while predict
-    // handlers are livelocked).
-    quarantine_backend(address, trace_id);
-    return;
-  }
-  // Rate-limit the suspicion probe: a timeout storm across serve threads
-  // should probe once per interval, not once per thread.
-  const std::uint64_t now = obs::now_ns();
-  std::uint64_t last = backend->last_probe_ns.load(std::memory_order_relaxed);
-  const auto interval_ns =
-      static_cast<std::uint64_t>(config_.probe_interval_ms * 1e6);
-  if (last != 0 && now - last < interval_ns) return;
-  if (!backend->last_probe_ns.compare_exchange_strong(
-          last, now, std::memory_order_relaxed)) {
-    return;  // a concurrent caller owns this probe
-  }
-  if (!probe_backend(*backend)) quarantine_backend(address, trace_id);
-}
-
-void Router::unquarantine_backend(const std::string& address) {
-  LedgerSlice to_redeploy;
-  {
-    const MutexLock lock(mutex_);
-    const auto it = quarantined_.find(address);
-    if (it == quarantined_.end()) return;
-    const std::shared_ptr<Backend> backend = it->second;
-    quarantined_.erase(it);
-    backend->alive.store(true);
-    backend->timeout_strikes.store(0, std::memory_order_relaxed);
-    backends_.emplace(address, backend);
-    (void)partitioner_.add_backend(address);
-    // The partitions just moved back; re-deploy the users this backend now
-    // owns. It likely still holds their models, but it may have missed
-    // deploys/publishes while quarantined — deploys are idempotent, so
-    // re-issuing from the ledger reconciles it with the fleet's truth.
-    to_redeploy = ledger_owned_by(address);
-    unquarantines_counter_->add();
-  }
-  events_.emit(obs::EventType::kUnquarantine, address,
-               "probe answered past hold-down; partitions restored");
-  redeploy(to_redeploy);
-}
-
-bool Router::in_quarantine_holddown(const Backend& backend) const {
-  if (config_.quarantine_holddown_ms <= 0.0) return false;
-  // A strike-quarantined backend's health verb may have answered all
-  // along — the hold-down (doubling per repeated quarantine, capped at
-  // 64x) is what keeps a hung-but-healthy engine from flapping back in.
-  const std::uint64_t count =
-      backend.quarantine_count.load(std::memory_order_relaxed);
-  const std::uint64_t exponent = std::min<std::uint64_t>(count - 1, 6);
-  const double holddown_ns = config_.quarantine_holddown_ms * 1e6 *
-                             static_cast<double>(std::uint64_t{1} << exponent);
-  const std::uint64_t since =
-      obs::now_ns() - backend.quarantined_at_ns.load(std::memory_order_relaxed);
-  return static_cast<double>(since) < holddown_ns;
 }
 
 void Router::probe_loop() {
@@ -427,19 +427,18 @@ void Router::probe_loop() {
       }
       if (probe_stop_) return;
     }
-    std::vector<std::shared_ptr<Backend>> suspects;
-    {
-      const MutexLock lock(mutex_);
-      suspects.reserve(quarantined_.size());
-      for (const auto& [address, backend] : quarantined_) {
-        suspects.push_back(backend);
-      }
-    }
-    for (const auto& backend : suspects) {
-      if (in_quarantine_holddown(*backend)) continue;
-      if (probe_backend(*backend)) unquarantine_backend(backend->address);
+    for (const auto& address : quarantined_backends()) {
+      (void)observe(address, Observation::kRecoveryTick);
     }
   }
+}
+
+void Router::close_pool(Backend& backend) {
+  const MutexLock lock(backend.pool_mutex);
+  backend.closed = true;
+  backend.open_connections -= backend.idle.size();
+  backend.idle.clear();
+  backend.pool_cv.notify_all();
 }
 
 std::string Router::hedge_candidate(const std::string& owner) const {
@@ -472,74 +471,96 @@ double Router::resolve_hedge_delay() const {
 
 Ack Router::admin_to_owner(std::uint32_t user,
                            const std::vector<std::uint8_t>& frame) {
-  // One failover retry: the first attempt discovers a dead owner at most
+  // One failover retry: the first attempt discovers a failed owner at most
   // once, the second runs against the repartitioned fleet.
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string owner;
+    Observation failure = Observation::kTransportError;
     {
-      const MutexLock lock(mutex_);
-      if (partitioner_.backend_count() == 0) {
-        throw WireError("no live backends");
+      // Held from the owner lookup to the ack, so no transition moves the
+      // user in between. Under it every owner is live: a transition
+      // commits before it lets go.
+      const MutexLock transition(transition_mutex_);
+      std::shared_ptr<Backend> backend;
+      {
+        const MutexLock lock(mutex_);
+        if (partitioner_.backend_count() == 0) {
+          throw WireError("no live backends");
+        }
+        owner = partitioner_.owner_of(user);
+        backend = members_.at(owner).backend;
       }
-      owner = partitioner_.owner_of(user);
+      try {
+        return decode_ack(
+            exchange(*backend, frame, config_.request_timeout_ms));
+      } catch (const WireTimeout&) {
+        failure = Observation::kTimeout;
+      } catch (const WireError&) {
+      }
     }
-    const auto backend = find_backend(owner);
-    if (backend == nullptr) {
-      handle_backend_failure(owner);
-      continue;
-    }
-    try {
-      return decode_ack(
-          exchange(*backend, frame, config_.request_timeout_ms));
-    } catch (const WireTimeout&) {
-      handle_backend_timeout(owner);
-    } catch (const WireError&) {
-      handle_backend_failure(owner);
-    }
+    (void)observe(owner, failure);
   }
   throw WireError("no live backend for user " + std::to_string(user));
 }
 
-void Router::deploy(std::uint32_t user, std::uint32_t version,
-                    const mobility::EncodingSpec& spec, double temperature) {
-  // Ledger first: if the owner dies between the ack and our bookkeeping,
-  // failover must already know how to re-deploy this user. Every failure
-  // path must undo the write — back to the PREVIOUS record when this was a
-  // re-deploy (the engine still serves the old version, and failover must
-  // keep restoring it), gone entirely when the user was never deployed
-  // (or a failed deploy would materialize later as a ghost deployment).
-  std::optional<Deployment> previous;
-  {
-    const MutexLock lock(mutex_);
-    const auto it = ledger_.find(user);
-    if (it != ledger_.end()) previous = it->second;
-    ledger_[user] = Deployment{version, temperature, spec};
+std::optional<DeployCommand> Router::edit_record(std::uint32_t user,
+                                                const RecordEdit& edit) {
+  const MutexLock transition(transition_mutex_);
+  const MutexLock lock(mutex_);
+  std::optional<DeployCommand> record;
+  if (const auto it = ledger_.find(user); it != ledger_.end()) {
+    record = it->second;
   }
-  const auto roll_back = [&] {
-    const MutexLock lock(mutex_);
-    if (previous.has_value()) {
-      ledger_[user] = *previous;
-    } else {
-      ledger_.erase(user);
-    }
+  std::optional<DeployCommand> previous = record;
+  edit(record);  // under the locks: read, edit and write are one step
+  if (record.has_value()) {
+    ledger_[user] = *record;
+  } else {
+    ledger_.erase(user);
+  }
+  return previous;
+}
+
+Ack Router::update_owner(std::uint32_t user,
+                         const std::vector<std::uint8_t>& frame,
+                         const RecordEdit& edit) {
+  // Ledger first: any transition from now on deploys the edited record. A
+  // failure restores the previous record (or none), or failover would
+  // later re-create what the engine refused or never received.
+  const std::optional<DeployCommand> previous = edit_record(user, edit);
+  const auto restore = [&] {
+    (void)edit_record(user, [&](std::optional<DeployCommand>& record) {
+      record = previous;
+    });
   };
   Ack ack;
   try {
-    ack =
-        admin_to_owner(user, encode_deploy({user, version, temperature, spec}));
+    ack = admin_to_owner(user, frame);
   } catch (...) {
-    roll_back();
+    restore();
     throw;
   }
+  if (!ack.ok) restore();
+  return ack;
+}
+
+void Router::deploy(std::uint32_t user, std::uint32_t version,
+                    const mobility::EncodingSpec& spec, double temperature) {
+  const DeployCommand command{user, version, temperature, spec};
+  const Ack ack = update_owner(
+      user, encode_deploy(command),
+      [&](std::optional<DeployCommand>& record) { record = command; });
   if (!ack.ok) {
-    roll_back();
     throw std::runtime_error("Router: deploy of user " + std::to_string(user) +
                              " refused: " + ack.message);
   }
 }
 
 void Router::publish(std::uint32_t user, std::uint32_t version) {
-  const Ack ack = admin_to_owner(user, encode_publish({user, version}));
+  const Ack ack = update_owner(user, encode_publish({user, version}),
+                               [&](std::optional<DeployCommand>& record) {
+                                 if (record) record->version = version;
+                               });
   if (!ack.ok) {
     throw std::runtime_error("Router: publish of user " +
                              std::to_string(user) + " v" +
@@ -548,9 +569,6 @@ void Router::publish(std::uint32_t user, std::uint32_t version) {
   }
   events_.emit(obs::EventType::kPublish, "user " + std::to_string(user),
                "v" + std::to_string(version) + " live (stall-free swap)");
-  const MutexLock lock(mutex_);
-  const auto it = ledger_.find(user);
-  if (it != ledger_.end()) it->second.version = version;
 }
 
 std::vector<serve::PredictResponse> Router::serve(
@@ -608,32 +626,26 @@ std::vector<serve::PredictResponse> Router::serve(
     // admission anyway — this saves the wire trip too).
     {
       const double elapsed_ms = watch.milliseconds();
-      std::vector<std::size_t> alive_requests;
-      alive_requests.reserve(remaining.size());
-      std::uint64_t shed = 0;
-      for (const std::size_t i : remaining) {
-        if (reqs[i].deadline_ms > 0.0 && elapsed_ms >= reqs[i].deadline_ms) {
-          deadline_shed_counter_->add();
-          ++shed;
-          responses[i].user_id = reqs[i].user_id;
-          responses[i].ok = false;
-          responses[i].rejected = true;
-        } else {
-          alive_requests.push_back(i);
+      const std::size_t shed = std::erase_if(remaining, [&](std::size_t i) {
+        if (reqs[i].deadline_ms <= 0.0 || elapsed_ms < reqs[i].deadline_ms) {
+          return false;
         }
-      }
+        responses[i].user_id = reqs[i].user_id;
+        responses[i].rejected = true;
+        return true;
+      });
+      if (shed > 0) deadline_shed_counter_->add(shed);
       if (shed > 0 && instrument) {
         // One journal entry per BURST, not per request — sheds cluster
         // (a stall expires a whole round at once) and the counter above
         // already carries the exact total.
         events_.emit(obs::EventType::kDeadlineShed, "router",
                      std::to_string(shed) + " of " +
-                         std::to_string(shed + alive_requests.size()) +
+                         std::to_string(shed + remaining.size()) +
                          " requests past deadline in round " +
                          std::to_string(round),
                      trace_ids.empty() ? 0 : trace_ids.front());
       }
-      remaining.swap(alive_requests);
       if (remaining.empty()) break;
     }
 
@@ -641,7 +653,17 @@ std::vector<serve::PredictResponse> Router::serve(
     // groups by address, so the fan-out order is deterministic.
     std::map<std::string, std::vector<std::size_t>> groups;
     {
-      const MutexLock lock(mutex_);
+      MutexLock lock(mutex_);
+      // A read whose owner is leaving waits until its users are deployed
+      // on their new owners and the partitions have moved.
+      while (!leaving_.empty()) {
+        bool waits = false;
+        for (const std::size_t i : remaining) {
+          waits = waits || partitioner_.owner_of(reqs[i].user_id) == leaving_;
+        }
+        if (!waits) break;
+        lock.wait(moved_cv_);
+      }
       if (partitioner_.backend_count() == 0) break;
       for (const std::size_t i : remaining) {
         groups[partitioner_.owner_of(reqs[i].user_id)].push_back(i);
@@ -661,7 +683,7 @@ std::vector<serve::PredictResponse> Router::serve(
     // in serve() would serialize their network waits.
     auto forward = [&](std::size_t g) {
       const auto& [address, indices] = fan_out[g];
-      const auto backend = find_backend(address);
+      const auto [backend, struck] = find_backend(address);
       if (backend == nullptr) {
         failed[g] = indices;
         return;
@@ -724,7 +746,7 @@ std::vector<serve::PredictResponse> Router::serve(
         }
         const std::string target = hedge_candidate(address);
         const auto target_backend =
-            target.empty() ? nullptr : find_backend(target);
+            target.empty() ? nullptr : find_backend(target).backend;
         if (target_backend == nullptr) return false;
         hedge_target = target;
         hedge_start_ns = obs::now_ns();
@@ -732,6 +754,7 @@ std::vector<serve::PredictResponse> Router::serve(
         hedges_counter_->add();
         try {
           answers = hedge_read(*target_backend, batch, frame, timeout_ms);
+          (void)observe(target, Observation::kDataOk);
           return true;
         } catch (const std::exception&) {
           // Hedge failures never fail the TARGET over — it was drafted in,
@@ -743,9 +766,8 @@ std::vector<serve::PredictResponse> Router::serve(
       bool primary_timeout = false;
       bool primary_failed = false;
       try {
-        const auto reply =
-            exchange(*backend, frame, timeout_ms, /*clears_strikes=*/true,
-                     hedge_delay >= 0.0 ? &hedge : nullptr);
+        const auto reply = exchange(*backend, frame, timeout_ms,
+                                    hedge_delay >= 0.0 ? &hedge : nullptr);
         if (!hedge.won) {
           answers = decode_predict_replies(reply);
           if (answers.size() != indices.size()) {
@@ -779,9 +801,10 @@ std::vector<serve::PredictResponse> Router::serve(
         }
       }
 
-      // Post-mortem on the primary path. A timeout (or losing the hedge
-      // race) is the HUNG-engine signal: probe and maybe quarantine. A
-      // transport error is the dead-engine signal.
+      // Post-mortem on the primary path, as membership observations. A
+      // timeout (or losing the hedge race) is the HUNG-engine signal, a
+      // transport error the dead-engine one. Only a struck backend has
+      // anything for a data-plane ok to clear, so the common read skips it.
       const std::uint64_t group_trace =
           trace_ids.empty() ? 0 : trace_ids.front();
       if (hedge.won) {
@@ -792,9 +815,11 @@ std::vector<serve::PredictResponse> Router::serve(
         }
       }
       if (primary_timeout || hedge.won) {
-        handle_backend_timeout(address, group_trace);
+        (void)observe(address, Observation::kTimeout, group_trace);
       } else if (primary_failed) {
-        handle_backend_failure(address, group_trace);
+        (void)observe(address, Observation::kTransportError, group_trace);
+      } else if (struck) {
+        (void)observe(address, Observation::kDataOk);
       }
     };
     if (fan_out.size() == 1) {
@@ -837,11 +862,8 @@ std::vector<serve::PredictResponse> Router::serve(
 
   // Requests that survived every retry round with no live owner.
   for (const std::size_t i : remaining) {
-    serve::PredictResponse response;
-    response.user_id = reqs[i].user_id;
-    response.ok = false;
-    response.rejected = true;
-    responses[i] = response;
+    responses[i].user_id = reqs[i].user_id;
+    responses[i].rejected = true;
   }
 
   // Router-side accounting: end-to-end latency including wire + failover.
@@ -884,26 +906,43 @@ std::vector<serve::PredictResponse> Router::serve(
   return responses;
 }
 
-Router::FleetMetrics Router::fleet_metrics() {
-  FleetMetrics out;
-  for (const auto& address : live_backends()) {
-    const auto backend = find_backend(address);
-    if (backend == nullptr) continue;
-    try {
-      EngineMetricsReport report = decode_metrics_reply(
-          exchange(*backend, encode_metrics(), config_.request_timeout_ms));
-      for (obs::TraceRecord& rec : report.traces) rec.source = address;
-      obs::merge_state(out.registry, report.registry);
-      out.traces.insert(out.traces.end(), report.traces.begin(),
-                        report.traces.end());
-      obs::merge_events(out.events, report.events, address);
-      out.engines.emplace_back(address, std::move(report));
-    } catch (const WireTimeout&) {
-      handle_backend_timeout(address);
-    } catch (const std::exception&) {
-      handle_backend_failure(address);
+void Router::poll_fleet(
+    std::span<const std::uint8_t> frame,
+    const std::function<void(const std::string&,
+                             std::span<const std::uint8_t>)>& on_reply) {
+  std::vector<std::shared_ptr<Backend>> live;
+  {
+    const MutexLock lock(mutex_);
+    for (const auto& [address, member] : members_) {
+      if (member.state.phase == Phase::kLive) live.push_back(member.backend);
     }
   }
+  for (const auto& backend : live) {
+    Observation failure = Observation::kTransportError;
+    try {
+      on_reply(backend->address,
+               exchange(*backend, frame, config_.request_timeout_ms));
+      continue;
+    } catch (const WireTimeout&) {
+      failure = Observation::kTimeout;
+    } catch (const std::exception&) {
+    }
+    (void)observe(backend->address, failure);
+  }
+}
+
+Router::FleetMetrics Router::fleet_metrics() {
+  FleetMetrics out;
+  poll_fleet(encode_metrics(), [&](const std::string& address,
+                                   std::span<const std::uint8_t> reply) {
+    EngineMetricsReport report = decode_metrics_reply(reply);
+    for (obs::TraceRecord& rec : report.traces) rec.source = address;
+    obs::merge_state(out.registry, report.registry);
+    out.traces.insert(out.traces.end(), report.traces.begin(),
+                      report.traces.end());
+    obs::merge_events(out.events, report.events, address);
+    out.engines.emplace_back(address, std::move(report));
+  });
   out.stats = serve::ServerStats(out.registry).snapshot();
   // The router's own side of the traces: its registry folds into the fleet
   // registry (same fixed buckets — still exact), and its journal records
@@ -923,20 +962,10 @@ Router::FleetMetrics Router::fleet_metrics() {
 
 std::vector<std::pair<std::string, HealthReply>> Router::fleet_health() {
   std::vector<std::pair<std::string, HealthReply>> out;
-  for (const auto& address : live_backends()) {
-    const auto backend = find_backend(address);
-    if (backend == nullptr) continue;
-    try {
-      out.emplace_back(address,
-                       decode_health_reply(exchange(
-                           *backend, encode_health(),
-                           config_.request_timeout_ms)));
-    } catch (const WireTimeout&) {
-      handle_backend_timeout(address);
-    } catch (const std::exception&) {
-      handle_backend_failure(address);
-    }
-  }
+  poll_fleet(encode_health(), [&](const std::string& address,
+                                  std::span<const std::uint8_t> reply) {
+    out.emplace_back(address, decode_health_reply(reply));
+  });
   return out;
 }
 
@@ -951,74 +980,49 @@ EngineMetricsReport Router::self_report() {
 }
 
 void Router::drain_fleet() {
-  for (const auto& address : live_backends()) {
-    const auto backend = find_backend(address);
-    if (backend == nullptr) continue;
-    try {
-      (void)decode_ack(
-          exchange(*backend, encode_drain(), config_.drain_timeout_ms));
-    } catch (const std::exception&) {
-      // Bounded by drain_timeout_ms: a wedged engine is abandoned, not
-      // waited on (the drain contract in wire.hpp).
-    }
-  }
-  // Quarantined engines are processes too: offer them the same graceful
-  // exit on a fresh connection (their pools are already torn down), still
-  // bounded by the drain deadline.
-  std::vector<std::shared_ptr<Backend>> quarantined;
+  // Every engine, live or quarantined, is offered a graceful exit on a
+  // fresh connection. Bounded by drain_timeout_ms: a wedged engine is
+  // abandoned, not waited on (the drain contract in wire.hpp).
+  std::vector<std::shared_ptr<Backend>> members;
   {
     const MutexLock lock(mutex_);
-    for (const auto& [address, backend] : quarantined_) {
-      quarantined.push_back(backend);
+    for (const auto& [address, member] : members_) {
+      members.push_back(member.backend);
     }
   }
-  for (const auto& backend : quarantined) {
+  for (const auto& backend : members) {
     try {
-      Socket socket = Socket::connect_to(backend->parsed);
-      socket.set_io_timeout(config_.drain_timeout_ms);
-      socket.send_frame(encode_drain());
-      (void)decode_ack(socket.recv_frame());
+      (void)decode_ack(round_trip(backend->parsed, encode_drain(),
+                                  config_.drain_timeout_ms));
     } catch (const std::exception&) {
     }
   }
   // The fleet is gone by contract; leave the router in a defined state.
+  // A teardown, not a membership change: no events, no counters.
+  const MutexLock transition(transition_mutex_);
   const MutexLock lock(mutex_);
-  for (auto& [address, backend] : backends_) {
-    backend->alive.store(false);
+  for (auto& [address, member] : members_) {
+    close_pool(*member.backend);
     (void)partitioner_.remove_backend(address);
-    const MutexLock pool_lock(backend->pool_mutex);
-    backend->open_connections -= backend->idle.size();
-    backend->idle.clear();
-    backend->pool_cv.notify_all();
   }
-  backends_.clear();
-  quarantined_.clear();
+  members_.clear();
+}
+
+std::vector<std::string> Router::backends_in(membership::Phase phase) const {
+  std::vector<std::string> out;
+  const MutexLock lock(mutex_);
+  for (const auto& [address, member] : members_) {
+    if (member.state.phase == phase) out.push_back(address);
+  }
+  return out;
 }
 
 std::vector<std::string> Router::live_backends() const {
-  std::vector<std::string> out;
-  {
-    const MutexLock lock(mutex_);
-    out.reserve(backends_.size());
-    for (const auto& [address, backend] : backends_) {
-      if (backend->alive.load()) out.push_back(address);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return backends_in(Phase::kLive);
 }
 
 std::vector<std::string> Router::quarantined_backends() const {
-  std::vector<std::string> out;
-  {
-    const MutexLock lock(mutex_);
-    out.reserve(quarantined_.size());
-    for (const auto& [address, backend] : quarantined_) {
-      out.push_back(address);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return backends_in(Phase::kQuarantined);
 }
 
 std::string Router::owner_of(std::uint32_t user) const {

@@ -37,17 +37,23 @@
 // end-to-end across both processes when pelican_statsz groups journal
 // records by trace id.
 //
-// FAILOVER. Any transport error on a backend marks it dead and triggers
-// failover-repartition: the Partitioner drops the backend (moving only its
-// partitions), the router re-issues kDeploy for the dead process's users
-// to their new owners (from its deployment ledger — the store still holds
-// every model), and the failed predict batch is retried against the new
-// owners. Predictions are idempotent reads, so the retry is safe;
-// publishes are also retried once (installing the same version twice is a
-// no-op by construction). In-flight state lost with the dead process is
-// its metrics and queue — never a model, never the ownership map.
-// Retry rounds back off exponentially (retry_backoff_*) so a flapping
-// fleet is not hammered.
+// FAILOVER. A backend's membership (absent, live, quarantined) is one pure
+// state machine, router/membership.hpp, which holds the full table: every
+// exchange outcome is an observation fed through it, and the Router
+// carries out the actions it returns. Any transport error on a live
+// backend is the dead-engine signal: the Partitioner drops the backend
+// (moving only its partitions). Every membership change deploys first and
+// moves partitions after: the next owners are computed on a copy of the
+// Partitioner, the ledger users that move are deployed there (the store
+// still holds every model), and only then does the new partitioning
+// commit. Reads whose owner is leaving wait for the commit and are retried
+// against the new owner; during a join, reads keep going to the old
+// owners, which still hold the models. Predictions are idempotent reads,
+// so the retry is safe; publishes are also retried once (installing the
+// same version twice is a no-op by construction). In-flight state lost
+// with the dead process is its metrics and queue — never a model, never
+// the ownership map. Retry rounds back off exponentially
+// (retry_backoff_*) so a flapping fleet is not hammered.
 //
 // TAIL TOLERANCE. Beyond dead backends, the router handles SLOW ones:
 //
@@ -73,21 +79,18 @@
 //                response. A hedge budget (hedge_budget_fraction) caps
 //                hedges to a fraction of forwards so hedging cannot double
 //                fleet load.
-//   quarantine   a backend that times out (WireTimeout) or loses a hedge
-//                race is health-probed with probe_timeout_ms; probe failure
-//                (or quarantine_after_timeouts strikes) QUARANTINES it:
-//                partitions move and users re-deploy exactly like death,
-//                but the Backend is remembered. A recovery thread re-probes
-//                quarantined backends every probe_interval_ms and folds a
-//                recovered engine back in (repartition + re-deploy of the
-//                users it regains). Distinct from the SIGKILL path: the
-//                process stays up throughout.
+//   quarantine   a timeout or a lost hedge race earns a strike and a
+//                health probe; a failed probe or quarantine_after_timeouts
+//                strikes QUARANTINE the backend: its partitions move out as
+//                on death, but the process stays up, and a recovery thread
+//                folds it back in once it answers past its hold-down.
 //
 // Thread-safe: any number of threads may call serve/publish/deploy
-// concurrently; membership changes serialize on an internal lock, and the
-// connection pools bound per-backend concurrency. Pooled connections that
-// broke while parked (engine restart: EPIPE/ECONNRESET on first use) are
-// transparently replaced with one fresh connect + retry per exchange.
+// concurrently; membership changes, deploys and publishes serialize on an
+// internal lock that reads never take, and the connection pools bound
+// per-backend concurrency. Pooled connections that broke while parked
+// (engine restart: EPIPE/ECONNRESET on first use) are transparently
+// replaced with one fresh connect + retry per exchange.
 #pragma once
 
 #include <atomic>
@@ -95,7 +98,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -108,6 +113,7 @@
 #include "mobility/dataset.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "router/membership.hpp"
 #include "router/partitioner.hpp"
 #include "router/socket.hpp"
 #include "router/wire.hpp"
@@ -172,8 +178,9 @@ class Router {
 
   /// Registers an engine backend by wire address and health-checks it
   /// (throws WireError when unreachable). The ledger users its partitions
-  /// bring are deployed on it before it returns. Returns the number of
-  /// partitions that moved to it.
+  /// bring are deployed on it before the partitions move; when that fails
+  /// the join does not happen and WireError is thrown. Returns the number
+  /// of partitions that moved to it (0 for a backend already known).
   std::size_t add_backend(const std::string& address);
 
   /// Deploys `user` on its owning process: the engine reads (scope, user,
@@ -184,7 +191,9 @@ class Router {
   void deploy(std::uint32_t user, std::uint32_t version,
               const mobility::EncodingSpec& spec, double temperature = 1.0);
 
-  /// Stall-free model update, routed to the owning process only.
+  /// Stall-free model update, routed to the owning process only. The
+  /// ledger holds the new version before the frame is sent (and gets the
+  /// old one back on failure), so a concurrent failover re-deploys it.
   void publish(std::uint32_t user, std::uint32_t version);
 
   /// Forwards `requests` to their owning processes (one batch per backend,
@@ -223,8 +232,8 @@ class Router {
   [[nodiscard]] std::vector<std::pair<std::string, HealthReply>>
   fleet_health();
 
-  /// Gracefully drains every live backend (each acks, then exits its run
-  /// loop). The router is unusable for serving afterwards.
+  /// Gracefully drains every backend, quarantined ones too (each acks,
+  /// then exits its run loop). The router is unusable for serving after.
   void drain_fleet();
 
   /// Router-side request accounting (the serving counters under
@@ -267,45 +276,42 @@ class Router {
   [[nodiscard]] std::size_t deployed_users() const;
 
  private:
+  using Observation = membership::Observation;
+
   struct Backend {
     explicit Backend(std::string addr)
         : address(std::move(addr)), parsed(parse_address(address)) {}
     std::string address;
     Address parsed;
-    /// Written under Router::mutex_, read under pool_mutex too (pool
-    /// waiters bail out when their backend dies) — hence atomic.
-    std::atomic<bool> alive{true};
-    /// Consecutive timeout strikes (reset only by a successful DATA-PLANE
-    /// exchange — a predict answering; control-plane verbs succeeding is
-    /// exactly what a predict-livelocked engine does, and the flight
-    /// recorder's metrics polls must not launder the strikes they observe);
-    /// quarantine_after_timeouts strikes quarantine the backend even when
-    /// its health probe still answers.
-    std::atomic<std::uint64_t> timeout_strikes{0};
-    /// obs::now_ns of the last suspicion probe — rate-limits probing so a
-    /// timeout storm across serve threads probes once, not per thread.
-    std::atomic<std::uint64_t> last_probe_ns{0};
-    /// obs::now_ns when the backend last entered quarantine, plus how many
-    /// times it has been quarantined — together they gate the recovery
-    /// prober's hold-down (quarantine_holddown_ms doubling per offense).
-    std::atomic<std::uint64_t> quarantined_at_ns{0};
-    std::atomic<std::uint64_t> quarantine_count{0};
 
     Mutex pool_mutex;
     std::condition_variable pool_cv;
+    /// Set once, when the backend leaves the fleet: pool waiters bail out
+    /// and returned connections are dropped. A rejoin gets a new Backend.
+    bool closed PELICAN_GUARDED_BY(pool_mutex) = false;
     std::vector<Socket> idle PELICAN_GUARDED_BY(pool_mutex);
     std::size_t open_connections PELICAN_GUARDED_BY(pool_mutex) =
         0;  ///< idle + leased
   };
 
-  struct Deployment {
-    std::uint32_t version = 0;
-    double temperature = 1.0;
-    mobility::EncodingSpec spec;
+  /// A row of the membership table.
+  struct Member {
+    membership::State state;
+    std::shared_ptr<Backend> backend;
   };
 
-  /// Ledger entries, each with its user.
-  using LedgerSlice = std::vector<std::pair<std::uint32_t, Deployment>>;
+  /// A live backend's pool (null when it is not live), and whether it has
+  /// strikes for a data-plane ok to clear.
+  struct Found {
+    std::shared_ptr<Backend> backend;
+    bool struck = false;
+  };
+
+  /// Ledger records, each the deploy that re-creates its user.
+  using LedgerSlice = std::vector<DeployCommand>;
+
+  /// Failures a transition saw on other backends, observed after it.
+  using Failures = std::vector<std::pair<std::string, Observation>>;
 
   /// The hedge of one exchange (see exchange()). `fire` runs the duplicate
   /// read, keeps its answer, and returns whether it answered.
@@ -315,19 +321,14 @@ class Router {
     bool won = false;
   };
 
-  /// Looks up a live backend; null when unknown or dead.
-  [[nodiscard]] std::shared_ptr<Backend> find_backend(
-      const std::string& address) const;
+  [[nodiscard]] Found find_backend(const std::string& address) const;
 
   /// One request/reply exchange over a pooled connection, bounded by
   /// `timeout_ms` (<= 0 = blocking). Throws WireTimeout on deadline expiry
   /// (backend possibly hung) and WireError on transport failure (backend
   /// presumed dead). A connection-level failure on the FIRST attempt —
   /// typically a pooled socket that broke while parked — is retried once on
-  /// a fresh connection before the error propagates. `clears_strikes` marks
-  /// a DATA-PLANE exchange: only those reset the backend's timeout_strikes
-  /// on success — a metrics poll or health probe completing says nothing
-  /// about a livelocked predict path.
+  /// a fresh connection before the error propagates.
   ///
   /// With a `hedge`, the exchange sends the frame and polls the connection
   /// until `hedge->at`. If the reply is late, it runs the hedge in this
@@ -338,72 +339,103 @@ class Router {
   /// keeps what is left of `timeout_ms`.
   [[nodiscard]] std::vector<std::uint8_t> exchange(
       Backend& backend, std::span<const std::uint8_t> frame,
-      double timeout_ms, bool clears_strikes = false, Hedge* hedge = nullptr);
+      double timeout_ms, Hedge* hedge = nullptr);
 
   /// Re-deploys `batch`'s users on `target` from the ledger, then reads the
   /// predict `frame` there: one fresh connection bounded by `timeout_ms`,
   /// as probe_backend uses. Never the target's pool — the caller holds a
   /// slot of the primary's, so waiting for one of the target's could close
-  /// a cycle with a caller hedging the other way. Returns the answers and
-  /// clears the target's strikes; throws on any failure.
+  /// a cycle with a caller hedging the other way. Returns the answers;
+  /// throws on any failure.
   [[nodiscard]] std::vector<serve::PredictResponse> hedge_read(
       Backend& target, std::span<const serve::PredictRequest> batch,
       std::span<const std::uint8_t> frame, double timeout_ms);
 
-  /// Sends an admin frame to `user`'s owner, failing over (and retrying
-  /// once) when the owner is dead. Returns the decoded ack; throws
-  /// std::runtime_error when the engine answers ok = false.
+  /// Sends an admin frame to `user`'s owner; a failed owner is observed
+  /// and the frame retried once. Returns the decoded ack.
   Ack admin_to_owner(std::uint32_t user,
-                     const std::vector<std::uint8_t>& frame);
+                     const std::vector<std::uint8_t>& frame)
+      PELICAN_EXCLUDES(transition_mutex_);
 
-  /// Marks a backend dead, repartitions, and re-deploys its users on their
-  /// failover owners. Idempotent per backend; safe to call concurrently.
-  /// `trace_id`, when non-zero, ties the resulting journal event to the
-  /// request that observed the failure.
-  void handle_backend_failure(const std::string& address,
-                              std::uint64_t trace_id = 0);
+  /// An edit of one user's ledger record (nullopt: not deployed).
+  using RecordEdit = std::function<void(std::optional<DeployCommand>&)>;
 
-  /// The hung-but-alive path: rate-limited health probe of a backend that
-  /// timed out (or lost a hedge race). Probe failure — or too many strikes
-  /// — quarantines it; probe success only adds a strike.
-  void handle_backend_timeout(const std::string& address,
-                              std::uint64_t trace_id = 0);
+  /// Applies `edit` to `user`'s ledger record between transitions;
+  /// returns the record as it was.
+  std::optional<DeployCommand> edit_record(std::uint32_t user,
+                                           const RecordEdit& edit)
+      PELICAN_EXCLUDES(transition_mutex_);
 
-  /// Like handle_backend_failure, but the Backend is stashed in
-  /// quarantined_ for the recovery prober instead of forgotten.
-  void quarantine_backend(const std::string& address,
-                          std::uint64_t trace_id = 0);
+  /// deploy() and publish(): edits the ledger, routes `frame` to the owner,
+  /// and restores the record when that fails or is refused.
+  Ack update_owner(std::uint32_t user, const std::vector<std::uint8_t>& frame,
+                   const RecordEdit& edit);
 
-  /// Folds a recovered backend back into the fleet: repartition, alive
-  /// again, and the ledger users it now owns re-deployed onto it.
-  void unquarantine_backend(const std::string& address);
+  /// Feeds one observation of `address` through membership::step and
+  /// carries out its actions: move partitions, count, journal (tied to
+  /// `trace_id` when non-zero), probe. Returns how many partitions moved,
+  /// or nullopt when a join or rejoin could not deploy its users.
+  std::optional<std::size_t> observe(const std::string& address,
+                                     Observation observation,
+                                     std::uint64_t trace_id = 0)
+      PELICAN_EXCLUDES(transition_mutex_, mutex_);
 
-  /// One synchronous health-verb round trip with probe_timeout_ms, on a
-  /// fresh connection (never the pool — the pool may be what is hung).
-  [[nodiscard]] bool probe_backend(Backend& backend);
-
-  /// True while `backend` is still inside its quarantine hold-down window
-  /// (quarantine_holddown_ms doubling per repeated quarantine) — the
-  /// recovery prober must not fold it back in yet.
-  [[nodiscard]] bool in_quarantine_holddown(const Backend& backend) const;
-
-  /// Recovery thread body: re-probes quarantined backends each interval.
-  void probe_loop();
-
-  /// Shared by handle_backend_failure / quarantine_backend: mark dead,
-  /// repartition, tear down the pool, re-deploy the orphaned users.
-  void remove_backend(const std::string& address, bool stash_quarantined,
-                      std::uint64_t trace_id = 0);
-
-  /// The ledger users `address` owns under the current partitioning: taken
-  /// before a removal repartitions, and after a join has.
-  [[nodiscard]] LedgerSlice ledger_owned_by(const std::string& address) const
+  /// membership::step on `address`'s row (absent when it has none).
+  [[nodiscard]] membership::Step step_of(const std::string& address,
+                                         Observation observation) const
       PELICAN_REQUIRES(mutex_);
 
-  /// Best-effort re-deploy of `users` on their current owners. A cascading
-  /// failure is handled by its own failover, and a fully dead fleet
-  /// surfaces as rejected responses.
-  void redeploy(const LedgerSlice& users);
+  /// Writes `address`'s row: an absent backend is forgotten, one that
+  /// turns live gets a new pool.
+  void set_state(const std::string& address, const membership::State& state)
+      PELICAN_REQUIRES(mutex_);
+
+  /// The moving half of observe(): steps again from the current row,
+  /// deploys the moved users on their next owners, then commits the new
+  /// partitioning. A move out always commits; a move in only when every
+  /// deploy succeeded (nullopt otherwise).
+  std::optional<std::size_t> transit(const std::string& address,
+                                     Observation observation,
+                                     membership::Step& step,
+                                     Failures& failures)
+      PELICAN_REQUIRES(transition_mutex_);
+
+  /// One health round trip with probe_timeout_ms on a fresh connection
+  /// (the pool may be what is hung).
+  [[nodiscard]] bool probe_backend(const Address& address);
+
+  /// Recovery thread body: a recovery tick per quarantined backend, each
+  /// probe_interval_ms.
+  void probe_loop();
+
+  /// Sends `frame` to every live backend over its pool and hands each
+  /// reply to `on_reply`. A failure (of either) is observed; a success is
+  /// no data-plane ok.
+  void poll_fleet(std::span<const std::uint8_t> frame,
+                  const std::function<void(const std::string&,
+                                           std::span<const std::uint8_t>)>&
+                      on_reply);
+
+  /// Wakes the pool's waiters and drops its idle connections, for good.
+  static void close_pool(Backend& backend);
+
+  [[nodiscard]] std::vector<std::string> backends_in(
+      membership::Phase phase) const;
+
+  /// The ledger users whose owner under `next` is not their owner now, by
+  /// their owner under `next`.
+  [[nodiscard]] std::map<std::string, LedgerSlice> moved_users(
+      const Partitioner& next) const PELICAN_REQUIRES(mutex_);
+
+  /// Deploys `users` on `address` over one fresh connection. Returns false
+  /// when any deploy fails; a timeout or transport error joins `failures`
+  /// (a refusal does not: the engine is up).
+  bool redeploy(const std::string& address, const LedgerSlice& users,
+                Failures& failures);
+
+  /// Deploys `users` over `socket`. Throws WireError on a transport failure
+  /// and std::runtime_error when the engine refuses one.
+  static void deploy_over(Socket& socket, const LedgerSlice& users);
 
   /// Hedge target for a group owned by `owner`: the next live backend
   /// after it in sorted order; empty when the fleet has no second choice.
@@ -414,15 +446,22 @@ class Router {
   [[nodiscard]] double resolve_hedge_delay() const;
 
   RouterConfig config_;
+  membership::Policy policy_;
 
+  /// Serializes transitions with each other and with deploy() and
+  /// publish(): a transition takes its ledger slice, deploys it and
+  /// commits with none of them in between. Taken before mutex_, and never
+  /// by a read.
+  Mutex transition_mutex_;
   mutable Mutex mutex_;
   Partitioner partitioner_ PELICAN_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::shared_ptr<Backend>> backends_
-      PELICAN_GUARDED_BY(mutex_);
-  /// Suspected-hung backends: out of the partition map, kept for revival.
-  std::unordered_map<std::string, std::shared_ptr<Backend>> quarantined_
-      PELICAN_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint32_t, Deployment> ledger_
+  /// The membership table: live and quarantined backends, by address.
+  std::map<std::string, Member> members_ PELICAN_GUARDED_BY(mutex_);
+  /// The backend whose partitions are moving out, empty when none. Reads
+  /// it still owns wait on moved_cv_ for the commit.
+  std::string leaving_ PELICAN_GUARDED_BY(mutex_);
+  std::condition_variable moved_cv_;
+  std::unordered_map<std::uint32_t, DeployCommand> ledger_
       PELICAN_GUARDED_BY(mutex_);
 
   obs::Registry metrics_;
@@ -452,8 +491,8 @@ class Router {
   std::atomic<std::uint64_t> forwards_{0};
   std::atomic<std::uint64_t> hedges_fired_{0};
 
-  /// Recovery prober: wakes every probe_interval_ms, re-probes quarantined
-  /// backends, un-quarantines responders. Joined by the destructor.
+  /// Recovery prober: wakes every probe_interval_ms and sends a recovery
+  /// tick for each quarantined backend. Joined by the destructor.
   Mutex probe_mutex_;
   std::condition_variable probe_cv_;
   bool probe_stop_ PELICAN_GUARDED_BY(probe_mutex_) = false;

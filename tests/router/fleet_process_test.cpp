@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -198,6 +200,62 @@ TEST(FleetProcessTest, OneTraceSpansRouterAndBothEngineProcesses) {
   for (std::size_t i = 0; i < engines.size(); ++i) {
     EXPECT_EQ(engines.reap(i), 0);
   }
+}
+
+TEST(FleetProcessTest, LocalFleetEnginesDieWithTheirOwner) {
+  // Orphans re-parent to this process, so it can wait for the engine that
+  // a dead owner leaves behind.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  struct StopReaping {
+    ~StopReaping() { ::prctl(PR_SET_CHILD_SUBREAPER, 0); }
+  } stop_reaping;
+  rt::TempDir dir;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t owner = ::fork();
+  ASSERT_GE(owner, 0);
+  if (owner == 0) {
+    // The owner builds a one-engine fleet, reports the engine's pid, and
+    // exits without running LocalFleet's destructor.
+    ::close(fds[0]);
+    pid_t engine = -1;
+    try {
+      LocalFleetConfig config;
+      config.root = dir.path();
+      config.processes = 1;
+      config.engined_binary = rt::engined_path();
+      LocalFleet fleet(config);
+      engine = fleet.pid(0);
+      (void)!::write(fds[1], &engine, sizeof engine);
+      ::_exit(0);
+    } catch (...) {
+    }
+    (void)!::write(fds[1], &engine, sizeof engine);
+    ::_exit(1);
+  }
+  ::close(fds[1]);
+  pid_t engine = -1;
+  const auto got = ::read(fds[0], &engine, sizeof engine);
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(owner, &status, 0), owner);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof engine));
+  ASSERT_GT(engine, 0) << "the owner could not start its engine";
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(engine, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped != engine) {
+    ::kill(engine, SIGKILL);
+    (void)::waitpid(engine, &status, 0);
+    FAIL() << "the engine outlived its owner by 5 s";
+  }
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "the engine should be SIGKILLed when its owner exits";
 }
 
 }  // namespace

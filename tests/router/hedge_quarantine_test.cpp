@@ -334,6 +334,54 @@ TEST_F(HedgeQuarantineTest, StalledEngineIsQuarantinedThenRecovers) {
       << "unquarantine must hand partitions back";
 }
 
+TEST_F(HedgeQuarantineTest, QuarantineUnderLoadAnswersEveryRead) {
+  FaultGuard guard;
+  RouterConfig config;
+  config.hedge_delay_ms = -1.0;  // quarantine path only, no hedging
+  config.request_timeout_ms = 250.0;
+  config.probe_timeout_ms = 100.0;
+  config.probe_interval_ms = 50.0;
+  config.quarantine_holddown_ms = 60000.0;  // no recovery in this test
+  Router router(config);
+  deploy_all(router);
+  build_requests();
+  // Twice the fixture's users, so engine 0 owns a good share to move.
+  Rng rng(41);
+  for (std::uint32_t user = kUsers; user < 2 * kUsers; ++user) {
+    rt::put_model(dir_.store_root(), user, /*version=*/1);
+    router.deploy(user, 1, tiny_spec(), rt::temperature_of(user));
+    requests_.push_back({user, random_window(rng), 3});
+    expected_.push_back(rt::reference_deployment(user, 1)
+                            .predict_top_k(requests_.back().window, 3));
+  }
+
+  rt::ReadLoad load(router, requests_, expected_);
+  ASSERT_TRUE(load.await_reads(100));
+
+  // Engine 0 wedges whole, and engine 1 installs each user it takes over
+  // 20 ms late. Reads of engine 0's users must wait for the quarantine to
+  // deploy them on engine 1 before they are routed there.
+  fault::Injector::global().configure(
+      {rule("engine.handle.", dir_.socket_address(0), fault::Action::kStall,
+            60000),
+       rule("engine.handle.deploy", dir_.socket_address(1),
+            fault::Action::kDelay, 20)},
+      /*seed=*/1);
+  EXPECT_TRUE(eventually(
+      [&] { return !router.quarantined_backends().empty(); },
+      std::chrono::seconds(20)))
+      << "the wedged engine was never quarantined";
+  ASSERT_TRUE(load.await_reads(400));
+  load.stop();
+
+  EXPECT_EQ(router.quarantined_backends(),
+            std::vector<std::string>{dir_.socket_address(0)});
+  EXPECT_EQ(load.failed(), 0u)
+      << load.failed() << " of " << load.reads()
+      << " reads reached an owner that did not hold the user yet";
+  EXPECT_EQ(load.wrong(), 0u);
+}
+
 TEST_F(HedgeQuarantineTest, DrainOfWedgedEngineHonorsDrainDeadline) {
   FaultGuard guard;
   RouterConfig config;

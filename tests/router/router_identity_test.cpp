@@ -11,6 +11,7 @@
 #include <map>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "router/router.hpp"
 #include "router_support.hpp"
 #include "serve/scheduler.hpp"
@@ -151,6 +152,89 @@ TEST(RouterIdentityTest, JoiningBackendServesTheUsersItTakesOver) {
     EXPECT_EQ(routed[i].locations,
               rt::reference_deployment(user, 1).predict_top_k(
                   requests[i].window, requests[i].k));
+  }
+}
+
+TEST(RouterIdentityTest, JoinUnderLoadAnswersEveryRead) {
+  constexpr std::uint32_t kUsers = 32;
+  struct ClearFaults {
+    ~ClearFaults() { fault::Injector::global().clear(); }
+  } clear_faults;
+  rt::TempDir dir;
+  rt::fill_store(dir.store_root(), kUsers, /*versions=*/1);
+  const auto fleet = rt::start_fleet(dir, /*processes=*/2);
+  RouterConfig config;
+  config.hedge_delay_ms = -1.0;  // every read goes to its owner
+  Router router(config);
+  ASSERT_GT(router.add_backend(dir.socket_address(0)), 0u);
+  std::vector<serve::PredictRequest> requests;
+  std::vector<std::vector<std::uint16_t>> expected;
+  Rng rng(23);
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    router.deploy(user, /*version=*/1, tiny_spec(), rt::temperature_of(user));
+    requests.push_back({user, random_window(rng), 3});
+    expected.push_back(rt::reference_deployment(user, 1).predict_top_k(
+        requests.back().window, 3));
+  }
+
+  // The joiner installs each user it takes over 20 ms late. A read routed
+  // to it before its user is there would come back ok = false: the join
+  // must deploy first and move the partitions after.
+  const std::string joiner = dir.socket_address(1);
+  fault::Rule slow_deploy;
+  slow_deploy.site = "engine.handle.deploy";
+  slow_deploy.peer = joiner;
+  slow_deploy.action = fault::Action::kDelay;
+  slow_deploy.delay_ms = 20.0;
+  fault::Injector::global().configure({slow_deploy}, /*seed=*/1);
+
+  rt::ReadLoad load(router, requests, expected);
+  ASSERT_TRUE(load.await_reads(100));
+  ASSERT_GT(router.add_backend(joiner), 0u);
+  ASSERT_TRUE(load.await_reads(400));
+  load.stop();
+
+  std::size_t taken = 0;
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    if (router.owner_of(user) == joiner) ++taken;
+  }
+  EXPECT_GT(taken, 0u) << "the joiner should own some of 32 users";
+  EXPECT_EQ(load.failed(), 0u)
+      << load.failed() << " of " << load.reads()
+      << " reads reached an owner that did not hold the user yet";
+  EXPECT_EQ(load.wrong(), 0u);
+}
+
+TEST(RouterIdentityTest, JoinAfterTheWholeFleetFailedTakesEveryUser) {
+  constexpr std::uint32_t kUsers = 8;
+  rt::TempDir dir;
+  rt::fill_store(dir.store_root(), kUsers, /*versions=*/1);
+  auto fleet = rt::start_fleet(dir, /*processes=*/2);
+  Router router;
+  ASSERT_GT(router.add_backend(dir.socket_address(0)), 0u);
+  Rng rng(31);
+  std::vector<serve::PredictRequest> requests;
+  for (std::uint32_t user = 0; user < kUsers; ++user) {
+    router.deploy(user, /*version=*/1, tiny_spec(), rt::temperature_of(user));
+    requests.push_back({user, random_window(rng), 3});
+  }
+
+  // The only engine goes away: its users are left with no owner.
+  fleet[0].reset();
+  for (const auto& response : router.serve(requests)) {
+    EXPECT_TRUE(response.rejected);
+  }
+  ASSERT_TRUE(router.live_backends().empty());
+
+  // The next engine to join takes every ledger user.
+  EXPECT_EQ(router.add_backend(dir.socket_address(1)),
+            RouterConfig{}.partitions);
+  const auto served = router.serve(requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(served[i].ok) << "user " << requests[i].user_id;
+    EXPECT_EQ(served[i].locations,
+              rt::reference_deployment(requests[i].user_id, 1)
+                  .predict_top_k(requests[i].window, 3));
   }
 }
 

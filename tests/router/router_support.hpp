@@ -1,7 +1,8 @@
 // Shared helpers for router-tier tests: per-test temp directories (socket
 // paths + the fleet-shared filesystem model store), reference deployments
 // to compare wire-served responses against, in-process EngineWorker fleets,
-// and spawn/kill of real pelican_engined processes.
+// spawn/kill of real pelican_engined processes, and reader threads that
+// keep a router busy while its membership changes.
 #pragma once
 
 #include <signal.h>
@@ -10,11 +11,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "core/service.hpp"
 #include "router/engine_worker.hpp"
 #include "router/local_fleet.hpp"
+#include "router/router.hpp"
 #include "router/socket.hpp"
 #include "serve/serve_support.hpp"
 #include "store/model_store.hpp"
@@ -247,6 +251,76 @@ class EngineProcesses {
 
  private:
   std::vector<pid_t> pids_;
+};
+
+/// Reader threads looping batch-1 router.serve() over `requests` until
+/// stop(), each answer checked against `expected`. A membership change
+/// under this load must never produce a read that is not ok and not
+/// rejected (the owner lacked the user), nor an ok answer that differs
+/// from the reference.
+class ReadLoad {
+ public:
+  ReadLoad(router::Router& router,
+           std::vector<serve::PredictRequest> requests,
+           std::vector<std::vector<std::uint16_t>> expected,
+           std::size_t threads = 2)
+      : requests_(std::move(requests)), expected_(std::move(expected)) {
+    for (std::size_t t = 0; t < threads; ++t) {
+      threads_.emplace_back([this, &router, t] { read(router, t); });
+    }
+  }
+  ~ReadLoad() { stop(); }
+  ReadLoad(const ReadLoad&) = delete;
+  ReadLoad& operator=(const ReadLoad&) = delete;
+
+  void stop() {
+    stop_.store(true);
+    for (auto& thread : threads_) {
+      if (thread.joinable()) thread.join();
+    }
+  }
+
+  /// Waits until `more` reads beyond those done so far have completed;
+  /// false after 20 s.
+  bool await_reads(std::uint64_t more) const {
+    const std::uint64_t target = reads_.load() + more;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (reads_.load() < target) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
+  }
+
+  [[nodiscard]] std::uint64_t reads() const { return reads_.load(); }
+  [[nodiscard]] std::uint64_t failed() const { return failed_.load(); }
+  [[nodiscard]] std::uint64_t rejected() const { return rejected_.load(); }
+  [[nodiscard]] std::uint64_t wrong() const { return wrong_.load(); }
+
+ private:
+  void read(router::Router& router, std::size_t offset) {
+    for (std::size_t i = offset % requests_.size(); !stop_.load();
+         i = (i + 1) % requests_.size()) {
+      const auto responses = router.serve(
+          std::span<const serve::PredictRequest>(&requests_[i], 1));
+      if (!responses[0].ok) {
+        (responses[0].rejected ? rejected_ : failed_).fetch_add(1);
+      } else if (responses[0].locations != expected_[i]) {
+        wrong_.fetch_add(1);
+      }
+      reads_.fetch_add(1);
+    }
+  }
+
+  const std::vector<serve::PredictRequest> requests_;
+  const std::vector<std::vector<std::uint16_t>> expected_;
+  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> reads_{0};
+  std::atomic<std::uint64_t> failed_{0};
+  std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> wrong_{0};
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace pelican::router_testing
