@@ -235,6 +235,33 @@ Sequence seed_forward_sparse(const Lstm& lstm, const SparseSequence& input) {
   return output;
 }
 
+/// The gate pass as it was before the lane tanh: one fused scalar loop
+/// with libm's std::tanh, kept as the gate_pass rows' baseline (checked
+/// bit-identical to lstm_gate_pass before timing).
+void libm_gate_pass(float* gates, const float* bias, const float* c_prev,
+                    float* c_out, float* tanh_c_out, float* h_out,
+                    std::size_t hidden) {
+  float* gi = gates;
+  float* gf = gates + hidden;
+  float* gg = gates + 2 * hidden;
+  float* go = gates + 3 * hidden;
+  for (std::size_t j = 0; j < hidden; ++j) {
+    const float i = sigmoid(gi[j] + bias[j]);
+    const float f = sigmoid(gf[j] + bias[hidden + j]);
+    const float g = std::tanh(gg[j] + bias[2 * hidden + j]);
+    const float o = sigmoid(go[j] + bias[3 * hidden + j]);
+    gi[j] = i;
+    gf[j] = f;
+    gg[j] = g;
+    go[j] = o;
+    const float c = f * c_prev[j] + i * g;
+    const float tc = std::tanh(c);
+    c_out[j] = c;
+    tanh_c_out[j] = tc;
+    h_out[j] = o * tc;
+  }
+}
+
 /// Best-of-reps wall time of fn() in milliseconds. Minimum, not median:
 /// these cases run tens of microseconds, so on a contended host any rep
 /// can absorb a scheduler slice — the fastest rep is the least-perturbed
@@ -338,6 +365,74 @@ void write_kernel_table() {
                      Table::num(fp32_ms, 5), Table::num(int8_ms, 5),
                      Table::num(fp32_ms / int8_ms, 2) + "x"});
     }
+  }
+
+  // tanh_lane_vs_libm: nn::tanh against std::tanh one call per element,
+  // over the same 2^20 gate-like inputs (pre-activations ~ N(0, 2)), so
+  // each column's milliseconds read as nanoseconds per element.
+  {
+    Rng data_rng(48);
+    std::vector<float> inputs(std::size_t{1} << 20);
+    for (float& v : inputs) v = data_rng.normal() * 2.0f;
+    std::vector<float> out(inputs.size());
+    const double libm_ms = time_ms(
+        [&] {
+          for (std::size_t i = 0; i < inputs.size(); ++i) {
+            out[i] = std::tanh(inputs[i]);
+          }
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        },
+        5, 2);
+    const double lane_ms = time_ms(
+        [&] {
+          std::copy(inputs.begin(), inputs.end(), out.begin());
+          nn::tanh(out);
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        },
+        5, 2);
+    table.add_row({"tanh_lane_vs_libm", Table::num(libm_ms, 5),
+                   Table::num(lane_ms, 5),
+                   Table::num(libm_ms / lane_ms, 2) + "x"});
+  }
+
+  // gate_pass: lstm_gate_pass over 256 rows of the attacked (h24), routed
+  // (h32) and engine (h128) hidden sizes, against the scalar libm loop it
+  // replaced. Each call restores the pre-activations it overwrites.
+  for (const std::size_t hidden : {std::size_t{24}, std::size_t{32},
+                                   std::size_t{128}}) {
+    constexpr std::size_t kRows = 256;
+    const std::size_t width = 4 * hidden;
+    Rng data_rng(49);
+    std::vector<float> pre(kRows * width), bias(width), c_prev(kRows * hidden);
+    for (float& v : pre) v = data_rng.normal() * 2.0f;
+    for (float& v : bias) v = data_rng.normal() * 0.5f;
+    for (float& v : c_prev) v = data_rng.normal();
+    std::vector<float> gates(pre.size()), c(c_prev.size()),
+        tanh_c(c_prev.size()), h(c_prev.size());
+    const auto run = [&](auto pass) {
+      std::copy(pre.begin(), pre.end(), gates.begin());
+      for (std::size_t r = 0; r < kRows; ++r) {
+        pass(gates.data() + r * width, bias.data(),
+             c_prev.data() + r * hidden, c.data() + r * hidden,
+             tanh_c.data() + r * hidden, h.data() + r * hidden, hidden);
+      }
+      benchmark::DoNotOptimize(h.data());
+      benchmark::ClobberMemory();
+    };
+    run(libm_gate_pass);
+    const std::vector<float> libm_h = h;
+    run(lstm_gate_pass);
+    if (libm_h != h) {
+      std::cerr << "WARNING: the libm gate pass diverged from "
+                   "lstm_gate_pass (this libm's tanhf is not fdlibm's?)\n";
+    }
+    const double libm_ms = time_ms([&] { run(libm_gate_pass); });
+    const double lane_ms = time_ms([&] { run(lstm_gate_pass); });
+    table.add_row({"gate_pass_h" + std::to_string(hidden),
+                   Table::num(libm_ms, 5), Table::num(lane_ms, 5),
+                   Table::num(libm_ms / lane_ms, 2) + "x"});
   }
 
   // quant_model: the whole served model (one-hot input, 2-step windows, LSTM

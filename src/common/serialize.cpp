@@ -18,28 +18,50 @@ constexpr std::streamoff kChecksumOffset = 8;
 static_assert(std::endian::native == std::endian::little,
               "serialization assumes a little-endian host");
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: kCrcTables[0] is the bytewise table of the reflected
+/// IEEE polynomial, and kCrcTables[s][b] is the CRC of byte b followed by s
+/// zero bytes, so one lookup per byte of an 8-byte word advances the CRC by
+/// the whole word.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < 8; ++s) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[s - 1][i];
+      tables[s][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
+    make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(std::uint32_t crc, const void* data,
                     std::size_t bytes) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
   crc ^= 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    crc = kCrcTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);  // little-endian: p[0] is lo's low byte
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; bytes > 0; ++p, --bytes) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -46,11 +46,38 @@ using vfloat
 using vint
     __attribute__((vector_size(kSimdWidth * sizeof(std::int32_t)))) =
         std::int32_t;
+using vuint
+    __attribute__((vector_size(kSimdWidth * sizeof(std::uint32_t)))) =
+        std::uint32_t;
+/// What a lane comparison returns: all bits set where it holds.
+using vmask = vint;
 
 inline vfloat broadcast(float x) noexcept {
   vfloat v;
   for (std::size_t i = 0; i < kSimdWidth; ++i) v[i] = x;
   return v;
+}
+
+inline vint broadcast(std::int32_t x) noexcept {
+  vint v;
+  for (std::size_t i = 0; i < kSimdWidth; ++i) v[i] = x;
+  return v;
+}
+
+/// Per lane: m ? a : b. Both sides are computed; reinterpret lanes between
+/// vfloat, vint and vuint with std::bit_cast.
+template <typename V>
+inline V select(vmask m, V a, V b) noexcept {
+  return m ? a : b;
+}
+
+/// Per-lane float -> int32 conversion, truncating like a C cast.
+inline vint to_int(vfloat v) noexcept {
+  return __builtin_convertvector(v, vint);
+}
+
+inline vfloat to_float(vint v) noexcept {
+  return __builtin_convertvector(v, vfloat);
 }
 
 inline vfloat load(const float* p) noexcept {
@@ -73,7 +100,17 @@ inline void store(float* p, vfloat v) noexcept { std::memcpy(p, &v, sizeof(v)); 
 // without vector support.
 static_assert(kSimdWidth == 1);
 using vfloat = float;
+using vint = std::int32_t;
+using vuint = std::uint32_t;
+using vmask = bool;
 inline vfloat broadcast(float x) noexcept { return x; }
+inline vint broadcast(std::int32_t x) noexcept { return x; }
+template <typename V>
+inline V select(vmask m, V a, V b) noexcept {
+  return m ? a : b;
+}
+inline vint to_int(vfloat v) noexcept { return static_cast<vint>(v); }
+inline vfloat to_float(vint v) noexcept { return static_cast<vfloat>(v); }
 inline vfloat load(const float* p) noexcept { return *p; }
 inline void store(float* p, vfloat v) noexcept { *p = v; }
 #endif

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <random>
+#include <vector>
 
 namespace pelican {
 namespace {
@@ -162,6 +165,43 @@ TEST(Crc32Test, MatchesTheIeeeReferenceVector) {
   crc = crc32(crc, data + 4, 5);
   EXPECT_EQ(crc, 0xCBF43926u);
   EXPECT_EQ(crc32(0, data, 0), 0u);
+}
+
+/// CRC-32/IEEE one bit at a time, straight from the polynomial: shares no
+/// table with the library's sliced implementation.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBitwiseAtEveryLengthOffsetAndChunking) {
+  std::mt19937 rng(7);
+  std::vector<unsigned char> buffer(256 + 8);
+  for (auto& b : buffer) b = static_cast<unsigned char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 256; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::uint32_t expected = bitwise_crc32(data, length);
+      ASSERT_EQ(crc32(0, data, length), expected)
+          << "length " << length << ", offset " << offset;
+      // The same bytes fed in random chunks.
+      std::uint32_t crc = 0;
+      for (std::size_t done = 0; done < length;) {
+        const std::size_t chunk =
+            std::min<std::size_t>(length - done, 1 + rng() % 20);
+        crc = crc32(crc, data + done, chunk);
+        done += chunk;
+      }
+      ASSERT_EQ(crc, expected) << "length " << length << ", offset "
+                               << offset << ", chunked";
+    }
+  }
 }
 
 TEST_F(SerializeTest, DetectsPayloadCorruptionAtOpen) {

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/lstm.hpp"
+#include "nn/simd.hpp"
 #include "nn/sparse.hpp"
+#include "support/fdlibm_tanhf.hpp"
 
 namespace pelican::nn {
 namespace {
@@ -46,29 +49,133 @@ TEST(Activations, SigmoidIsTheOneDefinition) {
   EXPECT_LT(sigmoid(-5.0f), 0.01f);
 }
 
+using testing::bits_of;
+using testing::fdlibm_tanhf;
+using testing::float_from_bits;
+
+/// A strided sweep over all 2^32 bit patterns: every 4093rd, about a
+/// million inputs, across every exponent and both signs.
+std::vector<float> strided_sweep() {
+  std::vector<float> xs;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093) {
+    xs.push_back(float_from_bits(static_cast<std::uint32_t>(b)));
+  }
+  return xs;
+}
+
+/// expm1f's reduction count for x = 2|a| above 1.5 ln2, as fdlibm computes
+/// it; tanh's negative arguments -2|a| get its negation.
+int reduction_count(std::uint32_t abs_bits) {
+  const float a = float_from_bits(abs_bits);
+  return static_cast<int>(float_from_bits(0x3fb8aa3b) * (a + a) + 0.5f);
+}
+
+/// Every edge of tanhf's and expm1f's branches, 1 ulp either side, in both
+/// signs: zeros and subnormals, the 2^-55 and 1.0 and 22 cut-offs, 2^-26
+/// (expm1's |x| < 2^-25 return), expm1's 0.5 ln2 and 1.5 ln2 reduction
+/// edges (its argument is 2|a|), the first |a| of every reduction count k,
+/// infinities, and quiet and signalling NaNs with payloads.
+std::vector<float> boundaries() {
+  std::vector<std::uint32_t> magnitudes = {
+      0x00000000, 0x00000001, 0x00000002, 0x00400000, 0x007fffff,
+      0x00800000, 0x00800001, 0x24000000, 0x32800000, 0x3e317218,
+      0x3f051592, 0x3f800000, 0x4115b844, 0x41b00000, 0x7f7fffff};
+  for (int k = 2; k <= 63; ++k) {
+    // k first reaches k near |a| = (k - 0.5) ln2 / 2; walk to the exact ulp.
+    std::uint32_t b = bits_of((static_cast<float>(k) - 0.5f) * 0.34657359f);
+    while (reduction_count(b) >= k) --b;
+    while (reduction_count(b) < k) ++b;
+    magnitudes.push_back(b);
+  }
+  std::vector<float> xs;
+  for (const std::uint32_t m : magnitudes) {
+    for (const std::uint32_t b : {m - 1, m, m + 1}) {
+      if (b > 0x7f7fffffu) continue;  // the wrap below 0 and past max finite
+      xs.push_back(float_from_bits(b));
+      xs.push_back(float_from_bits(b | 0x80000000u));
+    }
+  }
+  for (const std::uint32_t b :
+       {0x7f800000u, 0xff800000u,                            // +-inf
+        0x7fc00000u, 0xffc00000u, 0x7fc00001u, 0xffffffffu,  // quiet NaNs
+        0x7f800001u, 0xff800001u, 0x7fa00000u, 0x7fbfffffu}) {  // signalling
+    xs.push_back(float_from_bits(b));
+  }
+  return xs;
+}
+
+/// Runs nn::tanh over `xs` from kSimdWidth start offsets, so that every
+/// input sits in every lane position once (and every ragged tail length
+/// runs), and counts the results whose bits differ from `expected`.
+std::size_t kernel_mismatches(const std::vector<float>& xs,
+                              const std::vector<float>& expected) {
+  std::size_t mismatches = 0;
+  for (std::size_t shift = 0; shift < kSimdWidth; ++shift) {
+    std::vector<float> lanes(shift, 0.5f);
+    lanes.insert(lanes.end(), xs.begin(), xs.end());
+    nn::tanh(lanes);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (same_bits(lanes[shift + i], expected[i])) continue;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << std::hex << "tanh(0x" << bits_of(xs[i])
+                      << ") in lane " << std::dec
+                      << (shift + i) % kSimdWidth << ": kernel 0x" << std::hex
+                      << bits_of(lanes[shift + i]) << ", expected 0x"
+                      << bits_of(expected[i]);
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(Activations, TanhKernelMatchesScalarFdlibmBitForBit) {
+  for (const std::vector<float>& xs : {boundaries(), strided_sweep()}) {
+    std::vector<float> expected(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      expected[i] = fdlibm_tanhf(xs[i]);
+    }
+    EXPECT_EQ(kernel_mismatches(xs, expected), 0u) << xs.size() << " inputs";
+  }
+}
+
+TEST(Activations, TanhKernelMatchesLibmWhereLibmIsFdlibm) {
+  if (!testing::libm_tanhf_is_fdlibm()) {
+    GTEST_SKIP() << "this libm's tanhf is not fdlibm's (it differs at the "
+                    "probe inputs), so its bits are not the kernel's";
+  }
+  for (const std::vector<float>& xs : {boundaries(), strided_sweep()}) {
+    std::vector<float> expected(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) expected[i] = std::tanh(xs[i]);
+    EXPECT_EQ(kernel_mismatches(xs, expected), 0u) << xs.size() << " inputs";
+  }
+}
+
 TEST(Activations, FusedGatePassExactMatchesUnfusedReference) {
+  // Every hidden size up to 37 runs every ragged tail length of the tanh
+  // kernel at widths 4, 8 and 16 (nn/simd.hpp).
   Rng rng(3);
-  for (const std::size_t hidden : kTailSizes) {
+  for (std::size_t hidden = 1; hidden <= 37; ++hidden) {
     std::vector<float> gates(4 * hidden), bias(4 * hidden), c_prev(hidden);
     for (auto& v : gates) v = rng.normal() * 2.0f;
     for (auto& v : bias) v = rng.normal() * 0.5f;
     for (auto& v : c_prev) v = rng.normal();
 
-    // Unfused reference: bias add sweep, then the seed's scalar gate loop.
+    // Unfused reference: bias add sweep, then the seed's scalar gate loop,
+    // with the scalar fdlibm tanhf as its tanh.
     std::vector<float> ref_gates = gates;
     for (std::size_t i = 0; i < 4 * hidden; ++i) ref_gates[i] += bias[i];
     std::vector<float> ref_c(hidden), ref_tanh_c(hidden), ref_h(hidden);
     for (std::size_t j = 0; j < hidden; ++j) {
       const float i_g = sigmoid(ref_gates[j]);
       const float f_g = sigmoid(ref_gates[hidden + j]);
-      const float g_g = std::tanh(ref_gates[2 * hidden + j]);
+      const float g_g = fdlibm_tanhf(ref_gates[2 * hidden + j]);
       const float o_g = sigmoid(ref_gates[3 * hidden + j]);
       ref_gates[j] = i_g;
       ref_gates[hidden + j] = f_g;
       ref_gates[2 * hidden + j] = g_g;
       ref_gates[3 * hidden + j] = o_g;
       ref_c[j] = f_g * c_prev[j] + i_g * g_g;
-      ref_tanh_c[j] = std::tanh(ref_c[j]);
+      ref_tanh_c[j] = fdlibm_tanhf(ref_c[j]);
       ref_h[j] = o_g * ref_tanh_c[j];
     }
 

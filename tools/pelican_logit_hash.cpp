@@ -18,11 +18,18 @@
 //   fp32-prefix <16 hex digits>
 //   int8-prefix <16 hex digits>
 //
+// A last line hashes every weight of a 2-layer LSTM (hidden 17 and 24)
+// after seeded nn::train epochs on one-hot windows, trained once from dense
+// and once from sparse batches: the gate pass runs in training too.
+//
+//   train <16 hex digits>
+//
 // A change that must keep served bits (a kernel rewrite, a new inference
-// path) builds this tool on both trees and compares the four lines. The
+// path) builds this tool on both trees and compares the five lines. The
 // tool itself exits 1 when a dense and a sparse query of the same input
-// differ, or when a row of a prefix batch differs from that row queried
-// alone; the nn contract forbids both for both formats.
+// differ, when a row of a prefix batch differs from that row queried
+// alone, or when dense and sparse training end on different weights; the
+// nn contract forbids all three.
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -35,9 +42,11 @@
 #include "core/privacy_layer.hpp"
 #include "core/service.hpp"
 #include "mobility/dataset.hpp"
+#include "nn/data.hpp"
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
 #include "nn/sparse.hpp"
+#include "nn/trainer.hpp"
 
 namespace {
 
@@ -201,6 +210,93 @@ int hash_prefix_batches(const mobility::EncodingSpec& spec,
   return mismatches;
 }
 
+/// Seeded one-hot windows (four hot columns per step, as one_hot_input)
+/// whose label is a function of the last step, served dense or sparse.
+class OneHotWindows final : public nn::BatchSource {
+ public:
+  OneHotWindows(std::size_t samples, std::size_t steps, std::size_t dim,
+                std::size_t classes, bool sparse, Rng& rng)
+      : steps_(steps), dim_(dim), classes_(classes), sparse_(sparse) {
+    for (std::size_t s = 0; s < samples; ++s) {
+      rows_.push_back(random_row(steps, dim, rng));
+      labels_.push_back(
+          static_cast<std::int32_t>(rows_.back().back()[2] % classes));
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const override { return rows_.size(); }
+  [[nodiscard]] std::size_t seq_len() const override { return steps_; }
+  [[nodiscard]] std::size_t input_dim() const override { return dim_; }
+  [[nodiscard]] std::size_t num_classes() const override { return classes_; }
+  [[nodiscard]] bool sparse() const override { return sparse_; }
+
+  void materialize(std::span<const std::uint32_t> indices, nn::Sequence& x,
+                   std::vector<std::int32_t>& y) const override {
+    nn::SparseSequence sparse;
+    materialize_sparse(indices, sparse, y);
+    x = nn::to_dense(sparse);
+  }
+
+  void materialize_sparse(std::span<const std::uint32_t> indices,
+                          nn::SparseSequence& x,
+                          std::vector<std::int32_t>& y) const override {
+    std::vector<Row> rows;
+    y.clear();
+    for (const std::uint32_t i : indices) {
+      rows.push_back(rows_[i]);
+      y.push_back(labels_[i]);
+    }
+    x = encode(rows, steps_, dim_);
+  }
+
+ private:
+  std::size_t steps_;
+  std::size_t dim_;
+  std::size_t classes_;
+  bool sparse_;
+  std::vector<Row> rows_;
+  std::vector<std::int32_t> labels_;
+};
+
+/// Hashes the weights that seeded training ends on into `hash`; returns the
+/// number of shapes whose dense and sparse training disagree.
+int hash_training(std::uint64_t& hash) {
+  int mismatches = 0;
+  constexpr std::size_t kDim = 40;
+  constexpr std::size_t kClasses = 12;
+  constexpr std::size_t kSteps = 3;
+  for (const std::size_t hidden : {17, 24}) {
+    std::vector<nn::SequenceClassifier> trained;
+    for (const bool sparse : {false, true}) {
+      Rng rng(9'000'000 + hidden);
+      const OneHotWindows data(96, kSteps, kDim, kClasses, sparse, rng);
+      trained.push_back(
+          nn::make_two_layer_lstm(kDim, hidden, kClasses, 0.1, rng));
+      nn::TrainConfig config;
+      config.epochs = 3;
+      config.batch_size = 16;
+      config.lr = 1e-2;
+      config.seed = hidden;
+      (void)nn::train(trained.back(), data, config);
+    }
+    const std::vector<nn::ParamRef> dense = trained[0].all_params();
+    const std::vector<nn::ParamRef> sparse = trained[1].all_params();
+    bool agree = dense.size() == sparse.size();
+    for (std::size_t p = 0; agree && p < dense.size(); ++p) {
+      fnv1a(hash, *dense[p].value);
+      agree = same_bits(*dense[p].value, *sparse[p].value);
+    }
+    if (!agree) {
+      std::fprintf(stderr,
+                   "train hidden=%zu: dense and sparse training end on "
+                   "different weights\n",
+                   hidden);
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
 }  // namespace
 
 int main() {
@@ -260,5 +356,8 @@ int main() {
               static_cast<unsigned long long>(fp32_prefix_hash));
   std::printf("int8-prefix %016llx\n",
               static_cast<unsigned long long>(int8_prefix_hash));
+  std::uint64_t train_hash = kFnvOffset;
+  mismatches += hash_training(train_hash);
+  std::printf("train %016llx\n", static_cast<unsigned long long>(train_hash));
   return mismatches == 0 ? 0 : 1;
 }
