@@ -4,10 +4,10 @@
 // The layer lattice keeps obs below router (obs may not name sockets), so
 // this module is pure string work: given the raw bytes of a request head,
 // produce {method, target}; given a {status, content type, body}, produce
-// the exact response bytes. The socket-bound accept loop that moves those
-// bytes lives in `router/obs_http` on the existing router/socket
-// transport. Splitting here also makes the parser trivially unit-testable
-// without a live listener.
+// the exact response bytes. The connection body that moves those bytes
+// lives in `router/obs_http`, on the router/socket transport. Splitting
+// here also makes the parser trivially unit-testable without a live
+// listener.
 //
 // Deliberately minimal: GET-style requests with no meaningful bodies
 // (scrapes), `Connection: close` one-shot responses (every scrape is a

@@ -18,16 +18,14 @@ EngineWorker::EngineWorker(EngineConfig config)
       registry_(config_.registry_shards),
       scheduler_(std::make_unique<serve::BatchScheduler>(registry_,
                                                          config_.scheduler)),
-      listener_(ListenSocket::bind_to(parse_address(config_.listen))) {
+      server_(parse_address(config_.listen),
+              [this](Socket& socket) { serve_connection(socket); }) {
   registry_.attach_store(store_, config_.scope);
 }
 
 EngineWorker::~EngineWorker() { stop(); }
 
-void EngineWorker::start() {
-  if (started_.exchange(true)) return;
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
+void EngineWorker::start() { server_.start(); }
 
 void EngineWorker::wait() {
   {
@@ -41,7 +39,7 @@ void EngineWorker::wait() {
 }
 
 void EngineWorker::stop() {
-  const bool already_stopping = stopping_.exchange(true);
+  stopping_.store(true, std::memory_order_relaxed);
   {
     // Close the lost-wakeup window: a wait()er between its predicate check
     // and blocking still holds wait_mutex_, so acquiring it here delays
@@ -49,97 +47,27 @@ void EngineWorker::stop() {
     const MutexLock lock(wait_mutex_);
   }
   wait_cv_.notify_all();
-  if (already_stopping) {
-    return;  // concurrent/repeated stop: the first caller owns the joins
-  }
-  // The accept loop polls with a 50 ms timeout, so it observes stopping_
-  // on its own; join it BEFORE closing the listener. Closing first would
-  // write fd_ while the acceptor reads it in poll()/accept() — a data race,
-  // and worse, the kernel may recycle the fd number into an unrelated file
-  // mid-poll.
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.close();
-  // Wake handler threads blocked in recv_frame, then join them.
-  {
-    const MutexLock lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      connection->socket.shutdown_both();
-    }
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const MutexLock lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (const auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
+  server_.stop();
 }
 
-void EngineWorker::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    // Poll with a timeout so a stop() without inbound traffic is observed.
-    if (!listener_.wait_readable(/*timeout_ms=*/50)) continue;
-    Socket socket;
-    try {
-      socket = listener_.accept();
-    } catch (const WireError&) {
-      continue;  // raced with stop(); the loop condition decides
-    }
-    const MutexLock lock(connections_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    reap_finished_connections();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(socket);
-    Connection* handle = connection.get();  // stable behind the unique_ptr
-    connections_.push_back(std::move(connection));
-    handle->thread = std::thread([this, handle] { serve_connection(handle); });
-  }
-}
-
-void EngineWorker::reap_finished_connections() {
-  // Caller holds connections_mutex_. A connection marks itself done as its
-  // final locked action, so joining here never blocks on live work — this
-  // is what keeps a long-lived daemon from accumulating dead threads.
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    return true;
-  });
-}
-
-void EngineWorker::serve_connection(Connection* connection) {
+void EngineWorker::serve_connection(Socket& socket) {
+  // A WireError (the peer closed, the Router recycled the connection, or
+  // stop() severed it) ends the connection in the server.
   for (;;) {
-    std::vector<std::uint8_t> frame;
-    try {
-      frame = connection->socket.recv_frame();
-    } catch (const WireError&) {
-      break;  // peer closed (the Router recycled the connection) or stop()
-    }
-    std::vector<std::uint8_t> reply = handle_frame(frame);
+    const std::vector<std::uint8_t> reply = handle_frame(socket.recv_frame());
     if (reply.empty()) {
-      break;  // fault injection dropped the request: sever, never answer
+      return;  // fault injection dropped the request: sever, never answer
     }
-    try {
-      connection->socket.send_frame(reply);
-    } catch (const WireError&) {
-      break;
-    }
-    if (draining_.load(std::memory_order_relaxed)) {
+    socket.send_frame(reply);
+    if (draining()) {
       {
         // Pair with wait()'s predicate check (see stop() on lost wakeups).
         const MutexLock lock(wait_mutex_);
       }
       wait_cv_.notify_all();
-      break;  // drain acknowledged; let wait() tear the worker down
+      return;  // drain acknowledged; let wait() tear the worker down
     }
   }
-  // Close under the mutex: stop() walks connections_ calling
-  // shutdown_both() under this lock, and close() must not race it (the fd
-  // could be recycled between its validity check and the shutdown).
-  const MutexLock lock(connections_mutex_);
-  connection->socket.close();
-  connection->done = true;
 }
 
 std::vector<std::uint8_t> EngineWorker::handle_frame(

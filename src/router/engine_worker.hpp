@@ -11,14 +11,14 @@
 // lands on the owning process as a local DeploymentRegistry::publish,
 // which builds the replacement off-lock and installs it by pointer swap.
 //
-// Concurrency model: a poll()-based accept loop hands each accepted
-// connection to its own handler thread (connections are the Router's
-// pooled, strictly request/reply channels — a handful per fleet, not
-// thousands). Handler threads decode a frame, execute it against the
-// engine, and reply; predict batches run through BatchScheduler::serve,
-// which fans the coalesced per-user chunks across ThreadPool::global(). So
-// the per-connection thread is a framing loop, and the parallelism that
-// matters stays in the engine.
+// Concurrency model: the worker serves on a ConnectionServer
+// (router/socket), which gives each accepted connection its own thread
+// (connections are the Router's pooled, strictly request/reply channels —
+// a handful per fleet, not thousands). The worker's body is a framing
+// loop: it decodes a frame, executes it against the engine, and replies;
+// predict batches run through BatchScheduler::serve, which fans the
+// coalesced per-user chunks across ThreadPool::global(). So the parallelism
+// that matters stays in the engine.
 //
 // In-process use: tests (and the serving_cluster example) run EngineWorker
 // instances inside one process to exercise the full wire path without
@@ -31,11 +31,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/mutex.hpp"
 #include "router/socket.hpp"
 #include "serve/registry.hpp"
@@ -67,7 +66,7 @@ class EngineWorker {
   EngineWorker(const EngineWorker&) = delete;
   EngineWorker& operator=(const EngineWorker&) = delete;
 
-  /// Starts the accept loop. Idempotent.
+  /// Starts accepting connections. Idempotent.
   void start();
 
   /// Blocks until the worker is draining (a kDrain frame arrived or stop()
@@ -81,7 +80,7 @@ class EngineWorker {
   void stop();
 
   [[nodiscard]] const Address& address() const noexcept {
-    return listener_.address();
+    return server_.address();
   }
   [[nodiscard]] bool draining() const noexcept {
     return draining_.load(std::memory_order_relaxed);
@@ -95,13 +94,9 @@ class EngineWorker {
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
  private:
-  struct Connection;
-
-  void accept_loop();
-  void serve_connection(Connection* connection);
-  /// Joins and erases connections that marked themselves done (bounds the
-  /// daemon's thread/Connection footprint).
-  void reap_finished_connections() PELICAN_REQUIRES(connections_mutex_);
+  /// The connection body: reads frames and answers each until the peer
+  /// leaves, a fault drops the request, or a drain is acknowledged.
+  void serve_connection(Socket& socket);
 
   /// Executes one decoded request frame, returning the reply frame. Never
   /// throws: engine-level failures become kAck{ok=false, message}.
@@ -113,9 +108,6 @@ class EngineWorker {
   serve::DeploymentRegistry registry_;
   std::unique_ptr<serve::BatchScheduler> scheduler_;
 
-  ListenSocket listener_;
-  std::thread acceptor_;
-  std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
 
@@ -124,17 +116,9 @@ class EngineWorker {
   Mutex wait_mutex_;
   std::condition_variable wait_cv_;
 
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    /// Written by the handler as its final locked action, read by the
-    /// reaper — both under connections_mutex_ (inexpressible as a
-    /// guarded_by: nested structs cannot name the enclosing mutex).
-    bool done = false;
-  };
-  Mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_
-      PELICAN_GUARDED_BY(connections_mutex_);
+  /// Last: it is destroyed (stopped and its bodies joined) before any
+  /// state a body reads.
+  ConnectionServer server_;
 };
 
 }  // namespace pelican::router

@@ -4,6 +4,7 @@
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "router/obs_http.hpp"
 #include "router/router.hpp"
 
 namespace pelican::router {
@@ -53,9 +54,11 @@ FlightRecorder::FlightRecorder(Source source, FlightRecorderConfig config,
   // Re-judge every objective right after each tick lands in the store.
   sampler_.set_on_sample([this] { slo_tracker_.evaluate(); });
   if (!config_.http_listen.empty()) {
-    http_ = std::make_unique<ObsHttpServer>(
-        config_.http_listen,
-        [this](const obs::HttpRequest& request) { return handle(request); });
+    http_ = std::make_unique<ConnectionServer>(
+        parse_address(config_.http_listen),
+        http_body([this](const obs::HttpRequest& request) {
+          return handle(request);
+        }));
   }
 }
 

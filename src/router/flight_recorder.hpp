@@ -13,10 +13,10 @@
 //   event cache    the latest fleet-merged event journal (router +
 //                  engines, wall-clock ordered), kept from each sample so
 //                  /events answers without a fresh fleet pull.
-//   ObsHttpServer  optional: mounts the whole thing at http_listen —
+//   HTTP endpoint  optional: mounts the whole thing at http_listen —
 //                  /metrics (Prometheus text), /metrics.json,
-//                  /timeseries, /events, /slo, /healthz — over the
-//                  router/socket transport.
+//                  /timeseries, /events, /slo, /healthz — as an http_body
+//                  (router/obs_http) on a ConnectionServer.
 //
 // The recorder only POLLS: it holds no locks of the router beyond what
 // fleet_metrics() takes, and a scrape reads the recorder's own cached
@@ -39,7 +39,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
-#include "router/obs_http.hpp"
+#include "router/socket.hpp"
 
 namespace pelican::router {
 
@@ -108,7 +108,7 @@ class FlightRecorder {
   /// artifact format tools/bench_diff.py renders timelines from.
   [[nodiscard]] std::string flight_dump_json() const;
 
-  /// Routes one parsed request to the endpoints above (the ObsHttpServer
+  /// Routes one parsed request to the endpoints above (the http_body
   /// handler; public so tests can drive routing without sockets).
   [[nodiscard]] obs::HttpResponse handle(const obs::HttpRequest& request)
       const;
@@ -132,7 +132,7 @@ class FlightRecorder {
 
   obs::FleetSampler sampler_;
   obs::SloTracker slo_tracker_;
-  std::unique_ptr<ObsHttpServer> http_;
+  std::unique_ptr<ConnectionServer> http_;
 };
 
 }  // namespace pelican::router

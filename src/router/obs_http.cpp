@@ -1,99 +1,35 @@
 #include "router/obs_http.hpp"
 
 #include <exception>
+#include <string>
+#include <string_view>
 #include <utility>
 
 namespace pelican::router {
 
-ObsHttpServer::ObsHttpServer(const std::string& listen_address,
-                             Handler handler)
-    : handler_(std::move(handler)),
-      listener_(ListenSocket::bind_to(parse_address(listen_address))) {}
-
-ObsHttpServer::~ObsHttpServer() { stop(); }
-
-void ObsHttpServer::start() {
-  if (started_.exchange(true)) return;
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
-
-void ObsHttpServer::stop() {
-  if (stopping_.exchange(true)) {
-    return;  // concurrent/repeated stop: the first caller owns the joins
-  }
-  // Join the acceptor BEFORE closing the listener — closing first would
-  // write fd_ while the acceptor reads it in poll()/accept() (see
-  // EngineWorker::stop for the full rationale).
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.close();
-  {
-    const MutexLock lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      connection->socket.shutdown_both();
-    }
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const MutexLock lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (const auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-}
-
-void ObsHttpServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (!listener_.wait_readable(/*timeout_ms=*/50)) continue;
-    Socket socket;
-    try {
-      socket = listener_.accept();
-    } catch (const WireError&) {
-      continue;  // raced with stop(); the loop condition decides
-    }
-    const MutexLock lock(connections_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    reap_finished_connections();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(socket);
-    Connection* handle = connection.get();  // stable behind the unique_ptr
-    connections_.push_back(std::move(connection));
-    handle->thread = std::thread([this, handle] { serve_connection(handle); });
-  }
-}
-
-void ObsHttpServer::reap_finished_connections() {
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    return true;
-  });
-}
-
-void ObsHttpServer::serve_connection(Connection* connection) {
-  // Scrapers can stall too: bound the read so a half-open client cannot
-  // pin a handler thread past stop()'s shutdown_both.
-  connection->socket.set_io_timeout(5000.0);
-  obs::HttpResponse response;
-  bool respond = true;
-  try {
+ConnectionServer::Body http_body(HttpHandler handler) {
+  return [handler = std::move(handler)](Socket& socket) {
+    socket.set_io_timeout(5000.0);
     std::string head;
     char buffer[2048];
     while (!obs::http_head_complete(head)) {
       if (head.size() > obs::kMaxHttpHeadBytes) break;
-      const std::size_t got =
-          connection->socket.recv_some(buffer, sizeof(buffer));
+      const std::size_t got = socket.recv_some(buffer, sizeof(buffer));
       if (got == 0) break;  // EOF before a full head
       head.append(buffer, got);
     }
-    if (!obs::http_head_complete(head)) {
-      respond = !head.empty();
+    // A head counts only when it ends within the cap; the last read may
+    // have completed one past it.
+    const std::string_view capped =
+        std::string_view(head).substr(0, obs::kMaxHttpHeadBytes);
+    obs::HttpResponse response;
+    if (!obs::http_head_complete(capped)) {
+      if (head.empty()) return;  // the client left without asking
       response.status = head.size() > obs::kMaxHttpHeadBytes ? 431 : 400;
       response.body = "incomplete or oversized request head\n";
-    } else if (auto request = obs::parse_http_request(head)) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
+    } else if (auto request = obs::parse_http_request(capped)) {
       try {
-        response = handler_(*request);
+        response = handler(*request);
       } catch (const std::exception& error) {
         response = obs::HttpResponse{500, "text/plain; charset=utf-8",
                                      std::string(error.what()) + "\n"};
@@ -102,15 +38,8 @@ void ObsHttpServer::serve_connection(Connection* connection) {
       response.status = 400;
       response.body = "malformed request line\n";
     }
-    if (respond) {
-      connection->socket.send_bytes(obs::render_http_response(response));
-    }
-  } catch (const WireError&) {
-    // Peer vanished or stop() severed us; nothing to answer.
-  }
-  connection->socket.shutdown_both();
-  const MutexLock lock(connections_mutex_);
-  connection->done = true;
+    socket.send_bytes(obs::render_http_response(response));
+  };
 }
 
 }  // namespace pelican::router

@@ -1,88 +1,30 @@
-// ObsHttpServer: the socket-bound half of the HTTP exposition endpoint.
+// The socket-bound half of the HTTP exposition endpoint: a
+// ConnectionServer body (router/socket).
 //
 // obs/http owns the protocol (request parsing, response rendering — pure
-// strings, no fds); this class owns the transport: a ListenSocket on the
-// same unix:/tcp: addresses every other router socket speaks, an accept
-// loop, and one short-lived handler thread per connection — the exact
-// lifecycle discipline of EngineWorker (poll-with-timeout acceptor so
-// stop() is observed, handlers tracked and reaped under an annotated
-// mutex, acceptor joined BEFORE the listener closes).
-//
-// The server is routing-agnostic: it turns bytes into an HttpRequest,
-// hands it to the injected handler, and writes the rendered response.
-// FlightRecorder supplies the handler that knows about /metrics,
-// /timeseries, /events, /slo, /healthz; tests can mount anything.
-// Connections are one-shot (Connection: close) — a scrape is a fresh
-// connect, which keeps the server stateless and the handler threads
-// short-lived.
+// strings, no fds); this body moves its bytes over the same unix:/tcp:
+// transport every other router socket speaks. It is routing-agnostic: it
+// turns bytes into an HttpRequest, hands it to the injected handler, and
+// writes the rendered response. FlightRecorder supplies the handler that
+// knows about /metrics, /timeseries, /events, /slo, /healthz; tests can
+// mount anything. Connections are one-shot (Connection: close) — a scrape
+// is a fresh connect, which keeps the endpoint stateless and its
+// connection threads short-lived.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <functional>
-#include <memory>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "common/annotations.hpp"
-#include "common/mutex.hpp"
 #include "obs/http.hpp"
 #include "router/socket.hpp"
 
 namespace pelican::router {
 
-class ObsHttpServer {
- public:
-  using Handler = std::function<obs::HttpResponse(const obs::HttpRequest&)>;
+using HttpHandler = std::function<obs::HttpResponse(const obs::HttpRequest&)>;
 
-  /// Binds `listen_address` ("unix:<path>" or "tcp:<host>:<port>")
-  /// immediately (throws WireError on bind failure) but accepts nothing
-  /// until start().
-  ObsHttpServer(const std::string& listen_address, Handler handler);
-  ~ObsHttpServer();
-
-  ObsHttpServer(const ObsHttpServer&) = delete;
-  ObsHttpServer& operator=(const ObsHttpServer&) = delete;
-
-  void start();
-  void stop();
-
-  /// The bound address (resolves "tcp:host:0" to the kernel-chosen port).
-  [[nodiscard]] const Address& address() const noexcept {
-    return listener_.address();
-  }
-
-  /// Requests served (any status) since construction.
-  [[nodiscard]] std::uint64_t requests_served() const noexcept {
-    return requests_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    /// Written by the handler as its final locked action, read by the
-    /// reaper — both under connections_mutex_ (inexpressible as a
-    /// guarded_by: nested structs cannot name the enclosing mutex).
-    bool done = false;
-  };
-
-  void accept_loop();
-  void serve_connection(Connection* connection);
-  void reap_finished_connections() PELICAN_REQUIRES(connections_mutex_);
-
-  Handler handler_;
-  ListenSocket listener_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> requests_{0};
-  std::thread acceptor_;
-
-  Mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_
-      PELICAN_GUARDED_BY(connections_mutex_);
-};
+/// The body that answers one HTTP request per connection with `handler`:
+/// 400 for a malformed or incomplete head, 431 for one over
+/// obs::kMaxHttpHeadBytes, 500 (with the what()) when the handler throws.
+/// Reads time out after 5 s, so a stalled client cannot hold a thread.
+[[nodiscard]] ConnectionServer::Body http_body(HttpHandler handler);
 
 }  // namespace pelican::router

@@ -1,6 +1,8 @@
 #include "router/router.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -34,6 +36,25 @@ double millis_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Reads `socket`'s next frame. A hedge's read races its `primary`: it
+/// first waits up to `timeout_ms` (<= 0 = no limit) for either reply, and
+/// gives up (std::runtime_error) when the primary's is readable.
+std::vector<std::uint8_t> recv_reply(Socket& socket, const Socket* primary,
+                                     double timeout_ms) {
+  if (primary != nullptr) {
+    const int wait_ms =
+        timeout_ms > 0.0 ? static_cast<int>(std::ceil(timeout_ms)) : -1;
+    const Socket* ready = first_readable(*primary, socket, wait_ms);
+    if (ready == primary) {
+      throw std::runtime_error("hedge abandoned: the primary answered");
+    }
+    if (ready == nullptr) {
+      throw WireTimeout("recv timed out from " + socket.peer());
+    }
+  }
+  return socket.recv_frame();
 }
 
 /// One request/reply on a fresh connection bounded by `timeout_ms`.
@@ -168,7 +189,7 @@ std::vector<std::uint8_t> Router::exchange(Backend& backend,
           (timeout_ms <= 0.0 || hedge->at < sent + millis(timeout_ms)) &&
           !socket.wait_readable(millis_until(hedge->at))) {
         hedged = true;
-        answered = hedge->fire();
+        answered = hedge->fire(socket);
         if (answered && !socket.wait_readable(0)) {
           // The hedge's answer came first. The primary's reply is still
           // owed on this connection, so it never goes back to the pool.
@@ -216,7 +237,8 @@ std::vector<std::uint8_t> Router::exchange(Backend& backend,
 
 std::vector<serve::PredictResponse> Router::hedge_read(
     Backend& target, std::span<const serve::PredictRequest> batch,
-    std::span<const std::uint8_t> frame, double timeout_ms) {
+    std::span<const std::uint8_t> frame, double timeout_ms,
+    const Socket& primary) {
   // The target may not hold these users yet: re-deploy them from the
   // ledger first. Deploys are idempotent, and the target pulls the SAME
   // (user, version) artifacts from the shared store — which is why the
@@ -241,19 +263,21 @@ std::vector<serve::PredictResponse> Router::hedge_read(
   }
   Socket socket = Socket::connect_to(target.parsed);
   socket.set_io_timeout(timeout_ms);
-  deploy_over(socket, users);
+  deploy_over(socket, users, &primary, timeout_ms);
   socket.send_frame(frame);
-  auto answers = decode_predict_replies(socket.recv_frame());
+  auto answers =
+      decode_predict_replies(recv_reply(socket, &primary, timeout_ms));
   if (answers.size() != batch.size()) {
     throw WireError("predict reply count mismatch from " + target.address);
   }
   return answers;
 }
 
-void Router::deploy_over(Socket& socket, const LedgerSlice& users) {
+void Router::deploy_over(Socket& socket, const LedgerSlice& users,
+                         const Socket* primary, double timeout_ms) {
   for (const DeployCommand& command : users) {
     socket.send_frame(encode_deploy(command));
-    const Ack ack = decode_ack(socket.recv_frame());
+    const Ack ack = decode_ack(recv_reply(socket, primary, timeout_ms));
     if (!ack.ok) {
       throw std::runtime_error("deploy of user " +
                                std::to_string(command.user_id) +
@@ -649,9 +673,15 @@ std::vector<serve::PredictResponse> Router::serve(
       if (remaining.empty()) break;
     }
 
-    // Group the outstanding requests by owning backend. std::map keys the
-    // groups by address, so the fan-out order is deterministic.
-    std::map<std::string, std::vector<std::size_t>> groups;
+    // Group the outstanding requests by owning backend, in the order the
+    // owners first appear. A fleet has a handful of backends, so a linear
+    // search over the round's owners finds a request's group.
+    struct Group {
+      std::string owner;
+      std::vector<std::size_t> indices;
+      bool failed = false;  ///< retried next round
+    };
+    std::vector<Group> fan_out;
     {
       MutexLock lock(mutex_);
       // A read whose owner is leaving waits until its users are deployed
@@ -666,13 +696,14 @@ std::vector<serve::PredictResponse> Router::serve(
       }
       if (partitioner_.backend_count() == 0) break;
       for (const std::size_t i : remaining) {
-        groups[partitioner_.owner_of(reqs[i].user_id)].push_back(i);
+        const std::string& owner = partitioner_.owner_of(reqs[i].user_id);
+        auto group = std::ranges::find(fan_out, owner, &Group::owner);
+        if (group == fan_out.end()) {
+          group = fan_out.insert(fan_out.end(), Group{owner, {}});
+        }
+        group->indices.push_back(i);
       }
     }
-
-    std::vector<std::pair<std::string, std::vector<std::size_t>>> fan_out(
-        groups.begin(), groups.end());
-    std::vector<std::vector<std::size_t>> failed(fan_out.size());
 
     // A fan-out over more than one backend forwards each group from a
     // short-lived thread of its own; a single group (every batch-1 read)
@@ -681,11 +712,12 @@ std::vector<serve::PredictResponse> Router::serve(
     // the in-process engine path and attack scoring share, and
     // parallel_for serializes concurrent submissions — two client threads
     // in serve() would serialize their network waits.
-    auto forward = [&](std::size_t g) {
-      const auto& [address, indices] = fan_out[g];
+    auto forward = [&](Group& group) {
+      const std::string& address = group.owner;
+      const std::vector<std::size_t>& indices = group.indices;
       const auto [backend, struck] = find_backend(address);
       if (backend == nullptr) {
-        failed[g] = indices;
+        group.failed = true;
         return;
       }
       // Build the batch with DECREMENTED budgets: the engine's admission
@@ -736,7 +768,7 @@ std::vector<serve::PredictResponse> Router::serve(
       std::uint64_t hedge_start_ns = 0;
       Hedge hedge;
       hedge.at = std::chrono::steady_clock::now() + millis(hedge_delay);
-      hedge.fire = [&] {
+      hedge.fire = [&](const Socket& primary) {
         const std::uint64_t fired =
             hedges_fired_.load(std::memory_order_relaxed);
         const std::uint64_t total = forwards_.load(std::memory_order_relaxed);
@@ -753,12 +785,14 @@ std::vector<serve::PredictResponse> Router::serve(
         hedges_fired_.fetch_add(1, std::memory_order_relaxed);
         hedges_counter_->add();
         try {
-          answers = hedge_read(*target_backend, batch, frame, timeout_ms);
+          answers =
+              hedge_read(*target_backend, batch, frame, timeout_ms, primary);
           (void)observe(target, Observation::kDataOk);
           return true;
         } catch (const std::exception&) {
           // Hedge failures never fail the TARGET over — it was drafted in,
-          // not proven guilty. The primary's read goes on.
+          // not proven guilty. The primary's read goes on; it is readable
+          // already when it ended the hedge.
           return false;
         }
       };
@@ -781,7 +815,7 @@ std::vector<serve::PredictResponse> Router::serve(
       }
 
       if (primary_timeout || primary_failed) {
-        failed[g] = indices;
+        group.failed = true;
       } else {
         for (std::size_t j = 0; j < indices.size(); ++j) {
           responses[indices[j]] = std::move(answers[j]);
@@ -823,19 +857,21 @@ std::vector<serve::PredictResponse> Router::serve(
       }
     };
     if (fan_out.size() == 1) {
-      forward(0);
+      forward(fan_out.front());
     } else {
       std::vector<std::thread> threads;
       threads.reserve(fan_out.size());
-      for (std::size_t g = 0; g < fan_out.size(); ++g) {
-        threads.emplace_back(forward, g);
+      for (Group& group : fan_out) {
+        threads.emplace_back(forward, std::ref(group));
       }
       for (auto& thread : threads) thread.join();
     }
 
     remaining.clear();
-    for (const auto& slice : failed) {
-      remaining.insert(remaining.end(), slice.begin(), slice.end());
+    for (const Group& group : fan_out) {
+      if (!group.failed) continue;
+      remaining.insert(remaining.end(), group.indices.begin(),
+                       group.indices.end());
     }
     if (instrument && round > 0) {
       // Rounds past the first exist only because a backend failed: the

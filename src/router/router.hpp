@@ -70,10 +70,12 @@
 //                predict batch at a second live backend, on one fresh
 //                connection that first re-deploys the users there from the
 //                ledger (deploys are idempotent). The first readable answer
-//                wins: once the hedge answers, the primary's reply is read
-//                only if it is already there, and otherwise its connection
-//                is dropped. Nothing is cancelled; a hedge that fails
-//                leaves the primary's read to finish. Answers are
+//                wins: the hedge watches the primary's connection while it
+//                waits for each of its replies and is abandoned as soon as
+//                the primary's reply is readable; once the hedge answers,
+//                the primary's reply is read only if it is already there,
+//                and otherwise its connection is dropped. A hedge that
+//                fails leaves the primary's read to finish. Answers are
 //                bit-identical by construction (same store artifact, same
 //                kernels), so which copy wins is unobservable in the
 //                response. A hedge budget (hedge_budget_fraction) caps
@@ -314,10 +316,11 @@ class Router {
   using Failures = std::vector<std::pair<std::string, Observation>>;
 
   /// The hedge of one exchange (see exchange()). `fire` runs the duplicate
-  /// read, keeps its answer, and returns whether it answered.
+  /// read racing the primary's connection, keeps its answer, and returns
+  /// whether it answered.
   struct Hedge {
     std::chrono::steady_clock::time_point at;
-    std::function<bool()> fire;
+    std::function<bool(const Socket& primary)> fire;
     bool won = false;
   };
 
@@ -332,11 +335,12 @@ class Router {
   ///
   /// With a `hedge`, the exchange sends the frame and polls the connection
   /// until `hedge->at`. If the reply is late, it runs the hedge in this
-  /// thread, at most once; nothing is cancelled. The first readable answer
-  /// wins: after a hedge that answered, the primary is read only if its
-  /// reply is readable; otherwise its connection is discarded, `won` is
-  /// set and no bytes are returned. After a hedge that failed, the primary
-  /// keeps what is left of `timeout_ms`.
+  /// thread, at most once. The first readable answer wins: the hedge gives
+  /// up when the primary's reply turns readable first, and after a hedge
+  /// that answered, the primary is read only if its reply is readable;
+  /// otherwise its connection is discarded, `won` is set and no bytes are
+  /// returned. After a hedge that failed or gave up, the primary keeps
+  /// what is left of `timeout_ms`.
   [[nodiscard]] std::vector<std::uint8_t> exchange(
       Backend& backend, std::span<const std::uint8_t> frame,
       double timeout_ms, Hedge* hedge = nullptr);
@@ -345,11 +349,14 @@ class Router {
   /// predict `frame` there: one fresh connection bounded by `timeout_ms`,
   /// as probe_backend uses. Never the target's pool — the caller holds a
   /// slot of the primary's, so waiting for one of the target's could close
-  /// a cycle with a caller hedging the other way. Returns the answers;
-  /// throws on any failure.
+  /// a cycle with a caller hedging the other way. Every reply it waits for
+  /// races the `primary` connection's: once the primary's is readable, the
+  /// hedge is abandoned and its connection dropped. Returns the answers;
+  /// throws on any failure and on abandonment.
   [[nodiscard]] std::vector<serve::PredictResponse> hedge_read(
       Backend& target, std::span<const serve::PredictRequest> batch,
-      std::span<const std::uint8_t> frame, double timeout_ms);
+      std::span<const std::uint8_t> frame, double timeout_ms,
+      const Socket& primary);
 
   /// Sends an admin frame to `user`'s owner; a failed owner is observed
   /// and the frame retried once. Returns the decoded ack.
@@ -433,9 +440,12 @@ class Router {
   bool redeploy(const std::string& address, const LedgerSlice& users,
                 Failures& failures);
 
-  /// Deploys `users` over `socket`. Throws WireError on a transport failure
-  /// and std::runtime_error when the engine refuses one.
-  static void deploy_over(Socket& socket, const LedgerSlice& users);
+  /// Deploys `users` over `socket`. Throws WireError on a transport
+  /// failure and std::runtime_error when the engine refuses one. A hedge
+  /// passes its `primary` to race each ack against (see hedge_read).
+  static void deploy_over(Socket& socket, const LedgerSlice& users,
+                          const Socket* primary = nullptr,
+                          double timeout_ms = 0.0);
 
   /// Hedge target for a group owned by `owner`: the next live backend
   /// after it in sorted order; empty when the fleet has no second choice.

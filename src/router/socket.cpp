@@ -13,7 +13,6 @@
 #include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "common/fault.hpp"
@@ -47,14 +46,12 @@ sockaddr_in tcp_sockaddr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-/// poll() for input on one fd, retried on EINTR. Returns the reported
-/// events, 0 on timeout.
-short poll_input(int fd, int timeout_ms) {
-  pollfd pfd{fd, POLLIN, 0};
+/// poll() for input on `fds`, retried on EINTR. False on timeout.
+bool poll_input(std::span<pollfd> fds, int timeout_ms) {
   for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
+    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
     if (rc < 0 && errno == EINTR) continue;
-    return rc > 0 ? pfd.revents : 0;
+    return rc > 0;
   }
 }
 
@@ -227,8 +224,9 @@ void Socket::apply_fault(const char* site,
       injector.sleep_for(decision);
       return;
     case fault::Action::kDrop:
+      // Severed, not closed: the socket's owner closes it (a
+      // ConnectionServer under the lock its stop() severs under).
       shutdown_both();
-      close();
       throw WireError("fault injection: dropped connection (" +
                       std::string(site) + ", peer " + peer_ + ")");
     case fault::Action::kTruncate: {
@@ -241,7 +239,6 @@ void Socket::apply_fault(const char* site,
         send_all(payload.data(), payload.size() / 2);
       }
       shutdown_both();
-      close();
       throw WireError("fault injection: truncated frame (" +
                       std::string(site) + ", peer " + peer_ + ")");
     }
@@ -273,7 +270,15 @@ std::vector<std::uint8_t> Socket::recv_frame() {
 }
 
 bool Socket::wait_readable(int timeout_ms) const {
-  return valid() && poll_input(fd_, timeout_ms) != 0;
+  pollfd pfd{fd_, POLLIN, 0};
+  return valid() && poll_input({&pfd, 1}, timeout_ms);
+}
+
+const Socket* first_readable(const Socket& first, const Socket& second,
+                             int timeout_ms) {
+  pollfd fds[2] = {{first.fd(), POLLIN, 0}, {second.fd(), POLLIN, 0}};
+  if (!poll_input(fds, timeout_ms)) return nullptr;
+  return fds[0].revents != 0 ? &first : &second;
 }
 
 void Socket::shutdown_both() noexcept {
@@ -287,87 +292,99 @@ void Socket::close() noexcept {
   }
 }
 
-// ------------------------------------------------------------ ListenSocket --
+// -------------------------------------------------------- ConnectionServer --
 
-ListenSocket::~ListenSocket() { close(); }
-
-ListenSocket::ListenSocket(ListenSocket&& other) noexcept
-    : fd_(other.fd_),
-      address_(std::move(other.address_)),
-      unlink_on_close_(other.unlink_on_close_) {
-  other.fd_ = -1;
-  other.unlink_on_close_ = false;
-}
-
-ListenSocket& ListenSocket::operator=(ListenSocket&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    address_ = std::move(other.address_);
-    unlink_on_close_ = other.unlink_on_close_;
-    other.fd_ = -1;
-    other.unlink_on_close_ = false;
-  }
-  return *this;
-}
-
-ListenSocket ListenSocket::bind_to(const Address& address) {
-  const int domain = address.kind == Address::Kind::kUnix ? AF_UNIX : AF_INET;
-  const int fd = ::socket(domain, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket");
-  ListenSocket listener;
-  listener.fd_ = fd;
-  listener.address_ = address;
+ConnectionServer::ConnectionServer(Address address, Body body)
+    : address_(std::move(address)), body_(std::move(body)) {
+  const bool is_unix = address_.kind == Address::Kind::kUnix;
+  listener_ = Socket(::socket(is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0));
+  if (!listener_.valid()) throw_errno("socket");
   int rc = 0;
-  if (address.kind == Address::Kind::kUnix) {
+  if (is_unix) {
     // A stale socket file from a crashed engine would fail the bind.
     std::error_code ec;
-    std::filesystem::remove(address.path, ec);
-    const sockaddr_un addr = unix_sockaddr(address.path);
-    rc = ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-    listener.unlink_on_close_ = rc == 0;
+    std::filesystem::remove(address_.path, ec);
+    const sockaddr_un addr = unix_sockaddr(address_.path);
+    rc = ::bind(listener_.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr);
   } else {
     const int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    const sockaddr_in addr = tcp_sockaddr(address.host, address.port);
-    rc = ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+    (void)::setsockopt(listener_.fd(), SOL_SOCKET, SO_REUSEADDR, &one,
+                       sizeof one);
+    const sockaddr_in addr = tcp_sockaddr(address_.host, address_.port);
+    rc = ::bind(listener_.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr);
   }
-  if (rc != 0) throw_errno("bind " + address.to_string());
-  if (::listen(fd, SOMAXCONN) != 0) throw_errno("listen");
-  return listener;
+  if (rc != 0) throw_errno("bind " + address_.to_string());
+  if (::listen(listener_.fd(), SOMAXCONN) != 0) throw_errno("listen");
 }
 
-Socket ListenSocket::accept() {
-  if (!valid()) throw WireError("accept on closed listener");
-  for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) {
-      Socket socket(fd);
-      // Engine-side sockets are labeled with the engine's OWN address so
-      // fault rules can target "every frame engine e1 handles" without
-      // knowing its clients' ephemeral endpoints.
-      socket.set_peer(address_.to_string());
-      return socket;
-    }
-    if (errno == EINTR) continue;
-    throw_errno("accept on " + address_.to_string());
-  }
+ConnectionServer::~ConnectionServer() { stop(); }
+
+void ConnectionServer::start() {
+  const MutexLock lock(mutex_);
+  if (stopping_ || acceptor_.joinable()) return;
+  acceptor_ = std::thread([this] { accept_loop(); });
 }
 
-bool ListenSocket::wait_readable(int timeout_ms) const {
-  return valid() && (poll_input(fd_, timeout_ms) & POLLIN) != 0;
-}
-
-void ListenSocket::close() noexcept {
-  if (valid()) {
-    (void)::close(fd_);
-    fd_ = -1;
+void ConnectionServer::stop() {
+  {
+    const MutexLock lock(mutex_);
+    if (stopping_) return;  // the first caller owns the joins
+    stopping_ = true;
   }
-  if (unlink_on_close_) {
+  // shutdown(2) makes the blocked accept() fail at once. The fd stays open
+  // until the acceptor is joined, so its number cannot be recycled into
+  // another file under a running accept().
+  listener_.shutdown_both();
+  if (acceptor_.joinable()) acceptor_.join();
+  listener_.close();
+  if (address_.kind == Address::Kind::kUnix) {
     std::error_code ec;
     std::filesystem::remove(address_.path, ec);
-    unlink_on_close_ = false;
   }
+  std::list<Connection> connections;
+  {
+    const MutexLock lock(mutex_);
+    for (Connection& connection : connections_) {
+      connection.socket.shutdown_both();  // wakes a body blocked in I/O
+    }
+    connections.swap(connections_);  // elements keep their addresses
+  }
+  for (Connection& connection : connections) connection.thread.join();
+}
+
+void ConnectionServer::accept_loop() {
+  for (;;) {
+    Socket socket(::accept(listener_.fd(), nullptr, nullptr));
+    const MutexLock lock(mutex_);
+    if (stopping_) return;
+    // A failed accept (a signal, a connection that died in the backlog,
+    // no fd left) is retried.
+    if (!socket.valid()) continue;
+    // A connection marks itself done as its final locked action, so these
+    // joins never wait on live work.
+    std::erase_if(connections_, [](Connection& connection) {
+      if (!connection.done) return false;
+      connection.thread.join();
+      return true;
+    });
+    socket.set_peer(address_.to_string());
+    Connection& connection = connections_.emplace_back();
+    connection.socket = std::move(socket);
+    connection.thread = std::thread([this, &connection] { serve(connection); });
+  }
+}
+
+void ConnectionServer::serve(Connection& connection) {
+  try {
+    body_(connection.socket);
+  } catch (const WireError&) {
+    // The peer went away or stop() severed the connection.
+  }
+  const MutexLock lock(mutex_);
+  connection.socket.close();
+  connection.done = true;
 }
 
 }  // namespace pelican::router

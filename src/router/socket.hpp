@@ -1,5 +1,6 @@
 // Stream-socket transport of the router tier: RAII fds, Unix-domain and
-// TCP endpoints, and length-prefixed frame I/O.
+// TCP endpoints, length-prefixed frame I/O, and the connection server
+// every listening process of the tier runs on.
 //
 // Addresses are strings so configs and CLI flags stay trivial:
 //   "unix:/tmp/pelican/e0.sock"   Unix-domain stream socket (the default
@@ -30,11 +31,17 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
+
+#include "common/annotations.hpp"
+#include "common/mutex.hpp"
 
 namespace pelican::router {
 
@@ -124,7 +131,7 @@ class Socket {
   [[nodiscard]] std::vector<std::uint8_t> recv_frame();
 
   /// Raw (UNframed) byte I/O, for protocols with their own framing carried
-  /// over this transport — the HTTP exposition server (router/obs_http).
+  /// over this transport — the HTTP exposition body (router/obs_http).
   /// send_bytes writes all of `data`; recv_some performs ONE read into
   /// `buffer`, returning the byte count — 0 means orderly EOF (unlike
   /// recv_frame, a valid end of an HTTP request stream, not an error).
@@ -156,39 +163,77 @@ class Socket {
   std::string peer_;
 };
 
-/// A bound, listening stream socket. For kUnix addresses, bind unlinks a
-/// stale socket file first and the destructor unlinks it again.
-class ListenSocket {
+/// Waits up to `timeout_ms` (< 0 = no limit) until a read on `first` or
+/// on `second` would not block (as Socket::wait_readable) and returns
+/// that socket, `first` when both are readable; nullptr on timeout. A
+/// hedged read watches its primary with this.
+[[nodiscard]] const Socket* first_readable(const Socket& first,
+                                           const Socket& second,
+                                           int timeout_ms);
+
+/// A listening socket with one thread per accepted connection, the
+/// connection lifecycle of every server in the tier (EngineWorker, the
+/// flight recorder's HTTP endpoint). Connections are few and mostly
+/// long-lived (a router pool holds up to pool_connections per engine), so
+/// a blocking thread each is simpler than an event loop and costs nothing
+/// that matters.
+///
+/// The server owns each connection's socket: `body` runs on the
+/// connection's own thread, and when it returns (or a WireError escapes
+/// it, which ends the connection quietly) the server closes the socket
+/// under its lock, the same lock stop() holds while it severs open
+/// connections, so an fd is never recycled under a shutdown. Finished
+/// threads are joined at each accept. An accepted socket's peer label is
+/// the server's OWN address (see Socket::set_peer).
+class ConnectionServer {
  public:
-  ListenSocket() = default;
-  ~ListenSocket();
+  using Body = std::function<void(Socket&)>;
 
-  ListenSocket(ListenSocket&& other) noexcept;
-  ListenSocket& operator=(ListenSocket&& other) noexcept;
-  ListenSocket(const ListenSocket&) = delete;
-  ListenSocket& operator=(const ListenSocket&) = delete;
+  /// Binds and listens on `address` (throws WireError when it is busy);
+  /// accepts nothing until start(). A stale Unix socket file is removed
+  /// before the bind.
+  ConnectionServer(Address address, Body body);
+  /// As stop().
+  ~ConnectionServer();
 
-  [[nodiscard]] static ListenSocket bind_to(const Address& address);
+  ConnectionServer(const ConnectionServer&) = delete;
+  ConnectionServer& operator=(const ConnectionServer&) = delete;
 
-  /// Blocks until a peer connects. Throws WireError when the socket was
-  /// closed (the accept loop's stop signal) or on accept failure. The
-  /// accepted socket's peer label is this listener's own address — see
-  /// Socket::set_peer.
-  [[nodiscard]] Socket accept();
+  /// Starts the accept thread. Does nothing when started or stopped.
+  void start();
 
-  /// Waits up to `timeout_ms` for a pending connection; false on timeout.
-  /// The poll()-based accept loop uses this to observe its stop flag.
-  [[nodiscard]] bool wait_readable(int timeout_ms) const;
+  /// Wakes the accept thread with shutdown(2) and joins it, closes the
+  /// listener and removes its Unix socket file, then severs every open
+  /// connection and joins its thread. Does nothing after the first call.
+  /// Never call it from a body: it would join its own thread.
+  void stop();
 
-  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   [[nodiscard]] const Address& address() const noexcept { return address_; }
 
-  void close() noexcept;
-
  private:
-  int fd_ = -1;
-  Address address_;
-  bool unlink_on_close_ = false;
+  struct Connection {
+    Socket socket;
+    std::thread thread;
+    /// Set as the connection's final locked action, read by the reaper
+    /// under mutex_ (a nested struct cannot name the enclosing mutex).
+    bool done = false;
+  };
+
+  void accept_loop();
+  void serve(Connection& connection);
+
+  const Address address_;
+  const Body body_;
+  /// The listening fd; Socket only for its RAII close and shutdown.
+  Socket listener_;
+  /// Started by start() under mutex_ only while stopping_ is unset, and
+  /// joined by the one stop() that set it.
+  std::thread acceptor_;
+
+  Mutex mutex_;
+  bool stopping_ PELICAN_GUARDED_BY(mutex_) = false;
+  /// A list: each running body holds a reference into it.
+  std::list<Connection> connections_ PELICAN_GUARDED_BY(mutex_);
 };
 
 }  // namespace pelican::router

@@ -4,9 +4,10 @@
 //   hedge        a stalled predict handler loses the race to a hedged
 //                duplicate on the second engine — bit-identical answer,
 //                no failover, hedge counters visible.
-//   race rules   a primary that answers while its hedge still runs wins;
-//                a hedge that fails leaves the primary to answer; callers
-//                hedging in both directions under full pools all return.
+//   race rules   a primary that answers while its hedge still runs wins,
+//                and ends a hedge stalled on its target at once; a hedge
+//                that fails leaves the primary to answer; callers hedging
+//                in both directions under full pools all return.
 //   quarantine   an engine stalling predicts AND health probes is
 //                quarantined (partitions move, users re-deploy) and the
 //                serve call still answers within its own call; lifting the
@@ -193,6 +194,37 @@ TEST_F(HedgeQuarantineTest, PrimaryAnsweringWhileItsHedgeRunsWins) {
   EXPECT_EQ(router.metrics().counter("router_request_timeouts_total").value(),
             0u)
       << "a primary that answered earns no strike";
+  EXPECT_EQ(router.live_backends().size(), 2u);
+}
+
+TEST_F(HedgeQuarantineTest, PrimaryAnsweringDuringAStalledHedgeWins) {
+  FaultGuard guard;
+  Router router(hedging_config(25.0));
+  deploy_all(router);
+  build_requests();
+  const std::string owner = router.owner_of(requests_[0].user_id);
+
+  // The owner answers in ~150 ms. Its hedge fires at 25 ms at an engine
+  // whose predict handler is stalled, so the hedge would wait out the 10 s
+  // timeout; the primary's reply must end it instead.
+  fault::Injector::global().configure(
+      {rule("engine.handle.predict_batch", owner, fault::Action::kDelay, 150),
+       rule("engine.handle.predict_batch", other_than(owner),
+            fault::Action::kStall, 60000)},
+      /*seed=*/1);
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto responses =
+      router.serve(std::vector<serve::PredictRequest>{requests_[0]});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(responses[0].ok);
+  EXPECT_EQ(responses[0].locations, expected_[0]);
+  EXPECT_LT(elapsed, std::chrono::seconds(2))
+      << "the primary's reply must end a hedge stalled on its target";
+  EXPECT_GE(router.metrics().counter("router_hedges_total").value(), 1u);
+  EXPECT_EQ(router.metrics().counter("router_hedge_wins_total").value(), 0u);
+  EXPECT_EQ(router.metrics().counter("router_request_timeouts_total").value(),
+            0u);
   EXPECT_EQ(router.live_backends().size(), 2u);
 }
 

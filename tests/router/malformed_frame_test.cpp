@@ -12,12 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "router/engine_worker.hpp"
@@ -111,45 +107,17 @@ TEST_F(MalformedFrameTest, GarbageVerbIsAnsweredNotFatal) {
   }
 }
 
-/// Router-side typed errors, against a raw fake server.
-class RawServer {
- public:
-  explicit RawServer(const std::string& address)
-      : listener_(ListenSocket::bind_to(parse_address(address))) {}
-
-  /// Accepts one connection and runs `script` on its raw fd.
-  template <typename Script>
-  void run(Script script) {
-    thread_ = std::thread([this, script] {
-      if (!listener_.wait_readable(5000)) return;
-      try {
-        Socket accepted = listener_.accept();
-        script(accepted.fd());
-      } catch (const WireError&) {
-      }
-    });
-  }
-
-  ~RawServer() {
-    if (thread_.joinable()) thread_.join();
-    listener_.close();
-  }
-
- private:
-  ListenSocket listener_;
-  std::thread thread_;
-};
+// Router-side typed errors, against raw fake servers: each runs a script
+// on the accepted connection's fd as its body.
 
 TEST_F(MalformedFrameTest, ClientRejectsOversizedClaim) {
-  const std::string address = dir_.socket_address(1);
-  RawServer server(address);
-  server.run([](int fd) {
-    const std::uint32_t claim = kMaxFrameBytes + 1;
-    std::uint8_t bytes[sizeof claim];
-    std::memcpy(bytes, &claim, sizeof claim);
-    (void)::send(fd, bytes, sizeof bytes, MSG_NOSIGNAL);
-  });
-  Socket socket = Socket::connect_to(parse_address(address));
+  ConnectionServer server(parse_address(dir_.socket_address(1)),
+                          [](Socket& accepted) {
+                            const std::uint32_t claim = kMaxFrameBytes + 1;
+                            write_raw(accepted.fd(), &claim, sizeof claim);
+                          });
+  server.start();
+  Socket socket = Socket::connect_to(server.address());
   socket.set_io_timeout(5000);
   try {
     (void)socket.recv_frame();
@@ -162,29 +130,31 @@ TEST_F(MalformedFrameTest, ClientRejectsOversizedClaim) {
 }
 
 TEST_F(MalformedFrameTest, ClientSurfacesMidFramePeerDeath) {
-  const std::string address = dir_.socket_address(1);
-  RawServer server(address);
-  server.run([](int fd) {
-    const std::uint32_t claim = 100;
-    (void)::send(fd, &claim, sizeof claim, MSG_NOSIGNAL);
-    const std::uint8_t partial[10] = {};
-    (void)::send(fd, partial, sizeof partial, MSG_NOSIGNAL);
-    // return: RawServer closes the accepted socket with 90 bytes owed
-  });
-  Socket socket = Socket::connect_to(parse_address(address));
+  ConnectionServer server(parse_address(dir_.socket_address(1)),
+                          [](Socket& accepted) {
+                            const std::uint32_t claim = 100;
+                            write_raw(accepted.fd(), &claim, sizeof claim);
+                            const std::uint8_t partial[10] = {};
+                            write_raw(accepted.fd(), partial, sizeof partial);
+                            // return: the server closes the connection
+                            // with 90 bytes owed
+                          });
+  server.start();
+  Socket socket = Socket::connect_to(server.address());
   socket.set_io_timeout(5000);
   EXPECT_THROW((void)socket.recv_frame(), WireError);
 }
 
 TEST_F(MalformedFrameTest, SilentPeerThrowsWireTimeout) {
-  const std::string address = dir_.socket_address(1);
-  RawServer server(address);
-  server.run([](int fd) {
-    // Say nothing; just hold the connection open past the client deadline.
-    std::uint8_t byte = 0;
-    (void)::recv(fd, &byte, 1, 0);  // parked until the client gives up
-  });
-  Socket socket = Socket::connect_to(parse_address(address));
+  ConnectionServer server(parse_address(dir_.socket_address(1)),
+                          [](Socket& accepted) {
+                            // Say nothing; hold the connection open until
+                            // the client gives up.
+                            std::uint8_t byte = 0;
+                            (void)::recv(accepted.fd(), &byte, 1, 0);
+                          });
+  server.start();
+  Socket socket = Socket::connect_to(server.address());
   socket.set_io_timeout(50);
   EXPECT_THROW((void)socket.recv_frame(), WireTimeout);
 }

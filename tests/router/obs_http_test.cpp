@@ -1,4 +1,4 @@
-// ObsHttpServer over a real listener: raw HTTP requests on the router's
+// http_body on a real ConnectionServer: raw HTTP requests on the router's
 // own socket transport, responses read back to EOF. Covers the happy path
 // (a real scrape of Prometheus text), routing errors (404/405), protocol
 // errors (400/431), handler exceptions (500), and lifecycle (concurrent
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,20 +42,31 @@ std::string body_of(const std::string& response) {
   return split == std::string::npos ? "" : response.substr(split + 4);
 }
 
-TEST(ObsHttpServerTest, ServesARealScrapeOfPrometheusText) {
+/// Answers 200 "ok" to anything, counting the requests it answered.
+HttpHandler counting_ok(std::atomic<int>& served) {
+  return [&served](const obs::HttpRequest&) {
+    served.fetch_add(1);
+    return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
+  };
+}
+
+TEST(HttpBodyTest, ServesARealScrapeOfPrometheusText) {
   TempDir dir;
   obs::Registry registry;
   registry.counter("requests_total").add(42);
   registry.histogram("lat_ms").observe(3.0);
 
-  ObsHttpServer server(
-      dir.socket_address(0), [&registry](const obs::HttpRequest& request) {
+  std::atomic<int> served{0};
+  ConnectionServer server(
+      parse_address(dir.socket_address(0)),
+      http_body([&](const obs::HttpRequest& request) {
+        served.fetch_add(1);
         EXPECT_EQ(request.method, "GET");
         obs::HttpResponse response;
         response.content_type = "text/plain; version=0.0.4; charset=utf-8";
         response.body = obs::prometheus_text(registry.state(), "");
         return response;
-      });
+      }));
   server.start();
 
   const std::string response = http_exchange(
@@ -75,21 +87,22 @@ TEST(ObsHttpServerTest, ServesARealScrapeOfPrometheusText) {
   ASSERT_NE(at, std::string::npos);
   EXPECT_EQ(std::stoul(response.substr(at + marker.size())), body.size());
 
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(served.load(), 1);
   server.stop();
 }
 
-TEST(ObsHttpServerTest, HandlerStatusAndExceptionsMapToHttpCodes) {
+TEST(HttpBodyTest, HandlerStatusAndExceptionsMapToHttpCodes) {
   TempDir dir;
-  ObsHttpServer server(
-      dir.socket_address(0), [](const obs::HttpRequest& request) {
+  ConnectionServer server(
+      parse_address(dir.socket_address(0)),
+      http_body([](const obs::HttpRequest& request) {
         if (request.target == "/boom") throw std::runtime_error("exploded");
         if (request.target != "/ok") {
           return obs::HttpResponse{404, "text/plain; charset=utf-8",
                                    "nope\n"};
         }
         return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
-      });
+      }));
   server.start();
 
   EXPECT_EQ(http_exchange(server.address(), "GET /ok HTTP/1.1\r\n\r\n")
@@ -106,14 +119,11 @@ TEST(ObsHttpServerTest, HandlerStatusAndExceptionsMapToHttpCodes) {
   server.stop();
 }
 
-TEST(ObsHttpServerTest, ProtocolErrorsGet400And431) {
+TEST(HttpBodyTest, ProtocolErrorsGet400And431) {
   TempDir dir;
-  ObsHttpServer server(dir.socket_address(0),
-                       [](const obs::HttpRequest&) {
-                         return obs::HttpResponse{200,
-                                                  "text/plain; charset=utf-8",
-                                                  "ok\n"};
-                       });
+  std::atomic<int> served{0};
+  ConnectionServer server(parse_address(dir.socket_address(0)),
+                          http_body(counting_ok(served)));
   server.start();
 
   // Malformed request line (complete head, no parseable fields).
@@ -127,17 +137,31 @@ TEST(ObsHttpServerTest, ProtocolErrorsGet400And431) {
   EXPECT_EQ(http_exchange(server.address(), oversized)
                 .find("HTTP/1.1 431 Request Header Fields Too Large"),
             0u);
+
+  // So does a complete head whose terminator lies past the cap, even when
+  // the read that completes it is the one that crosses the cap.
+  std::string complete_oversized = "GET / HTTP/1.1\r\nX-Filler: ";
+  complete_oversized.append(obs::kMaxHttpHeadBytes + 800, 'a');
+  complete_oversized += "\r\n\r\n";
+  EXPECT_EQ(http_exchange(server.address(), complete_oversized)
+                .find("HTTP/1.1 431 Request Header Fields Too Large"),
+            0u);
+  // A head that ends exactly at the cap is still served.
+  std::string at_cap = "GET / HTTP/1.1\r\nX-Filler: ";
+  at_cap.append(obs::kMaxHttpHeadBytes - at_cap.size() - 4, 'a');
+  at_cap += "\r\n\r\n";
+  ASSERT_EQ(at_cap.size(), obs::kMaxHttpHeadBytes);
+  EXPECT_EQ(http_exchange(server.address(), at_cap).find("HTTP/1.1 200 OK"),
+            0u);
+  EXPECT_EQ(served.load(), 1) << "only the head within the cap is handled";
   server.stop();
 }
 
-TEST(ObsHttpServerTest, ConcurrentScrapesAllSucceed) {
+TEST(HttpBodyTest, ConcurrentScrapesAllSucceed) {
   TempDir dir;
-  ObsHttpServer server(dir.socket_address(0),
-                       [](const obs::HttpRequest&) {
-                         return obs::HttpResponse{200,
-                                                  "text/plain; charset=utf-8",
-                                                  "ok\n"};
-                       });
+  std::atomic<int> served{0};
+  ConnectionServer server(parse_address(dir.socket_address(0)),
+                          http_body(counting_ok(served)));
   server.start();
 
   constexpr int kClients = 8;
@@ -154,16 +178,15 @@ TEST(ObsHttpServerTest, ConcurrentScrapesAllSucceed) {
   for (const std::string& response : responses) {
     EXPECT_EQ(response.find("HTTP/1.1 200 OK"), 0u);
   }
-  EXPECT_EQ(server.requests_served(), static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(served.load(), kClients);
   server.stop();
 }
 
-TEST(ObsHttpServerTest, StopSeversHalfOpenClients) {
+TEST(HttpBodyTest, StopSeversHalfOpenClients) {
   TempDir dir;
-  ObsHttpServer server(dir.socket_address(0),
-                       [](const obs::HttpRequest&) {
-                         return obs::HttpResponse{};
-                       });
+  ConnectionServer server(
+      parse_address(dir.socket_address(0)),
+      http_body([](const obs::HttpRequest&) { return obs::HttpResponse{}; }));
   server.start();
   // Connect and send an INCOMPLETE head, then just hold the connection:
   // stop() must shut the connection down and return rather than wait out
