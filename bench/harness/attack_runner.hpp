@@ -4,6 +4,7 @@
 // paper reports them (mean over users).
 #pragma once
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
@@ -29,6 +30,15 @@ struct AttackSweep {
   }
 };
 
+/// Windows attacked per user: the scale's attack_windows_per_user, capped
+/// by the caller's max_windows where that is set (nonzero).
+inline std::size_t windows_per_user(const Pipeline& pipeline,
+                                    std::size_t max_windows) {
+  const std::size_t scale_windows = pipeline.scale().attack_windows_per_user;
+  return max_windows == 0 ? scale_windows
+                          : std::min(max_windows, scale_windows);
+}
+
 /// Runs the enumeration-based attack against every user. `temperature` = 1
 /// attacks the raw deployment; smaller values attack a privacy-protected
 /// deployment. Prior and locations-of-interest are derived per user.
@@ -47,7 +57,7 @@ inline AttackSweep run_attack_over_users(Pipeline& pipeline,
     const auto prior = attack::make_prior(prior_kind, user.train_windows,
                                           deployment, user.test_windows);
     attack::InversionConfig user_config = config;
-    user_config.max_windows = pipeline.scale().attack_windows_per_user;
+    user_config.max_windows = windows_per_user(pipeline, config.max_windows);
     const auto result =
         attack::run_inversion(deployment, user.train_windows,
                               user.test_windows, prior, user_config);
@@ -80,7 +90,7 @@ inline AttackSweep run_gradient_over_users(
     const auto prior = attack::make_prior(prior_kind, user.train_windows,
                                           deployment, user.test_windows);
     attack::InversionConfig user_config = config;
-    user_config.max_windows = pipeline.scale().attack_windows_per_user;
+    user_config.max_windows = windows_per_user(pipeline, config.max_windows);
     const auto result = attack::run_gradient_inversion(
         user.model, pipeline.spec(), user.train_windows, prior, user_config,
         gradient_config);

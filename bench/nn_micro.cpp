@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <vector>
 
@@ -29,6 +30,9 @@ namespace {
 
 using namespace pelican;
 using namespace pelican::nn;
+
+/// The seed's scalar libm sigmoid, the baseline of the lane nn::sigmoid.
+float libm_sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 /// One-hot input in the mobility-encoding shape: four hot columns per row.
 SparseSequence one_hot_input(std::size_t steps, std::size_t batch,
@@ -217,12 +221,14 @@ Sequence seed_forward_sparse(const Lstm& lstm, const SparseSequence& input) {
       float* cn = c_next.data() + r * hidden;
       float* hn = h_next.data() + r * hidden;
       for (std::size_t j = 0; j < 4 * hidden; ++j) g[j] += bias[j];
-      for (std::size_t j = 0; j < hidden; ++j) g[j] = sigmoid(g[j]);
-      for (std::size_t j = hidden; j < 2 * hidden; ++j) g[j] = sigmoid(g[j]);
+      for (std::size_t j = 0; j < hidden; ++j) g[j] = libm_sigmoid(g[j]);
+      for (std::size_t j = hidden; j < 2 * hidden; ++j) {
+        g[j] = libm_sigmoid(g[j]);
+      }
       for (std::size_t j = 2 * hidden; j < 3 * hidden; ++j)
         g[j] = std::tanh(g[j]);
       for (std::size_t j = 3 * hidden; j < 4 * hidden; ++j)
-        g[j] = sigmoid(g[j]);
+        g[j] = libm_sigmoid(g[j]);
       for (std::size_t j = 0; j < hidden; ++j) {
         cn[j] = g[hidden + j] * cp[j] + g[j] * g[2 * hidden + j];
         hn[j] = g[3 * hidden + j] * std::tanh(cn[j]);
@@ -235,9 +241,9 @@ Sequence seed_forward_sparse(const Lstm& lstm, const SparseSequence& input) {
   return output;
 }
 
-/// The gate pass as it was before the lane tanh: one fused scalar loop
-/// with libm's std::tanh, kept as the gate_pass rows' baseline (checked
-/// bit-identical to lstm_gate_pass before timing).
+/// The gate pass as it was before the lane kernels: one fused scalar loop
+/// with libm's std::exp and std::tanh, kept as the gate_pass rows' baseline
+/// (checked bit-identical to lstm_gate_pass before timing).
 void libm_gate_pass(float* gates, const float* bias, const float* c_prev,
                     float* c_out, float* tanh_c_out, float* h_out,
                     std::size_t hidden) {
@@ -246,10 +252,10 @@ void libm_gate_pass(float* gates, const float* bias, const float* c_prev,
   float* gg = gates + 2 * hidden;
   float* go = gates + 3 * hidden;
   for (std::size_t j = 0; j < hidden; ++j) {
-    const float i = sigmoid(gi[j] + bias[j]);
-    const float f = sigmoid(gf[j] + bias[hidden + j]);
+    const float i = libm_sigmoid(gi[j] + bias[j]);
+    const float f = libm_sigmoid(gf[j] + bias[hidden + j]);
     const float g = std::tanh(gg[j] + bias[2 * hidden + j]);
-    const float o = sigmoid(go[j] + bias[3 * hidden + j]);
+    const float o = libm_sigmoid(go[j] + bias[3 * hidden + j]);
     gi[j] = i;
     gf[j] = f;
     gg[j] = g;
@@ -397,6 +403,35 @@ void write_kernel_table() {
                    Table::num(libm_ms / lane_ms, 2) + "x"});
   }
 
+  // sigmoid_lane_vs_libm: nn::sigmoid against the scalar libm sigmoid, on
+  // the same kind of inputs and in the same units as tanh_lane_vs_libm.
+  {
+    Rng data_rng(50);
+    std::vector<float> inputs(std::size_t{1} << 20);
+    for (float& v : inputs) v = data_rng.normal() * 2.0f;
+    std::vector<float> out(inputs.size());
+    const double libm_ms = time_ms(
+        [&] {
+          for (std::size_t i = 0; i < inputs.size(); ++i) {
+            out[i] = libm_sigmoid(inputs[i]);
+          }
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        },
+        5, 2);
+    const double lane_ms = time_ms(
+        [&] {
+          std::copy(inputs.begin(), inputs.end(), out.begin());
+          nn::sigmoid(out);
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        },
+        5, 2);
+    table.add_row({"sigmoid_lane_vs_libm", Table::num(libm_ms, 5),
+                   Table::num(lane_ms, 5),
+                   Table::num(libm_ms / lane_ms, 2) + "x"});
+  }
+
   // gate_pass: lstm_gate_pass over 256 rows of the attacked (h24), routed
   // (h32) and engine (h128) hidden sizes, against the scalar libm loop it
   // replaced. Each call restores the pre-activations it overwrites.
@@ -426,7 +461,8 @@ void write_kernel_table() {
     run(lstm_gate_pass);
     if (libm_h != h) {
       std::cerr << "WARNING: the libm gate pass diverged from "
-                   "lstm_gate_pass (this libm's tanhf is not fdlibm's?)\n";
+                   "lstm_gate_pass (this libm's tanhf is not fdlibm's, or "
+                   "its expf not glibc's FMA build?)\n";
     }
     const double libm_ms = time_ms([&] { run(libm_gate_pass); });
     const double lane_ms = time_ms([&] { run(lstm_gate_pass); });

@@ -5,7 +5,9 @@
 // time-based method and gradient descent ~9x. Absolute times depend on
 // hardware and scale; the *ratios* are the reproduction target.
 #include <algorithm>
+#include <fstream>
 #include <iostream>
+#include <string>
 #include <thread>
 
 #include "common/table.hpp"
@@ -14,6 +16,22 @@
 #include "harness/attack_runner.hpp"
 #include "harness/results.hpp"
 #include "models/window_dataset.hpp"
+
+namespace {
+
+/// This process's peak resident set (VmHWM in /proc/self/status) in MB, or
+/// 0 where the file does not exist.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // the file gives kB
+    }
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 int main() {
   using namespace pelican;
@@ -204,12 +222,14 @@ int main() {
     const double parallel_ms = watch.milliseconds() / reps;
 
     Table score_table({"scoring path", "candidates", "threads", "ms/window",
-                       "speedup vs dense serial"});
+                       "candidates/s", "speedup vs dense serial"});
     const auto row = [&](const char* name, double ms) {
       score_table.add_row(
           {name, std::to_string(candidates.size()),
            std::to_string(std::thread::hardware_concurrency()),
-           Table::num(ms, 3), Table::num(dense_ms / ms, 2) + "x"});
+           Table::num(ms, 3),
+           Table::num(static_cast<double>(candidates.size()) * 1e3 / ms, 0),
+           Table::num(dense_ms / ms, 2) + "x"});
     };
     row("dense serial (pre-ISSUE-4)", dense_ms);
     row("sparse serial", sparse_ms);
@@ -218,5 +238,13 @@ int main() {
     std::cout << score_table;
     bench::write_bench_json("table2_scoring_speedup", score_table);
   }
+
+  // The whole run's peak memory: training, every attack above, and the
+  // brute-force candidate vectors (ROADMAP item 7 streams them).
+  Table memory_table({"measure", "value"});
+  memory_table.add_row({"peak RSS MB (VmHWM)", Table::num(peak_rss_mb(), 2)});
+  print_banner(std::cout, "memory");
+  std::cout << memory_table;
+  bench::write_bench_json("table2_peak_rss", memory_table);
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "attack/inversion.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
@@ -76,12 +77,13 @@ std::vector<double> score_candidates_parallel(
     throw std::invalid_argument(
         "score_candidates_parallel: query_batch must be > 0");
   }
-  // One contiguous chunk per worker. Chunking (not per-batch round-robin)
-  // keeps every worker on one handle no matter which pool thread picks the
-  // index up, and a worker count of one degenerates to the serial path.
-  const std::size_t workers =
-      std::min(replicas.size() + 1,
-               std::max<std::size_t>(1, candidates.size() / query_batch));
+  // Workers pull query_batch-row batches from one counter, so a worker on
+  // a busy core takes fewer batches instead of holding up the call. Worker
+  // w queries through handle w whichever pool thread runs it, and max-merges
+  // each batch's scores into its own partial; one worker is the serial path.
+  const std::size_t batches =
+      (candidates.size() + query_batch - 1) / query_batch;
+  const std::size_t workers = std::min(replicas.size() + 1, batches);
   if (workers <= 1) {
     return score_candidates(model, candidates, observed_next, prior,
                             query_batch);
@@ -93,12 +95,21 @@ std::vector<double> score_candidates_parallel(
     models.push_back(replicas[i].get());
   }
 
-  std::vector<std::vector<double>> partial(workers);
+  std::vector<std::vector<double>> partial(
+      workers, std::vector<double>(model.num_classes(), 0.0));
+  std::atomic<std::size_t> next_batch{0};
   parallel_for(workers, [&](std::size_t w) {
-    const std::size_t lo = candidates.size() * w / workers;
-    const std::size_t hi = candidates.size() * (w + 1) / workers;
-    partial[w] = score_candidates(*models[w], candidates.subspan(lo, hi - lo),
-                                  observed_next, prior, query_batch);
+    for (std::size_t b = next_batch++; b < batches; b = next_batch++) {
+      const std::size_t start = b * query_batch;
+      const std::vector<double> scores = score_candidates(
+          *models[w],
+          candidates.subspan(start,
+                             std::min(query_batch, candidates.size() - start)),
+          observed_next, prior, query_batch);
+      for (std::size_t l = 0; l < scores.size(); ++l) {
+        partial[w][l] = std::max(partial[w][l], scores[l]);
+      }
+    }
   });
 
   // Deterministic merge: per-location max in ascending worker order. Max is

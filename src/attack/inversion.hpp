@@ -38,12 +38,13 @@ struct InversionConfig {
   /// Candidates per model query batch (memory/throughput trade-off).
   std::size_t query_batch = 1024;
   /// Score candidates across ThreadPool::global(), one scoring handle
-  /// (BlackBoxModel::replicate) per worker, all querying the one model.
-  /// Falls back to serial scoring when the model cannot be queried
-  /// concurrently or the pool has no workers. Scores are bit-identical to
-  /// the serial path for any worker count: per-candidate confidences are
-  /// batch-composition-invariant (nn kernel contract) and the per-location
-  /// max-merge is order-independent.
+  /// (BlackBoxModel::replicate) per worker, all querying the one model;
+  /// the workers pull query batches from one counter
+  /// (score_candidates_parallel). Falls back to serial scoring when the
+  /// model cannot be queried concurrently or the pool has no workers.
+  /// Scores are bit-identical to the serial path for any worker count:
+  /// per-candidate confidences are batch-composition-invariant (nn kernel
+  /// contract) and the per-location max-merge is order-independent.
   bool parallel_scoring = true;
 };
 
@@ -79,11 +80,14 @@ struct InversionResult {
     std::uint16_t observed_next, std::span<const double> prior,
     std::size_t query_batch);
 
-/// Splits the candidate set into one contiguous chunk per worker (`model`
-/// itself plus each handle in `replicas`), scores the chunks across
-/// ThreadPool::global(), and max-merges the per-location scores in worker
-/// order. Bit-identical to score_candidates for every handle count; with
-/// no handles it IS the serial path.
+/// Scores the candidate set across ThreadPool::global(), one worker per
+/// handle (`model` itself plus each handle in `replicas`). The workers pull
+/// `query_batch`-row batches, the serial path's own batches, from one
+/// shared counter, so a worker on a busy core takes fewer batches instead
+/// of holding up the call; each row is queried once. Each worker max-merges
+/// its batches' per-location scores, and the workers' scores merge in
+/// worker order. Bit-identical to score_candidates for every handle count
+/// and any split of the batches; with no handles it IS the serial path.
 [[nodiscard]] std::vector<double> score_candidates_parallel(
     BlackBoxModel& model, std::span<const Candidate> candidates,
     std::uint16_t observed_next, std::span<const double> prior,

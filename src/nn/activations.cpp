@@ -1,6 +1,7 @@
 #include "nn/activations.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -14,10 +15,12 @@ namespace pelican::nn {
 
 namespace {
 
+using simd::vdouble;
 using simd::vfloat;
 using simd::vint;
 using simd::vmask;
 using simd::vuint;
+using simd::vulong;
 
 constexpr float from_bits(std::uint32_t bits) {
   return std::bit_cast<float>(bits);
@@ -117,22 +120,102 @@ constexpr float kQ5 = from_bits(0xb457edbb);
                                             (ia & kSignBit)));
 }
 
-}  // namespace
+// glibc 2.36 expf's constants (e_expf.c and __exp2f_data, N = 32).
+constexpr double kInvLn2N = 0x1.71547652b82fep0 * 32;
+constexpr double kShift = 0x1.8p52;
+constexpr double kExpC0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-1 / 32;
+/// bits(2^(i/32)) - (i << 47), so that adding k << 47 for any k = i
+/// (mod 32) gives 2^(k/32) (printed once from exp2l).
+constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540};
+/// The two inputs at which glibc's FMA expf (the build glibc picks on CPUs
+/// with FMA and AVX2) rounds one ulp above its SSE2 build, which this
+/// kernel's unfused operation order reproduces; and the FMA build's bits.
+constexpr std::array<std::array<std::uint32_t, 2>, 2> kFmaExpfPatch = {{
+    {0x4202422f, 0x56fc9f1c},
+    {0xc27c65d9, 0x11fa2993},
+}};
 
-void tanh(std::span<float> xs) noexcept {
+/// glibc expf's main path in every double lane, in its operation order:
+/// x 32 / ln2 = k + r, and
+/// exp(x) = 2^(k/32) 2^(r/32) ~= s (C0 r^3 + C1 r^2 + C2 r + 1).
+[[gnu::always_inline]] inline vdouble expf_main(vdouble x) noexcept {
+  const vdouble z = kInvLn2N * x;
+  const vdouble shifted = z + kShift;  // rounds z to an integer k
+  const vulong ki = std::bit_cast<vulong>(shifted);
+  const vdouble r = z - (shifted - kShift);
+  const vdouble s = std::bit_cast<vdouble>(
+      simd::lookup(kExp2Table, ki % 32) + (ki << 47));
+  const vdouble p = kExpC0 * r + kExpC1;
+  const vdouble r2 = r * r;
+  const vdouble y = kExpC2 * r + 1.0;
+  return (p * r2 + y) * s;
+}
+
+/// glibc expf in every lane. Every input with |x| <= 32 takes the main
+/// path. A vector holding a larger |x| also runs expf's |x| >= 88 and NaN
+/// branch and the FMA build's two inputs (both above 32) by mask; gate
+/// pre-activations almost never reach that far.
+[[gnu::always_inline]] inline vfloat expf_lanes(vfloat x) noexcept {
+  const vint bits = std::bit_cast<vint>(x);
+  const vint abs_bits = bits & std::numeric_limits<std::int32_t>::max();
+  vfloat e = simd::in_double<expf_main>(x);
+  if (simd::any(abs_bits > 0x42000000)) [[unlikely]] {
+    for (const auto& [input, result] : kFmaExpfPatch) {
+      e = simd::select(bits == static_cast<std::int32_t>(input),
+                       simd::broadcast(from_bits(result)), e);
+    }
+    // Above log(0x1p128) expf overflows to inf, and below log(0x1p-150)
+    // (-inf included) it underflows to +0; NaN returns x + x.
+    e = simd::select(
+        x > 0x1.62e42ep6f,
+        simd::broadcast(std::numeric_limits<float>::infinity()), e);
+    e = simd::select(x < -0x1.9fe368p6f, simd::broadcast(0.0f), e);
+    e = simd::select(abs_bits > 0x7f800000, x + x, e);
+  }
+  return e;
+}
+
+/// 1 / (1 + expf(-x)) in every lane.
+[[gnu::always_inline]] inline vfloat sigmoid_lanes(vfloat x) noexcept {
+  return 1.0f / (1.0f + expf_lanes(-x));
+}
+
+/// Runs the lane kernel over `xs` in place, kSimdWidth at a time; a ragged
+/// tail runs the same kernel on a padded vector.
+template <vfloat (*kLanes)(vfloat) noexcept>
+[[gnu::always_inline]] inline void apply_lanes(std::span<float> xs) noexcept {
   float* p = xs.data();
   const std::size_t n = xs.size();
   std::size_t j = 0;
   for (; j + kSimdWidth <= n; j += kSimdWidth) {
-    simd::store(p + j, tanh_lanes(simd::load(p + j)));
+    simd::store(p + j, kLanes(simd::load(p + j)));
   }
   if (j < n) {
     float padded[kSimdWidth] = {};
     std::copy(p + j, p + n, padded);
-    simd::store(padded, tanh_lanes(simd::load(padded)));
+    simd::store(padded, kLanes(simd::load(padded)));
     std::copy_n(padded, n - j, p + j);
   }
 }
+
+}  // namespace
+
+void sigmoid(std::span<float> xs) noexcept { apply_lanes<sigmoid_lanes>(xs); }
+
+void tanh(std::span<float> xs) noexcept { apply_lanes<tanh_lanes>(xs); }
 
 void lstm_gate_pass(float* gates, const float* bias, const float* c_prev,
                     float* c_out, float* tanh_c_out, float* h_out,
@@ -141,13 +224,10 @@ void lstm_gate_pass(float* gates, const float* bias, const float* c_prev,
   float* gf = gates + hidden;
   float* gg = gates + 2 * hidden;
   float* go = gates + 3 * hidden;
-  for (std::size_t j = 0; j < hidden; ++j) {
-    gi[j] = sigmoid(gi[j] + bias[j]);
-    gf[j] = sigmoid(gf[j] + bias[hidden + j]);
-    gg[j] += bias[2 * hidden + j];
-    go[j] = sigmoid(go[j] + bias[3 * hidden + j]);
-  }
+  for (std::size_t j = 0; j < 4 * hidden; ++j) gates[j] += bias[j];
+  sigmoid({gi, 2 * hidden});  // i and f are adjacent
   tanh({gg, hidden});
+  sigmoid({go, hidden});
   for (std::size_t j = 0; j < hidden; ++j) {
     c_out[j] = gf[j] * c_prev[j] + gi[j] * gg[j];
   }

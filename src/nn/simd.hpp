@@ -1,6 +1,6 @@
 // Internal explicit-SIMD helpers shared by the nn kernels (matrix.cpp,
-// quant.cpp). GCC/Clang generic vector extensions, width probed at compile
-// time (kSimdWidth below).
+// quant.cpp, activations.cpp). GCC/Clang generic vector extensions, width
+// probed at compile time (kSimdWidth below).
 //
 // Why explicit vectors instead of trusting the auto-vectorizer: the default
 // -O2 cost model refuses runtime-trip-count loops, so the axpy kernels'
@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 namespace pelican::nn {
 
@@ -80,6 +81,55 @@ inline vfloat to_float(vint v) noexcept {
   return __builtin_convertvector(v, vfloat);
 }
 
+/// Double lanes, for kernels that port a libm routine computing in double
+/// (glibc's expf). A vfloat's lanes widen in two halves, each a vdouble of
+/// the vfloat's own size, so no value that crosses a call is wider than a
+/// vfloat (a 32-byte vector passed without AVX changes the ABI, which
+/// -Wpsabi reports).
+inline constexpr std::size_t kDoubleWidth = kSimdWidth / 2;
+using vdouble
+    __attribute__((vector_size(kDoubleWidth * sizeof(double)))) = double;
+using vulong
+    __attribute__((vector_size(kDoubleWidth * sizeof(std::uint64_t)))) =
+        std::uint64_t;
+
+template <vdouble (*kFn)(vdouble) noexcept, std::size_t... I>
+[[gnu::always_inline]] inline vfloat in_double(
+    vfloat v, std::index_sequence<I...>) noexcept {
+  // All lanes widen and narrow at once (cvtps2pd on each half, not one
+  // convert per lane), in a vector that never leaves this body.
+  using vwide
+      __attribute__((vector_size(kSimdWidth * sizeof(double)))) = double;
+  const vwide wide = __builtin_convertvector(v, vwide);
+  const vdouble lo = kFn(__builtin_shufflevector(wide, wide, I...));
+  const vdouble hi =
+      kFn(__builtin_shufflevector(wide, wide, (I + kDoubleWidth)...));
+  return __builtin_convertvector(
+      __builtin_shufflevector(lo, hi, I..., (I + kDoubleWidth)...), vfloat);
+}
+
+/// Per lane: (float)kFn((double)v), with kFn run on each half of the lanes.
+template <vdouble (*kFn)(vdouble) noexcept>
+[[gnu::always_inline]] inline vfloat in_double(vfloat v) noexcept {
+  return in_double<kFn>(v, std::make_index_sequence<kDoubleWidth>());
+}
+
+/// Whether any lane of `m` is set.
+inline bool any(vmask m) noexcept {
+  std::uint64_t words[sizeof(m) / sizeof(std::uint64_t)];
+  std::memcpy(words, &m, sizeof(m));
+  std::uint64_t set = 0;
+  for (const std::uint64_t word : words) set |= word;
+  return set != 0;
+}
+
+/// Per lane: table[index]; every index must be in range.
+inline vulong lookup(const std::uint64_t* table, vulong index) noexcept {
+  vulong v;
+  for (std::size_t i = 0; i < kDoubleWidth; ++i) v[i] = table[index[i]];
+  return v;
+}
+
 inline vfloat load(const float* p) noexcept {
   vfloat v;
   std::memcpy(&v, p, sizeof(v));
@@ -111,6 +161,17 @@ inline V select(vmask m, V a, V b) noexcept {
 }
 inline vint to_int(vfloat v) noexcept { return static_cast<vint>(v); }
 inline vfloat to_float(vint v) noexcept { return static_cast<vfloat>(v); }
+inline constexpr std::size_t kDoubleWidth = 1;
+using vdouble = double;
+using vulong = std::uint64_t;
+template <vdouble (*kFn)(vdouble) noexcept>
+inline vfloat in_double(vfloat v) noexcept {
+  return static_cast<vfloat>(kFn(v));
+}
+inline bool any(vmask m) noexcept { return m; }
+inline vulong lookup(const std::uint64_t* table, vulong index) noexcept {
+  return table[index];
+}
 inline vfloat load(const float* p) noexcept { return *p; }
 inline void store(float* p, vfloat v) noexcept { *p = v; }
 #endif

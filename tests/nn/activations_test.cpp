@@ -12,6 +12,7 @@
 #include "nn/simd.hpp"
 #include "nn/sparse.hpp"
 #include "support/fdlibm_tanhf.hpp"
+#include "support/glibc_expf.hpp"
 
 namespace pelican::nn {
 namespace {
@@ -39,19 +40,29 @@ std::vector<float> grid(float lo, float hi, std::size_t n) {
 // 1, 3).
 const std::size_t kTailSizes[] = {17, 33, 127};
 
-TEST(Activations, SigmoidIsTheOneDefinition) {
-  // The hoisted scalar sigmoid (formerly file-local in lstm.cpp).
-  EXPECT_FLOAT_EQ(sigmoid(0.0f), 0.5f);
-  for (const float x : grid(-20.0f, 20.0f, 101)) {
-    EXPECT_TRUE(same_bits(sigmoid(x), 1.0f / (1.0f + std::exp(-x)))) << x;
-  }
-  EXPECT_GT(sigmoid(5.0f), 0.99f);
-  EXPECT_LT(sigmoid(-5.0f), 0.01f);
-}
-
 using testing::bits_of;
 using testing::fdlibm_tanhf;
 using testing::float_from_bits;
+using testing::glibc_expf;
+
+/// The scalar sigmoid the lane kernel must match: the seed's gate-loop
+/// formula over the scalar glibc expf reference.
+float reference_sigmoid(float x) { return 1.0f / (1.0f + glibc_expf(-x)); }
+
+TEST(Activations, SigmoidIsTheOneDefinition) {
+  std::vector<float> xs = grid(-20.0f, 20.0f, 101);
+  xs.insert(xs.end(), {0.0f, 5.0f, -5.0f});
+  std::vector<float> ys = xs;
+  sigmoid(ys);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_TRUE(same_bits(ys[i], reference_sigmoid(xs[i]))) << xs[i];
+    EXPECT_GT(ys[i], 0.0f) << xs[i];
+    EXPECT_LE(ys[i], 1.0f) << xs[i];
+  }
+  EXPECT_EQ(ys[101], 0.5f);
+  EXPECT_GT(ys[102], 0.99f);
+  EXPECT_LT(ys[103], 0.01f);
+}
 
 /// A strided sweep over all 2^32 bit patterns: every 4093rd, about a
 /// million inputs, across every exponent and both signs.
@@ -104,20 +115,24 @@ std::vector<float> boundaries() {
   return xs;
 }
 
-/// Runs nn::tanh over `xs` from kSimdWidth start offsets, so that every
-/// input sits in every lane position once (and every ragged tail length
-/// runs), and counts the results whose bits differ from `expected`.
-std::size_t kernel_mismatches(const std::vector<float>& xs,
+using Kernel = void (*)(std::span<float>) noexcept;
+
+/// Runs `kernel` (nn::tanh or nn::sigmoid) over `xs` from kSimdWidth start
+/// offsets, so that every input sits in every lane position once (and
+/// every ragged tail length runs), and counts the results whose bits
+/// differ from `expected`.
+std::size_t kernel_mismatches(Kernel kernel, const char* name,
+                              const std::vector<float>& xs,
                               const std::vector<float>& expected) {
   std::size_t mismatches = 0;
   for (std::size_t shift = 0; shift < kSimdWidth; ++shift) {
     std::vector<float> lanes(shift, 0.5f);
     lanes.insert(lanes.end(), xs.begin(), xs.end());
-    nn::tanh(lanes);
+    kernel(lanes);
     for (std::size_t i = 0; i < xs.size(); ++i) {
       if (same_bits(lanes[shift + i], expected[i])) continue;
       if (++mismatches <= 5) {
-        ADD_FAILURE() << std::hex << "tanh(0x" << bits_of(xs[i])
+        ADD_FAILURE() << name << std::hex << "(0x" << bits_of(xs[i])
                       << ") in lane " << std::dec
                       << (shift + i) % kSimdWidth << ": kernel 0x" << std::hex
                       << bits_of(lanes[shift + i]) << ", expected 0x"
@@ -134,7 +149,8 @@ TEST(Activations, TanhKernelMatchesScalarFdlibmBitForBit) {
     for (std::size_t i = 0; i < xs.size(); ++i) {
       expected[i] = fdlibm_tanhf(xs[i]);
     }
-    EXPECT_EQ(kernel_mismatches(xs, expected), 0u) << xs.size() << " inputs";
+    EXPECT_EQ(kernel_mismatches(nn::tanh, "tanh", xs, expected), 0u)
+        << xs.size() << " inputs";
   }
 }
 
@@ -146,7 +162,64 @@ TEST(Activations, TanhKernelMatchesLibmWhereLibmIsFdlibm) {
   for (const std::vector<float>& xs : {boundaries(), strided_sweep()}) {
     std::vector<float> expected(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i) expected[i] = std::tanh(xs[i]);
-    EXPECT_EQ(kernel_mismatches(xs, expected), 0u) << xs.size() << " inputs";
+    EXPECT_EQ(kernel_mismatches(nn::tanh, "tanh", xs, expected), 0u)
+        << xs.size() << " inputs";
+  }
+}
+
+/// Every edge of expf's branches, for its argument -x and 1 ulp either
+/// side, in both signs (so each edge of the sigmoid's own argument too):
+/// zeros and subnormals, |x| = 88 (where its |x| >= 88 branch starts), the
+/// overflow edge 0x1.62e42ep6, the underflow edges -0x1.9fe368p6 and
+/// -0x1.9d1d9ep6 (glibc's errno-only edge, on the main path here), the two
+/// inputs where glibc's FMA and SSE2 builds differ, infinities, and quiet
+/// and signalling NaNs with payloads.
+std::vector<float> expf_boundaries() {
+  const std::uint32_t magnitudes[] = {
+      0x00000000, 0x00000001, 0x00000002, 0x00400000, 0x007fffff,
+      0x00800000, 0x00800001, 0x42b00000, bits_of(0x1.62e42ep6f),
+      bits_of(0x1.9fe368p6f), bits_of(0x1.9d1d9ep6f), 0x4202422f,
+      0x427c65d9, 0x7f7fffff};
+  std::vector<float> xs;
+  for (const std::uint32_t m : magnitudes) {
+    for (const std::uint32_t b : {m - 1, m, m + 1}) {
+      if (b > 0x7f7fffffu) continue;  // the wrap below 0 and past max finite
+      xs.push_back(float_from_bits(b));
+      xs.push_back(float_from_bits(b | 0x80000000u));
+    }
+  }
+  for (const std::uint32_t b :
+       {0x7f800000u, 0xff800000u,                            // +-inf
+        0x7fc00000u, 0xffc00000u, 0x7fc00001u, 0xffffffffu,  // quiet NaNs
+        0x7f800001u, 0xff800001u, 0x7fa00000u, 0x7fbfffffu}) {  // signalling
+    xs.push_back(float_from_bits(b));
+  }
+  return xs;
+}
+
+TEST(Activations, SigmoidKernelMatchesScalarGlibcBitForBit) {
+  for (const std::vector<float>& xs : {expf_boundaries(), strided_sweep()}) {
+    std::vector<float> expected(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      expected[i] = reference_sigmoid(xs[i]);
+    }
+    EXPECT_EQ(kernel_mismatches(nn::sigmoid, "sigmoid", xs, expected), 0u)
+        << xs.size() << " inputs";
+  }
+}
+
+TEST(Activations, SigmoidKernelMatchesLibmWhereLibmIsGlibcFma) {
+  if (!testing::libm_expf_is_glibc_fma()) {
+    GTEST_SKIP() << "this libm's expf is not glibc's FMA build (it differs "
+                    "at the probe input), so its bits are not the kernel's";
+  }
+  for (const std::vector<float>& xs : {expf_boundaries(), strided_sweep()}) {
+    std::vector<float> expected(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      expected[i] = 1.0f / (1.0f + std::exp(-xs[i]));
+    }
+    EXPECT_EQ(kernel_mismatches(nn::sigmoid, "sigmoid", xs, expected), 0u)
+        << xs.size() << " inputs";
   }
 }
 
@@ -161,15 +234,15 @@ TEST(Activations, FusedGatePassExactMatchesUnfusedReference) {
     for (auto& v : c_prev) v = rng.normal();
 
     // Unfused reference: bias add sweep, then the seed's scalar gate loop,
-    // with the scalar fdlibm tanhf as its tanh.
+    // with the scalar glibc expf and fdlibm tanhf as its libm.
     std::vector<float> ref_gates = gates;
     for (std::size_t i = 0; i < 4 * hidden; ++i) ref_gates[i] += bias[i];
     std::vector<float> ref_c(hidden), ref_tanh_c(hidden), ref_h(hidden);
     for (std::size_t j = 0; j < hidden; ++j) {
-      const float i_g = sigmoid(ref_gates[j]);
-      const float f_g = sigmoid(ref_gates[hidden + j]);
+      const float i_g = reference_sigmoid(ref_gates[j]);
+      const float f_g = reference_sigmoid(ref_gates[hidden + j]);
       const float g_g = fdlibm_tanhf(ref_gates[2 * hidden + j]);
-      const float o_g = sigmoid(ref_gates[3 * hidden + j]);
+      const float o_g = reference_sigmoid(ref_gates[3 * hidden + j]);
       ref_gates[j] = i_g;
       ref_gates[hidden + j] = f_g;
       ref_gates[2 * hidden + j] = g_g;

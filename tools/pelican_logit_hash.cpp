@@ -24,9 +24,19 @@
 //
 //   train <16 hex digits>
 //
-// A change that must keep served bits (a kernel rewrite, a new inference
-// path) builds this tool on both trees and compares the five lines. The
-// tool itself exits 1 when a dense and a sparse query of the same input
+// The five lines are committed in tools/logit_hash.golden. With
+// `--golden <file>` the tool compares its output against that file and
+// exits 1, printing both, when they differ; a change that must keep served
+// and trained bits (a kernel rewrite, a new inference path) thus fails the
+// tools_logit_hash_smoke test instead of needing a build of its parent. The
+// lines also depend on the libm calls outside the lane kernels (the double
+// exp of the privacy layer's softmax, the training loss), which glibc runs
+// as an FMA or an SSE2 build depending on the CPU. So the comparison runs
+// only where std::exp(float) shows glibc's FMA build (the probe of
+// tests/support/glibc_expf.hpp), the build the golden lines come from, and
+// is reported as skipped elsewhere.
+//
+// The tool also exits 1 when a dense and a sparse query of the same input
 // differ, when a row of a prefix batch differs from that row queried
 // alone, or when dense and sparse training end on different weights; the
 // nn contract forbids all three.
@@ -34,8 +44,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -47,6 +60,7 @@
 #include "nn/model.hpp"
 #include "nn/sparse.hpp"
 #include "nn/trainer.hpp"
+#include "support/glibc_expf.hpp"
 
 namespace {
 
@@ -297,9 +311,51 @@ int hash_training(std::uint64_t& hash) {
   return mismatches;
 }
 
+/// The hash lines of a golden file: every non-empty line not starting
+/// with '#'. Returns false when the file cannot be read.
+bool read_golden(const char* path, std::string& lines) {
+  std::ifstream in(path);
+  if (!in) return false;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') lines += line + "\n";
+  }
+  return true;
+}
+
+/// Compares `lines` against the golden file at `path`; returns the number
+/// of failures (0 or 1).
+int check_golden(const char* path, const std::string& lines) {
+  if (!testing::libm_expf_is_glibc_fma()) {
+    std::printf("golden: skipped (this libm's expf is not glibc's FMA "
+                "build, which the golden lines come from)\n");
+    return 0;
+  }
+  std::string golden;
+  if (!read_golden(path, golden)) {
+    std::fprintf(stderr, "golden: cannot read %s\n", path);
+    return 1;
+  }
+  if (golden != lines) {
+    std::fprintf(stderr,
+                 "golden: the served or trained bits changed.\n"
+                 "--- %s\n%s--- this build\n%s",
+                 path, golden.c_str(), lines.c_str());
+    return 1;
+  }
+  std::printf("golden: all lines match %s\n", path);
+  return 0;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* golden_path = nullptr;
+  if (argc == 3 && std::string_view(argv[1]) == "--golden") {
+    golden_path = argv[2];
+  } else if (argc != 1) {
+    std::fprintf(stderr, "usage: %s [--golden <file>]\n", argv[0]);
+    return 2;
+  }
   const mobility::EncodingSpec spec{mobility::SpatialLevel::kBuilding, 40};
   std::uint64_t fp32_hash = kFnvOffset;
   std::uint64_t int8_hash = kFnvOffset;
@@ -350,14 +406,22 @@ int main() {
   std::uint64_t int8_prefix_hash = kFnvOffset;
   mismatches += hash_prefix_batches(spec, fp32_prefix_hash, int8_prefix_hash);
 
-  std::printf("fp32 %016llx\n", static_cast<unsigned long long>(fp32_hash));
-  std::printf("int8 %016llx\n", static_cast<unsigned long long>(int8_hash));
-  std::printf("fp32-prefix %016llx\n",
-              static_cast<unsigned long long>(fp32_prefix_hash));
-  std::printf("int8-prefix %016llx\n",
-              static_cast<unsigned long long>(int8_prefix_hash));
   std::uint64_t train_hash = kFnvOffset;
   mismatches += hash_training(train_hash);
-  std::printf("train %016llx\n", static_cast<unsigned long long>(train_hash));
+
+  std::string lines;
+  const auto add_line = [&](const char* name, std::uint64_t hash) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "%s %016llx\n", name,
+                  static_cast<unsigned long long>(hash));
+    lines += line;
+  };
+  add_line("fp32", fp32_hash);
+  add_line("int8", int8_hash);
+  add_line("fp32-prefix", fp32_prefix_hash);
+  add_line("int8-prefix", int8_prefix_hash);
+  add_line("train", train_hash);
+  std::fputs(lines.c_str(), stdout);
+  if (golden_path != nullptr) mismatches += check_golden(golden_path, lines);
   return mismatches == 0 ? 0 : 1;
 }
