@@ -8,7 +8,7 @@
 
 #include "nn/simd.hpp"
 
-// This file builds with -ffp-contract=off (src/nn/CMakeLists.txt): an
+// Every target builds with -ffp-contract=off (root CMakeLists.txt): an
 // FMA-capable -march would otherwise fuse a * b + c here and change bits.
 
 namespace pelican::nn {

@@ -49,7 +49,7 @@ void tanh(std::span<float> xs) noexcept;
 /// and both tanh through nn::tanh, so the row is swept a few times while
 /// it sits in cache. This is bit-identical to the unfused
 /// bias-then-activate sequence: g + b is the identical float add, and each
-/// element's operation chain is unchanged (activations.cpp is built with
+/// element's operation chain is unchanged (every target is built with
 /// -ffp-contract=off, so no a * b + c is fused).
 void lstm_gate_pass(float* gates, const float* bias, const float* c_prev,
                     float* c_out, float* tanh_c_out, float* h_out,

@@ -11,6 +11,15 @@
 // the scalar loop it replaces — lanes are independent elements, nothing
 // reassociates across k — so vectorized kernels stay bit-identical to their
 // scalar forms and the matrix.hpp contract is unaffected.
+//
+// Width: a default build on a host that runs x86-64-v3 compiles every target
+// for it (root CMakeLists.txt), so vectors are 8 floats (AVX2) there; an
+// explicit -DCMAKE_CXX_FLAGS=-march=x86-64 gives 4 (SSE2). Every width
+// computes the same bits, because nothing is built with FMA contraction.
+// Only nn's .cpp files and their unit test include this header, and no
+// public header may carry a lane type: bench/e2e builds its own objects at
+// its own level, and the linker keeps one copy of an inline function that
+// both sides instantiate, the first in link order.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 // Fixture: an nn kernel violating the ascending-k accumulation contract in
-// all four ways the determinism lint detects. Never compiled; used only by
+// all four ways the determinism lint detects in source (the build-flag
+// classes fire on CMakeLists.txt beside it). Never compiled; used only by
 // tests/lint/lint_selftest.sh.
 #include <numeric>
 #include <vector>

@@ -1,9 +1,15 @@
-// Property sweep: all three GEMM variants must agree with the reference
-// triple loop across a grid of shapes, including degenerate (1-sized) and
-// parallel-path (large) shapes.
+// Property sweep: all three GEMM variants must return the bits of the
+// reference triple loop, which sums each element's k terms in ascending-k
+// order in one chain from +0.0f (the nn/matrix.hpp contract), across a grid
+// of shapes: degenerate (1-sized) ones, every vector tail at 4, 8 and 16
+// lanes (n = 1..33), the brute-force attack's layer-2 input product and
+// parallel-path (large) ones.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/matrix.hpp"
@@ -27,6 +33,17 @@ Matrix naive(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+void expect_same_bits(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.flat()[i]),
+              std::bit_cast<std::uint32_t>(want.flat()[i]))
+        << "index " << i << ": " << got.flat()[i] << " vs "
+        << want.flat()[i];
+  }
+}
+
 Matrix transpose(const Matrix& m) {
   Matrix out(m.cols(), m.rows());
   for (std::size_t r = 0; r < m.rows(); ++r) {
@@ -45,7 +62,8 @@ class MatmulShapeSweep : public ::testing::TestWithParam<Shape> {
     b_ = Matrix::randn(static_cast<std::size_t>(k),
                        static_cast<std::size_t>(n), 1.0f, rng);
     expected_ = naive(a_, b_);
-    // Tolerance grows with the reduction length (float accumulation).
+    // Accumulating onto an existing value continues its chain, so that
+    // check alone allows rounding; the tolerance grows with k.
     tol_ = 1e-5f * static_cast<float>(k) + 1e-4f;
   }
 
@@ -56,29 +74,21 @@ class MatmulShapeSweep : public ::testing::TestWithParam<Shape> {
 TEST_P(MatmulShapeSweep, PlainMatchesReference) {
   Matrix out;
   matmul(a_, b_, out);
-  ASSERT_EQ(out.rows(), expected_.rows());
-  ASSERT_EQ(out.cols(), expected_.cols());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_NEAR(out.flat()[i], expected_.flat()[i], tol_) << "index " << i;
-  }
+  expect_same_bits(out, expected_);
 }
 
 TEST_P(MatmulShapeSweep, TransposedBMatchesReference) {
   const Matrix bt = transpose(b_);
   Matrix out;
   matmul_bt(a_, bt, out);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_NEAR(out.flat()[i], expected_.flat()[i], tol_) << "index " << i;
-  }
+  expect_same_bits(out, expected_);
 }
 
 TEST_P(MatmulShapeSweep, TransposedAMatchesReference) {
   const Matrix at = transpose(a_);
   Matrix out;
   matmul_at(at, b_, out);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_NEAR(out.flat()[i], expected_.flat()[i], tol_) << "index " << i;
-  }
+  expect_same_bits(out, expected_);
 }
 
 TEST_P(MatmulShapeSweep, AccumulateEqualsTwoApplications) {
@@ -90,11 +100,18 @@ TEST_P(MatmulShapeSweep, AccumulateEqualsTwoApplications) {
   }
 }
 
+std::vector<Shape> shapes() {
+  std::vector<Shape> out{Shape{1, 1, 1},    Shape{1, 7, 3},
+                         Shape{5, 1, 4},    Shape{3, 4, 1},
+                         Shape{8, 16, 8},   Shape{17, 13, 29},
+                         Shape{64, 96, 80}, Shape{130, 150, 128},
+                         Shape{1024, 24, 96}};
+  for (int n = 1; n <= 33; ++n) out.emplace_back(5, 7, n);
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, MatmulShapeSweep,
-    ::testing::Values(Shape{1, 1, 1}, Shape{1, 7, 3}, Shape{5, 1, 4},
-                      Shape{3, 4, 1}, Shape{8, 16, 8}, Shape{17, 13, 29},
-                      Shape{64, 96, 80}, Shape{130, 150, 128}),
+    Shapes, MatmulShapeSweep, ::testing::ValuesIn(shapes()),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return "m" + std::to_string(std::get<0>(info.param)) + "k" +
              std::to_string(std::get<1>(info.param)) + "n" +

@@ -4,8 +4,8 @@
 // bit for bit, and it shares no code with that kernel: expm1f keeps every
 // branch, including those tanhf never reaches.
 //
-// Build what includes this with -ffp-contract=off, as the kernel is: a
-// fused a * b + c would change the reference's bits.
+// Every target builds with -ffp-contract=off (root CMakeLists.txt), as
+// it must: a fused a * b + c would change the reference's bits.
 #pragma once
 
 #include <bit>

@@ -7,8 +7,8 @@
 //
 // glibc builds expf twice on x86-64 and picks one at run time: an FMA build
 // on CPUs with FMA and AVX2, and an SSE2 build elsewhere. This rewrite is
-// the SSE2 build's operation order (build what includes it with
-// -ffp-contract=off, as the kernel is), plus the two inputs where the FMA
+// the SSE2 build's operation order (every target builds with
+// -ffp-contract=off, as it must), plus the two inputs where the FMA
 // build rounds differently (kFmaExpfPatch), so it returns the FMA build's
 // bits on every input.
 #pragma once

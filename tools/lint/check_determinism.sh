@@ -5,7 +5,9 @@
 # thread count, and quantization path (README "Performance architecture").
 # That promise rests on ONE accumulation discipline: every output element is
 # accumulated in ascending-k order, single-threaded within an element, with
-# no reassociation. This lint greps src/nn for the constructs that break it:
+# no reassociation, and on a code generation that keeps each operation's
+# IEEE rounding. This lint greps src/nn for the constructs that break the
+# first:
 #
 #   * #pragma omp            — OpenMP parallel reductions reassociate;
 #                              parallelism belongs in common/thread_pool,
@@ -18,6 +20,18 @@
 #                              reverses the chain and changes the bits;
 #                              backward TIME iteration (BPTT's `ti`) is fine,
 #                              so only induction variables named `k` trip this
+#
+# and every git-tracked CMake file (CMakeLists.txt, *.cmake; outside a git
+# checkout, every one below the root but build trees and lint fixtures),
+# skipping comment lines, for the build flags that break the second:
+#
+#   * -ffast-math, -Ofast, -fassociative-math, -funsafe-math-optimizations,
+#     -ffp-contract=fast or =on, in any CMake file: they reassociate sums
+#     or fuse a * b + c into one rounding
+#   * -march=, -mfma or -ffp-contract in any CMake file but the root
+#     CMakeLists.txt: the root sets the ISA level and -ffp-contract=off
+#     once for every target, and a per-target or per-file setting forks the
+#     code generation the kernels' bits rest on
 #
 # --root DIR  lint a tree other than the repo root (self-tests point this at
 #             fixture trees under tests/lint/).
@@ -61,7 +75,24 @@ report "std::execution policies make accumulation reorderable" \
 report "descending-k loop reverses the accumulation chain" \
   "$(grep -Hn 'for[[:space:]]*(.*\(k--\|--k\|k[[:space:]]*-=\)' $files)"
 
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  cmake_files=$(git ls-files -- '*CMakeLists.txt' '*.cmake' \
+    ':!:tests/lint/fixtures')
+else
+  cmake_files=$(find . \( -name 'build*' -o -name .git -o \
+    -path ./tests/lint/fixtures \) -prune -o \
+    \( -name CMakeLists.txt -o -name '*.cmake' \) -print | sed 's|^\./||')
+fi
+flag_grep() {  # flag_grep <regex> <files...>: matches outside comment lines
+  [[ $# -gt 1 ]] || return 0
+  grep -HnE -e "$1" "${@:2}" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*#'
+}
+report "unsafe-math build flag reassociates or fuses arithmetic" \
+  "$(flag_grep '-f(fast-math|associative-math|unsafe-math-optimizations)|-Ofast|-ffp-contract=(fast|on)' $cmake_files)"
+report "ISA or contraction flag set outside the root CMakeLists.txt" \
+  "$(flag_grep '-march=|-mfma|-ffp-contract' $(grep -vx CMakeLists.txt <<<"$cmake_files"))"
+
 if [[ $status -eq 0 ]]; then
-  echo "determinism OK: nn kernels accumulate in ascending-k order, serially per element"
+  echo "determinism OK: nn kernels accumulate in ascending-k order, serially per element; no CMake file loosens floating-point code generation"
 fi
 exit $status
