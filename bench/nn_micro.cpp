@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -333,6 +334,72 @@ void write_kernel_table() {
     table.add_row({"gemm_bt_b1_256x1024", Table::num(legacy_ms, 5),
                    Table::num(packed_ms, 5),
                    Table::num(legacy_ms / packed_ms, 2) + "x"});
+  }
+
+  // The dense products at the shapes the workloads run, each against the
+  // ascending-k triple loop whose bits it must return (nn/matrix.hpp):
+  // gemm_b1024_k24_n96, the attack's layer-2/3 input product against a
+  // packed panel; gemm_bt_b1024_k24_n12, its 12-location head;
+  // gemm_at_k128_m96_n24, a weight gradient at the general model's batch
+  // of 128.
+  {
+    Rng data_rng(51);
+    const Matrix x = Matrix::randn(1024, 24, 1.0f, data_rng);
+    const Matrix panel = Matrix::randn(24, 96, 1.0f, data_rng);
+    const Matrix head = Matrix::randn(12, 24, 1.0f, data_rng);
+    const Matrix dgates = Matrix::randn(128, 96, 1.0f, data_rng);
+    const Matrix input = Matrix::randn(128, 24, 1.0f, data_rng);
+    Matrix out, want;
+    // want(i, j) = sum over kk of lhs(i, kk) * rhs(kk, j), one chain from
+    // +0 per element.
+    const auto triple_loop = [&](std::size_t m, std::size_t k, std::size_t n,
+                                 auto lhs, auto rhs) {
+      want.resize(m, n);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          float total = 0.0f;
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            total += lhs(i, kk) * rhs(kk, j);
+          }
+          want(i, j) = total;
+        }
+      }
+    };
+    const auto add_gemm_row = [&](const std::string& name, auto baseline,
+                                  auto kernel) {
+      baseline();
+      kernel();
+      if (out != want) {
+        std::cerr << "WARNING: " << name
+                  << " diverged from its ascending-k triple loop\n";
+      }
+      const double loop_ms = time_ms(baseline);
+      const double kernel_ms = time_ms(kernel);
+      table.add_row({name, Table::num(loop_ms, 5), Table::num(kernel_ms, 5),
+                     Table::num(loop_ms / kernel_ms, 2) + "x"});
+    };
+    add_gemm_row(
+        "gemm_b1024_k24_n96",
+        [&] {
+          triple_loop(1024, 24, 96, [&](auto i, auto kk) { return x(i, kk); },
+                      [&](auto kk, auto j) { return panel(kk, j); });
+        },
+        [&] { matmul(x, panel, out); });
+    add_gemm_row(
+        "gemm_bt_b1024_k24_n12",
+        [&] {
+          triple_loop(1024, 24, 12, [&](auto i, auto kk) { return x(i, kk); },
+                      [&](auto kk, auto j) { return head(j, kk); });
+        },
+        [&] { matmul_bt(x, head, out); });
+    add_gemm_row(
+        "gemm_at_k128_m96_n24",
+        [&] {
+          triple_loop(96, 128, 24,
+                      [&](auto i, auto kk) { return dgates(kk, i); },
+                      [&](auto kk, auto j) { return input(kk, j); });
+        },
+        [&] { matmul_at(dgates, input, out); });
   }
 
   // gate_fwd: the seed's serving path (seed_forward_sparse — checked

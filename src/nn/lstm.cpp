@@ -95,7 +95,7 @@ Sequence Lstm::run_forward(const std::vector<Rows>& input, Cache& cache,
 
   // The recurrence weight is invariant across timesteps, so one pack is
   // shared by every step's product when the total work amortizes it: the
-  // packed axpy kernel vectorizes across the 4H gate columns (nn/simd.hpp),
+  // packed kernel vectorizes across the 4H gate columns (nn/simd.hpp),
   // where the no-pack dot kernel is one serial chain per column. Very short
   // batch-1 windows stay on matmul_bt's dot kernel, which beats paying the
   // pack. Both forms compute each gate element's product chain from +0 —

@@ -15,56 +15,122 @@ namespace {
 /// Below this many multiply-adds the parallel split costs more than it saves.
 constexpr std::size_t kParallelFlopThreshold = 1u << 21;
 
+/// Fewest output columns a batch-1 product splits across the pool.
+constexpr std::size_t kParallelMinCols = 1024;
 
-/// Output rows processed per block of the axpy kernel: the block's out rows
-/// stay hot while each panel row is streamed once per block.
-constexpr std::size_t kRowBlock = 8;
-
-/// Column tile of the axpy kernel (floats); keeps the active out tile and
-/// panel segment L1-resident when n is large.
-constexpr std::size_t kColBlock = 512;
+/// The register tile: kTileRows rows x kTileVecs vectors of output chains
+/// stay in registers for a whole ascending-k sweep (8 of SSE2's and AVX2's
+/// 16 vector registers), so each panel vector is loaded once per k for all
+/// the tile's rows and each output is loaded and stored once.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileVecs = 2;
+constexpr std::size_t kTileCols = kTileVecs * kSimdWidth;
 
 void check(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-/// The shared inner kernel: out[i0..i1) x [j0..j1) += a * panel, where
-/// `panel` is a contiguous (k x n) row-major operand. Branch-free and
-/// restrict-qualified so the j loop auto-vectorizes; every out element
-/// accumulates its k terms in ascending order in one chain, which is the
-/// determinism contract of this file (see matrix.hpp).
-void gemm_panel(const float* __restrict a, std::size_t lda,
-                const float* __restrict panel, std::size_t ldp,
-                float* __restrict out, std::size_t ldo, std::size_t k,
-                std::size_t i0, std::size_t i1, std::size_t j0,
-                std::size_t j1) {
-  for (std::size_t jb = j0; jb < j1; jb += kColBlock) {
-    const std::size_t je = std::min(j1, jb + kColBlock);
-    const std::size_t width = je - jb;
-    for (std::size_t ib = i0; ib < i1; ib += kRowBlock) {
-      const std::size_t ie = std::min(i1, ib + kRowBlock);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float* __restrict panel_row = panel + kk * ldp + jb;
-        for (std::size_t i = ib; i < ie; ++i) {
-          const float av = a[i * lda + kk];
-          float* __restrict out_row = out + i * ldo + jb;
-          // Explicit vectors (nn/simd.hpp): the default -O2 cost model
-          // leaves this runtime-width loop scalar. Lanes are independent
-          // output elements performing the same multiply-add as the scalar
-          // tail, so bits are unchanged.
-          std::size_t j = 0;
-#if PELICAN_SIMD_KERNELS
-          const simd::vfloat avv = simd::broadcast(av);
-          for (; j + kSimdWidth <= width; j += kSimdWidth) {
-            simd::store(out_row + j,
-                        simd::load(out_row + j) + avv * simd::load(panel_row + j));
-          }
-#endif
-          for (; j < width; ++j) {
-            out_row[j] += av * panel_row[j];
-          }
-        }
-      }
+/// Continues the chains of the R x (V vectors) tile at c (row stride ldc):
+/// c(r, j) += a(r, kk) * panel(kk, j) for kk = 0..k-1 in ascending order,
+/// one chain per element held in a register lane, the rows' chains never
+/// mixed. a(r, kk) is a[r * a_row + kk * a_k], so matmul_at reads its
+/// first operand transposed in place. Lanes perform the scalar chain's
+/// multiply and add, so bits equal it (the matrix.hpp contract).
+template <std::size_t R, std::size_t V>
+void register_tile(const float* __restrict a, std::size_t a_row,
+                   std::size_t a_k, const float* __restrict panel,
+                   std::size_t ldp, std::size_t k, float* __restrict c,
+                   std::size_t ldc) noexcept {
+  simd::vfloat acc[R][V];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = simd::load(c + r * ldc + v * kSimdWidth);
+    }
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    simd::vfloat p[V];
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < V; ++v) {
+      p[v] = simd::load(panel + kk * ldp + v * kSimdWidth);
+    }
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      // Vector times scalar: the compiler splats av with one broadcast.
+      const float av = a[r * a_row + kk * a_k];
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += p[v] * av;
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < V; ++v) {
+      simd::store(c + r * ldc + v * kSimdWidth, acc[r][v]);
+    }
+  }
+}
+
+/// register_tile<rows, V> for a row count up to kTileRows (the row tail
+/// runs a smaller tile).
+template <std::size_t V>
+void run_tile(std::size_t rows, const float* a, std::size_t a_row,
+              std::size_t a_k, const float* panel, std::size_t ldp,
+              std::size_t k, float* c, std::size_t ldc) noexcept {
+  switch (rows) {
+    case 1: register_tile<1, V>(a, a_row, a_k, panel, ldp, k, c, ldc); break;
+    case 2: register_tile<2, V>(a, a_row, a_k, panel, ldp, k, c, ldc); break;
+    case 3: register_tile<3, V>(a, a_row, a_k, panel, ldp, k, c, ldc); break;
+    default: register_tile<kTileRows, V>(a, a_row, a_k, panel, ldp, k, c, ldc);
+  }
+}
+
+/// The shared kernel: out[i0..i1) x [j0..j1) continues each element's
+/// chain over a * panel, where `panel` is a (k x n) row-major operand (row
+/// stride ldp) and a(i, kk) is a[i * a_row + kk * a_k]. Full strips of
+/// kTileCols columns run on the panel and out in place; the ragged last
+/// strip runs on zero-padded copies of its panel columns and outputs, so
+/// no lane reads past the panel and none stores outside [j0, j1).
+void gemm_panel(const float* a, std::size_t a_row, std::size_t a_k,
+                const float* panel, std::size_t ldp, float* out,
+                std::size_t ldo, std::size_t k, std::size_t i0,
+                std::size_t i1, std::size_t j0, std::size_t j1) {
+  static_assert(kTileVecs == 2, "the ragged strip runs 1 or 2 vectors");
+  const std::size_t tail = (j1 - j0) % kTileCols;
+  const std::size_t jt = j1 - tail;
+  // One per thread, so pool workers never share it.
+  static thread_local std::vector<float> tail_panel;
+  if (tail > 0) {
+    tail_panel.resize(k * kTileCols);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      float* dst = tail_panel.data() + kk * kTileCols;
+      std::copy_n(panel + kk * ldp + jt, tail, dst);
+      std::fill(dst + tail, dst + kTileCols, 0.0f);
+    }
+  }
+  alignas(64) float chains[kTileRows * kTileCols] = {};
+  for (std::size_t i = i0; i < i1; i += kTileRows) {
+    const std::size_t rows = std::min(kTileRows, i1 - i);
+    const float* a_tile = a + i * a_row;
+    float* out_tile = out + i * ldo;
+    for (std::size_t j = j0; j < jt; j += kTileCols) {
+      run_tile<kTileVecs>(rows, a_tile, a_row, a_k, panel + j, ldp, k,
+                          out_tile + j, ldo);
+    }
+    if (tail == 0) continue;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(out_tile + r * ldo + jt, tail, chains + r * kTileCols);
+    }
+    if (tail <= kSimdWidth) {
+      run_tile<1>(rows, a_tile, a_row, a_k, tail_panel.data(), kTileCols, k,
+                  chains, kTileCols);
+    } else {
+      run_tile<kTileVecs>(rows, a_tile, a_row, a_k, tail_panel.data(),
+                          kTileCols, k, chains, kTileCols);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(chains + r * kTileCols, tail, out_tile + r * ldo + jt);
     }
   }
 }
@@ -72,20 +138,45 @@ void gemm_panel(const float* __restrict a, std::size_t lda,
 /// Runs the panel kernel over the whole output, threading over rows when
 /// the batch allows it and over columns otherwise — the batch-1 forwards
 /// that used to be entirely serial split their single wide output row.
-void gemm_dispatch(const float* a, std::size_t lda, const float* panel,
-                   std::size_t ldp, float* out, std::size_t ldo,
-                   std::size_t m, std::size_t k, std::size_t n) {
+void gemm_dispatch(const float* a, std::size_t a_row, std::size_t a_k,
+                   const float* panel, std::size_t ldp, float* out,
+                   std::size_t ldo, std::size_t m, std::size_t k,
+                   std::size_t n) {
   const bool parallel = m * k * n >= kParallelFlopThreshold;
   if (parallel && m > 1) {
     parallel_ranges(m, 8, [&](std::size_t i0, std::size_t i1) {
-      gemm_panel(a, lda, panel, ldp, out, ldo, k, i0, i1, 0, n);
+      gemm_panel(a, a_row, a_k, panel, ldp, out, ldo, k, i0, i1, 0, n);
     });
-  } else if (parallel && n >= 2 * kColBlock) {
+  } else if (parallel && n >= kParallelMinCols) {
     parallel_ranges(n, 8, [&](std::size_t j0, std::size_t j1) {
-      gemm_panel(a, lda, panel, ldp, out, ldo, k, 0, m, j0, j1);
+      gemm_panel(a, a_row, a_k, panel, ldp, out, ldo, k, 0, m, j0, j1);
     });
   } else {
-    gemm_panel(a, lda, panel, ldp, out, ldo, k, 0, m, 0, n);
+    gemm_panel(a, a_row, a_k, panel, ldp, out, ldo, k, 0, m, 0, n);
+  }
+}
+
+/// out(i, j) += the chain of a(i, :) . b(j, :) from +0 in ascending k,
+/// for every row of a and the columns [j0, j1): matmul_bt's kernel below
+/// kGemmPackMinRows rows, where both operands' rows are contiguous and no
+/// pack is paid. Its loops start on a 32-byte boundary: at x86-64-v3 an
+/// inner loop that crosses one ran 10-20% slower with the same
+/// instructions.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("align-loops=32")))
+#endif
+void dot_rows(const float* __restrict a, const float* __restrict b,
+              float* __restrict out, std::size_t m, std::size_t k,
+              std::size_t n, std::size_t j0, std::size_t j1) noexcept {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* __restrict a_row = a + i * k;
+    float* __restrict out_row = out + i * n;
+    for (std::size_t j = j0; j < j1; ++j) {
+      const float* __restrict b_row = b + j * k;
+      float dot = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) dot += a_row[kk] * b_row[kk];
+      out_row[j] += dot;
+    }
   }
 }
 
@@ -174,8 +265,8 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& out, bool accumulate) {
   if (!accumulate || out.rows() != m || out.cols() != n) {
     out.resize(m, n);
   }
-  // b is already the (k x n) panel layout the axpy kernel streams.
-  gemm_dispatch(a.data(), k, b.data(), n, out.data(), n, m, k, n);
+  // b is already the (k x n) panel layout the kernel reads.
+  gemm_dispatch(a.data(), k, 1, b.data(), n, out.data(), n, m, k, n);
 }
 
 void matmul_bt(const Matrix& a, const Matrix& b, Matrix& out,
@@ -186,51 +277,18 @@ void matmul_bt(const Matrix& a, const Matrix& b, Matrix& out,
   // Accumulate semantics: the product is computed in its own chain (every
   // element from +0.0f, ascending k) and added to the existing value ONCE —
   // so an element's bits never depend on whether its row was part of a
-  // fresh or an accumulating call, and batch-1 calls can use the contiguous
+  // fresh or an accumulating call, and few-row calls can use the contiguous
   // dot kernel (both operands' rows are contiguous; no pack needed).
-  if (accumulate && out.rows() == m && out.cols() == n) {
-    if (m == 1) {
-      const float* __restrict a_row = a.data();
-      const float* __restrict bp = b.data();
-      float* __restrict out_row = out.data();
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* __restrict b_row = bp + j * k;
-        float dot = 0.0f;
-        for (std::size_t kk = 0; kk < k; ++kk) dot += a_row[kk] * b_row[kk];
-        out_row[j] += dot;
-      }
-      return;
-    }
-    // The product chain is materialized in a scratch matrix and added in
-    // one pass (an O(m*n) epilogue against the O(m*k*n) product).
-    // thread_local so the per-timestep LSTM recurrence reuses the buffer
-    // instead of allocating; distinct pool workers get distinct buffers,
-    // and the inner non-accumulate call never touches it recursively.
-    static thread_local Matrix scratch;
-    matmul_bt(a, b, scratch, /*accumulate=*/false);
-    out += scratch;
-    return;
-  }
-  out.resize(m, n);
+  const bool add = accumulate && out.rows() == m && out.cols() == n;
+  if (!add) out.resize(m, n);
 
   if (m < kGemmPackMinRows) {
-    // Few rows: the plain dot kernel beats paying for a pack. Its single
-    // chain from 0.0f is bit-identical to the packed axpy chain below.
-    // Batch-1 still splits across the pool, over output columns.
-    const float* __restrict ap = a.data();
-    const float* __restrict bp = b.data();
-    float* __restrict op = out.data();
-    auto dot_cols = [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* __restrict a_row = ap + i * k;
-        float* __restrict out_row = op + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float* __restrict b_row = bp + j * k;
-          float dot = 0.0f;
-          for (std::size_t kk = 0; kk < k; ++kk) dot += a_row[kk] * b_row[kk];
-          out_row[j] += dot;
-        }
-      }
+    // Few rows: the plain dot kernel beats paying for a pack. It adds its
+    // chain from +0 to out once, which for a fresh product is the +0 out
+    // starts as: the packed kernel's bits either way. Batch-1 still splits
+    // across the pool, over output columns.
+    const auto dot_cols = [&](std::size_t j0, std::size_t j1) {
+      dot_rows(a.data(), b.data(), out.data(), m, k, n, j0, j1);
     };
     if (m * k * n >= kParallelFlopThreshold && n >= 16) {
       parallel_ranges(n, 8, dot_cols);
@@ -239,12 +297,23 @@ void matmul_bt(const Matrix& a, const Matrix& b, Matrix& out,
     }
     return;
   }
+  if (add) {
+    // The product chain is materialized in a scratch matrix and added in
+    // one pass (an O(m*n) epilogue against the O(m*k*n) product).
+    // thread_local so repeated calls reuse the buffer instead of
+    // allocating; distinct pool workers get distinct buffers, and the
+    // inner non-accumulate call never touches it recursively.
+    static thread_local Matrix scratch;
+    matmul_bt(a, b, scratch, /*accumulate=*/false);
+    out += scratch;
+    return;
+  }
 
   // General case: pack b into a contiguous (k x n) panel once, then run the
-  // same axpy kernel as matmul. The pack is O(k*n) against an O(m*k*n)
-  // product and turns every inner loop into unit-stride traffic.
+  // same kernel as matmul. The pack is O(k*n) against an O(m*k*n) product
+  // and turns every panel read into unit-stride traffic.
   const Matrix bt = transposed(b);
-  gemm_dispatch(a.data(), k, bt.data(), n, out.data(), n, m, k, n);
+  gemm_dispatch(a.data(), k, 1, bt.data(), n, out.data(), n, m, k, n);
 }
 
 void matmul_at(const Matrix& a, const Matrix& b, Matrix& out,
@@ -254,29 +323,10 @@ void matmul_at(const Matrix& a, const Matrix& b, Matrix& out,
   if (!accumulate || out.rows() != m || out.cols() != n) {
     out.resize(m, n);
   }
-  const float* __restrict ap = a.data();
-  const float* __restrict bp = b.data();
-  float* __restrict op = out.data();
-  // Rank-1 update per shared row. Chunking over m (output rows) keeps each
-  // out element's accumulation in ascending-k order within its chunk while
-  // giving training backprop — where m is 4*hidden or num_classes — the
-  // pool that the forward products already use.
-  auto update_rows = [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* __restrict a_row = ap + kk * m;
-      const float* __restrict b_row = bp + kk * n;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const float av = a_row[i];
-        float* __restrict out_row = op + i * n;
-        for (std::size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
-      }
-    }
-  };
-  if (m * k * n >= kParallelFlopThreshold && m >= 16) {
-    parallel_ranges(m, 8, update_rows);
-  } else {
-    update_rows(0, m);
-  }
+  // b is the (k x n) panel; a is read transposed in place, a(i, kk) being
+  // a[kk * m + i]. Training backprop's gradient products (m is 4*hidden or
+  // num_classes) split over output rows like the forward products.
+  gemm_dispatch(a.data(), 1, m, b.data(), n, out.data(), n, m, k, n);
 }
 
 void add_row_broadcast(Matrix& m, std::span<const float> bias) {

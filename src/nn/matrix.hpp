@@ -86,7 +86,7 @@ class Matrix {
 };
 
 /// Dense transpose; also the pack step of the GEMM kernels (a (n x k)
-/// operand becomes a contiguous (k x n) panel the axpy kernel streams).
+/// operand becomes a contiguous (k x n) panel the register tiles read).
 [[nodiscard]] Matrix transposed(const Matrix& m);
 
 /// Transpose into a caller-owned buffer (blocked for cache locality).
@@ -101,29 +101,38 @@ void transposed(const Matrix& m, Matrix& out);
 inline constexpr std::size_t kGemmPackMinRows = 4;
 
 // Determinism contract shared by all three products (regression-tested by
-// the serve-layer batch invariance and the sparse/dense equivalence tests):
-// every output element accumulates its k terms in ascending-k order in a
-// single chain, regardless of batch size, blocking, or how the thread pool
-// splits rows/columns (matmul_bt with accumulate=true computes that chain
-// from +0.0f and adds it to the existing value once). Threads only ever own
-// disjoint output ranges, so results are bit-identical across thread
-// counts and batch compositions. The kernels are branch-free in the dense
-// path — one-hot inputs go through nn/sparse.hpp instead of a per-element
-// zero test.
+// nn_matrix_param_test, the serve-layer batch invariance and the
+// sparse/dense equivalence tests): every output element accumulates its k
+// terms in ascending-k order in a single chain, regardless of batch size,
+// register tiling, or how the thread pool splits rows/columns. Where the
+// chain starts:
+//   * a fresh product (accumulate=false): at +0.0f;
+//   * matmul and matmul_at with accumulate=true: at the existing value,
+//     which the chain continues;
+//   * matmul_bt with accumulate=true: at +0.0f, the finished chain added to
+//     the existing value once.
+// One kernel (nn/matrix.cpp) holds a tile of chains, several rows by a few
+// vectors of columns, in registers for the whole k sweep; each lane is one
+// element's chain, so the rows of a tile never share a chain. Threads only
+// ever own disjoint output ranges, so results are bit-identical across
+// thread counts and batch compositions. The kernels are branch-free in the
+// dense path — one-hot inputs go through nn/sparse.hpp instead of a
+// per-element zero test.
 
 /// out = a * b. Shapes: (m x k)(k x n) -> (m x n). When `accumulate` is
 /// true, adds into `out` instead of overwriting. `out` must not alias inputs.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out,
             bool accumulate = false);
 
-/// out = a * b^T. Shapes: (m x k)(n x k)^T -> (m x n). Large operands are
-/// packed into a transposed panel so the inner loop is a contiguous axpy.
+/// out = a * b^T. Shapes: (m x k)(n x k)^T -> (m x n). From
+/// kGemmPackMinRows rows, b is packed into a transposed panel for the
+/// register-tile kernel; fewer rows run a contiguous dot kernel.
 void matmul_bt(const Matrix& a, const Matrix& b, Matrix& out,
                bool accumulate = false);
 
-/// out = a^T * b. Shapes: (k x m)^T(k x n) -> (m x n). Parallelizes by
-/// chunking the m (output-row) dimension, so training backprop's gradient
-/// products also use the pool.
+/// out = a^T * b. Shapes: (k x m)^T(k x n) -> (m x n). Runs matmul's
+/// kernel with a read transposed in place, so training backprop's gradient
+/// products split across the pool like the forward products.
 void matmul_at(const Matrix& a, const Matrix& b, Matrix& out,
                bool accumulate = false);
 

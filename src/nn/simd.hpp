@@ -3,9 +3,9 @@
 // probed at compile time (kSimdWidth below).
 //
 // Why explicit vectors instead of trusting the auto-vectorizer: the default
-// -O2 cost model refuses runtime-trip-count loops, so the axpy kernels'
-// inner j loops stay scalar exactly where the serving path needs them
-// vectorized. These helpers force the issue without changing semantics.
+// -O2 cost model refuses runtime-trip-count loops, so the kernels' inner
+// loops stay scalar exactly where the serving path needs them vectorized.
+// These helpers vectorize them without changing semantics.
 //
 // Determinism: every helper applies the SAME per-element operation chain as
 // the scalar loop it replaces — lanes are independent elements, nothing

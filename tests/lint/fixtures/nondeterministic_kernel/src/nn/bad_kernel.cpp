@@ -1,6 +1,7 @@
-// Fixture: an nn kernel violating the ascending-k accumulation contract in
-// all four ways the determinism lint detects in source (the build-flag
-// classes fire on CMakeLists.txt beside it). Never compiled; used only by
+// Fixture: an nn kernel violating the determinism contract in all six ways
+// the lint detects in source: four that break the ascending-k chain and two
+// function-level code-generation switches (the build-flag classes fire on
+// CMakeLists.txt beside it). Never compiled; used only by
 // tests/lint/lint_selftest.sh.
 #include <numeric>
 #include <vector>
@@ -32,5 +33,14 @@ double policy_sum(const std::vector<double>& xs) {
   // Violation 4: an execution policy makes the accumulation reorderable.
   return std::reduce(std::execution::par_unseq, xs.begin(), xs.end(), 0.0);
 }
+
+// Violation 5: a per-function switch fuses a * b + c into one rounding.
+__attribute__((optimize("fp-contract=fast"))) float fused(float a, float b,
+                                                          float c) {
+  return a * b + c;
+}
+
+// Violation 6: a per-function ISA level.
+__attribute__((target("avx512f"))) float wide(float a) { return a; }
 
 }  // namespace fixture

@@ -45,7 +45,8 @@ expect fail "wire lint flags a frame change without a version bump" \
 # each `report` label names a distinct construct.
 det_output=$(tools/lint/check_determinism.sh --root "$F/nondeterministic_kernel" 2>&1)
 for label in "OpenMP" "std::reduce" "std::execution" "descending-k" \
-             "unsafe-math build flag" "ISA or contraction flag"; do
+             "unsafe-math build flag" "ISA or contraction flag" \
+             "unsafe-math function attribute" "per-function ISA target"; do
   if ! grep -q "$label" <<<"$det_output"; then
     echo "lint_selftest: determinism lint no longer detects: $label"
     failures=$((failures + 1))

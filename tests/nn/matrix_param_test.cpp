@@ -1,9 +1,12 @@
 // Property sweep: all three GEMM variants must return the bits of the
 // reference triple loop, which sums each element's k terms in ascending-k
-// order in one chain from +0.0f (the nn/matrix.hpp contract), across a grid
-// of shapes: degenerate (1-sized) ones, every vector tail at 4, 8 and 16
-// lanes (n = 1..33), the brute-force attack's layer-2 input product and
-// parallel-path (large) ones.
+// order in one chain (the nn/matrix.hpp contract), across a grid of shapes:
+// degenerate (1-sized) ones, every vector tail at 4, 8 and 16 lanes
+// (n = 1..33), every register-tile row tail against every column tail
+// (m = 1..9), the brute-force attack's layer-2 input product and head, and
+// parallel-path (large) ones. A fresh product's chain starts at +0.0f; an
+// accumulating matmul or matmul_at continues the existing value's chain,
+// and an accumulating matmul_bt adds its +0.0f chain to it once.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,18 +22,22 @@ namespace {
 
 using Shape = std::tuple<int, int, int>;  // m, k, n
 
-Matrix naive(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.cols());
+/// The ascending-k chain of a * b, each element's starting at init(i, j).
+Matrix naive(const Matrix& a, const Matrix& b, Matrix init) {
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < b.cols(); ++j) {
-      float total = 0.0f;
+      float total = init(i, j);
       for (std::size_t kk = 0; kk < a.cols(); ++kk) {
         total += a(i, kk) * b(kk, j);
       }
-      out(i, j) = total;
+      init(i, j) = total;
     }
   }
-  return out;
+  return init;
+}
+
+Matrix naive(const Matrix& a, const Matrix& b) {
+  return naive(a, b, Matrix(a.rows(), b.cols()));
 }
 
 void expect_same_bits(const Matrix& got, const Matrix& want) {
@@ -62,12 +69,14 @@ class MatmulShapeSweep : public ::testing::TestWithParam<Shape> {
     b_ = Matrix::randn(static_cast<std::size_t>(k),
                        static_cast<std::size_t>(n), 1.0f, rng);
     expected_ = naive(a_, b_);
+    init_ = Matrix::randn(static_cast<std::size_t>(m),
+                          static_cast<std::size_t>(n), 1.0f, rng);
     // Accumulating onto an existing value continues its chain, so that
     // check alone allows rounding; the tolerance grows with k.
     tol_ = 1e-5f * static_cast<float>(k) + 1e-4f;
   }
 
-  Matrix a_, b_, expected_;
+  Matrix a_, b_, expected_, init_;
   float tol_ = 1e-4f;
 };
 
@@ -91,6 +100,28 @@ TEST_P(MatmulShapeSweep, TransposedAMatchesReference) {
   expect_same_bits(out, expected_);
 }
 
+TEST_P(MatmulShapeSweep, AccumulateContinuesTheChain) {
+  Matrix out = init_;
+  matmul(a_, b_, out, /*accumulate=*/true);
+  expect_same_bits(out, naive(a_, b_, init_));
+}
+
+TEST_P(MatmulShapeSweep, TransposedAAccumulateContinuesTheChain) {
+  const Matrix at = transpose(a_);
+  Matrix out = init_;
+  matmul_at(at, b_, out, /*accumulate=*/true);
+  expect_same_bits(out, naive(a_, b_, init_));
+}
+
+TEST_P(MatmulShapeSweep, TransposedBAccumulateAddsTheChainOnce) {
+  const Matrix bt = transpose(b_);
+  Matrix out = init_;
+  matmul_bt(a_, bt, out, /*accumulate=*/true);
+  Matrix want = init_;
+  want += expected_;
+  expect_same_bits(out, want);
+}
+
 TEST_P(MatmulShapeSweep, AccumulateEqualsTwoApplications) {
   Matrix out;
   matmul(a_, b_, out);
@@ -105,8 +136,11 @@ std::vector<Shape> shapes() {
                          Shape{5, 1, 4},    Shape{3, 4, 1},
                          Shape{8, 16, 8},   Shape{17, 13, 29},
                          Shape{64, 96, 80}, Shape{130, 150, 128},
-                         Shape{1024, 24, 96}};
+                         Shape{1024, 24, 96}, Shape{1024, 24, 12}};
   for (int n = 1; n <= 33; ++n) out.emplace_back(5, 7, n);
+  for (int m = 1; m <= 9; ++m) {
+    for (const int n : {12, 16, 17, 24, 33, 96}) out.emplace_back(m, 13, n);
+  }
   return out;
 }
 

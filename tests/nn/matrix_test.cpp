@@ -229,7 +229,7 @@ TEST(MatmulBt, RowsInvariantAcrossBatchSizes) {
 
     Matrix fresh_single;  // m=1 dot path
     matmul_bt(a_row, b, fresh_single);
-    Matrix acc_single(1, b.rows());  // m=1 strided-axpy path
+    Matrix acc_single(1, b.rows());  // m=1 dot path, accumulating
     std::copy(seed_rows.row(r).begin(), seed_rows.row(r).end(),
               acc_single.row(0).begin());
     matmul_bt(a_row, b, acc_single, /*accumulate=*/true);

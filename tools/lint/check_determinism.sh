@@ -21,6 +21,17 @@
 #                              backward TIME iteration (BPTT's `ti`) is fine,
 #                              so only induction variables named `k` trip this
 #
+# and, in the same sources, the function-level switches that break the
+# second:
+#
+#   * an optimize(...) attribute or #pragma GCC optimize naming fast-math,
+#     associative-math, unsafe-math-optimizations, Ofast or
+#     fp-contract=fast|on: the build flags below, scoped to one function
+#     (quant.cpp's tree-vectorize and vect-cost-model switches and
+#     matrix.cpp's align-loops pass: they keep each operation's rounding)
+#   * a target(...) attribute or #pragma GCC target: a per-function ISA
+#     level forks the code generation the root CMakeLists.txt sets
+#
 # and every git-tracked CMake file (CMakeLists.txt, *.cmake; outside a git
 # checkout, every one below the root but build trees and lint fixtures),
 # skipping comment lines, for the build flags that break the second:
@@ -74,6 +85,14 @@ report "std::execution policies make accumulation reorderable" \
 # axis by convention (matrix.hpp), trips this.
 report "descending-k loop reverses the accumulation chain" \
   "$(grep -Hn 'for[[:space:]]*(.*\(k--\|--k\|k[[:space:]]*-=\)' $files)"
+# `optimize (` / `__optimize__(` / `gnu::optimize(` or the pragma, with an
+# unsafe option on the same line (one line of a multi-line attribute names
+# its own options).
+report "unsafe-math function attribute or pragma reassociates or fuses arithmetic" \
+  "$(grep -HnE '((^|[^[:alnum:]_])_*optimize_*[[:space:]]*\(|#[[:space:]]*pragma[[:space:]]+GCC[[:space:]]+optimize).*(fast-math|associative-math|unsafe-math-optimizations|Ofast|fp-contract=(fast|on))' $files)"
+# target("...") / __target__("...") / target_clones("...") or the pragma.
+report "per-function ISA target attribute or pragma forks the code generation" \
+  "$(grep -HnE '(^|[^[:alnum:]_])_*target(_clones)?_*[[:space:]]*\([[:space:]]*"|#[[:space:]]*pragma[[:space:]]+GCC[[:space:]]+target' $files)"
 
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
   cmake_files=$(git ls-files -- '*CMakeLists.txt' '*.cmake' \
@@ -93,6 +112,6 @@ report "ISA or contraction flag set outside the root CMakeLists.txt" \
   "$(flag_grep '-march=|-mfma|-ffp-contract' $(grep -vx CMakeLists.txt <<<"$cmake_files"))"
 
 if [[ $status -eq 0 ]]; then
-  echo "determinism OK: nn kernels accumulate in ascending-k order, serially per element; no CMake file loosens floating-point code generation"
+  echo "determinism OK: nn kernels accumulate in ascending-k order, serially per element; no CMake file or function-level switch loosens floating-point code generation"
 fi
 exit $status
