@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -555,6 +556,47 @@ void write_kernel_table() {
                      Table::num(fp32_ms, 5), Table::num(int8_ms, 5),
                      Table::num(fp32_ms / int8_ms, 2) + "x"});
     }
+  }
+
+  // topk_b32_c150: top-3 of 32 rows of 150 logits, the engine workload's
+  // rank stage. Baseline: one allocating index partial_sort per row, the
+  // ranking nn::topk_rows' single pass replaced (same order, same ids).
+  {
+    Rng data_rng(52);
+    const Matrix logits = Matrix::randn(32, 150, 1.0f, data_rng);
+    std::vector<std::vector<std::size_t>> sorted;
+    std::vector<std::vector<std::size_t>> ranked;
+    const auto partial_sort_rows = [&] {
+      sorted.clear();
+      for (std::size_t r = 0; r < logits.rows(); ++r) {
+        const auto row = logits.row(r);
+        std::vector<std::size_t> order(row.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::partial_sort(order.begin(), order.begin() + 3, order.end(),
+                          [&](std::size_t a, std::size_t b) {
+                            if (row[a] != row[b]) return row[a] > row[b];
+                            return a < b;
+                          });
+        order.resize(3);
+        sorted.push_back(std::move(order));
+      }
+      benchmark::DoNotOptimize(sorted.data());
+    };
+    const auto single_pass = [&] {
+      ranked = topk_rows(logits, 3);
+      benchmark::DoNotOptimize(ranked.data());
+    };
+    partial_sort_rows();
+    single_pass();
+    if (sorted != ranked) {
+      std::cerr << "WARNING: topk_rows diverged from the partial_sort "
+                   "ranking\n";
+    }
+    const double sort_ms = time_ms(partial_sort_rows);
+    const double pass_ms = time_ms(single_pass);
+    table.add_row({"topk_b32_c150", Table::num(sort_ms, 5),
+                   Table::num(pass_ms, 5),
+                   Table::num(sort_ms / pass_ms, 2) + "x"});
   }
 
   std::cout << table;

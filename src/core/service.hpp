@@ -28,7 +28,8 @@ enum class DeploymentSite : std::uint8_t { kOnDevice = 0, kInCloud };
   return site == DeploymentSite::kOnDevice ? "device" : "cloud";
 }
 
-/// Per-stage wall-clock breakdown of one predict_top_k_batch call. A plain
+/// Per-stage wall-clock breakdown of one predict_top_k_batch call: that of
+/// the row range that finished last (see predict_top_k_batch). A plain
 /// out-param struct (not an obs type) so core stays below the observability
 /// layer in the lattice; the serving tier maps these onto its stage
 /// histograms and trace spans.
@@ -104,17 +105,31 @@ class DeployedModel final : public attack::BlackBoxModel {
   [[nodiscard]] std::vector<std::uint16_t> predict_top_k(
       const mobility::Window& window, std::size_t k) const;
 
-  /// Batched top-k: encodes all windows into one multi-row sequence and runs
-  /// ONE forward pass, so a coalescing serving engine amortizes the LSTM
+  /// Batched top-k, so a coalescing serving engine amortizes the LSTM
   /// across B queries. Row r of the result is bit-identical to
   /// predict_top_k(windows[r], k): every kernel under infer() accumulates
   /// per-row in a fixed order and the top-k reduction is per-row, so batching
   /// never changes what any user is served (the Section V-B service-quality
   /// invariant, now also batch-size-independent).
   ///
-  /// When `stages` is non-null the encode/forward/rank wall-clock split is
-  /// written into it (the timing reads cost three extra clock calls; passing
-  /// nullptr — the default — keeps the call exactly as before).
+  /// Threads: the rows split once into contiguous ranges, nn::row_tasks of
+  /// them for the model's multiply-adds per row (up to 8 ranges of at least
+  /// 8 rows once the batch is worth a pool dispatch; fewer than 16 rows,
+  /// and any small model, stay on the calling thread). Each range runs on
+  /// one pool thread, the caller included, and encodes its windows, runs
+  /// one forward over them and ranks its own logits rows, so a call wakes
+  /// the pool once and no row's activations leave the core that computed
+  /// them. The layers' own row splits run inline there. A call made from
+  /// inside a pool task (a scheduler drain running several chunks) runs
+  /// every range inline.
+  ///
+  /// The call charges the query budget once per row after every range has
+  /// finished, so a window outside the encoding domain in any range throws,
+  /// fails the whole call and charges nothing.
+  ///
+  /// When `stages` is non-null the range that finishes last writes its
+  /// encode/forward/rank wall-clock split into it (three extra clock reads
+  /// per range; passing nullptr, the default, skips them).
   [[nodiscard]] std::vector<std::vector<std::uint16_t>> predict_top_k_batch(
       std::span<const mobility::Window> windows, std::size_t k,
       PredictStageSeconds* stages = nullptr) const;

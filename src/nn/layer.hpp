@@ -72,6 +72,10 @@ class SequenceLayer {
   [[nodiscard]] virtual std::size_t input_dim() const = 0;
   [[nodiscard]] virtual std::size_t output_dim() const = 0;
 
+  /// Multiply-adds one row costs per timestep in the dense form of infer()
+  /// (0 for a layer without weights). Sizes pool splits (nn/parallel.hpp).
+  [[nodiscard]] virtual std::size_t macs_per_step() const { return 0; }
+
   /// Deep copy, including weights; gradients and caches reset.
   [[nodiscard]] virtual std::unique_ptr<SequenceLayer> clone() const = 0;
 

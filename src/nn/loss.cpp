@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace pelican::nn {
@@ -84,32 +83,69 @@ LossResult softmax_cross_entropy(const Matrix& logits,
 
 namespace {
 
+/// True when score a ranks strictly above score b: a larger number, or any
+/// number against NaN. Equal numbers (-0 and +0 included) tie, as do two
+/// NaNs.
 template <typename Float>
-std::vector<std::size_t> topk_impl(std::span<const Float> scores,
-                                   std::size_t k) {
-  k = std::min(k, scores.size());
-  std::vector<std::size_t> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(k),
-                    order.end(), [&](std::size_t a, std::size_t b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;
-                    });
-  order.resize(k);
-  return order;
+bool ranks_above(Float a, Float b) noexcept {
+  return a > b || (b != b && a == a);
+}
+
+/// One pass over the scores with the best so far in top[0..kept), sorted.
+/// A score enters only when it ranks above the last kept one, so a later
+/// index loses every tie and the slots never reorder equal scores.
+template <typename Float>
+std::size_t topk_impl(std::span<const Float> scores,
+                      std::span<std::size_t> top) noexcept {
+  const std::size_t k = std::min(top.size(), scores.size());
+  std::size_t kept = 0;
+  Float last{};  // scores[top[k - 1]] once every slot is kept
+  for (std::size_t i = 0; k > 0 && i < scores.size(); ++i) {
+    const Float score = scores[i];
+    std::size_t slot = kept;
+    if (kept == k) {
+      if (!ranks_above(score, last)) continue;
+      slot = k - 1;
+    } else {
+      ++kept;
+    }
+    for (; slot > 0 && ranks_above(score, scores[top[slot - 1]]); --slot) {
+      top[slot] = top[slot - 1];
+    }
+    top[slot] = i;
+    if (kept == k) last = scores[top[k - 1]];
+  }
+  return k;
+}
+
+template <typename Float>
+std::vector<std::size_t> topk_vector(std::span<const Float> scores,
+                                     std::size_t k) {
+  std::vector<std::size_t> top(std::min(k, scores.size()));
+  topk_impl(scores, std::span<std::size_t>(top));
+  return top;
 }
 
 }  // namespace
 
+std::size_t topk_into(std::span<const float> scores,
+                      std::span<std::size_t> top) noexcept {
+  return topk_impl(scores, top);
+}
+
+std::size_t topk_into(std::span<const double> scores,
+                      std::span<std::size_t> top) noexcept {
+  return topk_impl(scores, top);
+}
+
 std::vector<std::size_t> topk_indices(std::span<const float> scores,
                                       std::size_t k) {
-  return topk_impl(scores, k);
+  return topk_vector(scores, k);
 }
 
 std::vector<std::size_t> topk_indices(std::span<const double> scores,
                                       std::size_t k) {
-  return topk_impl(scores, k);
+  return topk_vector(scores, k);
 }
 
 std::vector<std::vector<std::size_t>> topk_rows(const Matrix& scores,
@@ -117,7 +153,7 @@ std::vector<std::vector<std::size_t>> topk_rows(const Matrix& scores,
   std::vector<std::vector<std::size_t>> out;
   out.reserve(scores.rows());
   for (std::size_t r = 0; r < scores.rows(); ++r) {
-    out.push_back(topk_impl(scores.row(r), k));
+    out.push_back(topk_vector(scores.row(r), k));
   }
   return out;
 }

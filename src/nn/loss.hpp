@@ -32,8 +32,16 @@ struct LossResult {
 [[nodiscard]] LossResult softmax_cross_entropy(
     const Matrix& logits, std::span<const std::int32_t> labels);
 
-/// Indices of the k largest values in `scores`, ordered descending.
-/// Deterministic tie-break: lower index wins.
+/// Writes the indices of the min(top.size(), scores.size()) highest scores
+/// into the front of `top`, best first, and returns how many it wrote. The
+/// order: higher score first, lower index on ties (-0 ties +0), NaN below
+/// every number. One pass over the scores, no allocation.
+std::size_t topk_into(std::span<const float> scores,
+                      std::span<std::size_t> top) noexcept;
+std::size_t topk_into(std::span<const double> scores,
+                      std::span<std::size_t> top) noexcept;
+
+/// Indices of the k highest scores, in topk_into's order.
 [[nodiscard]] std::vector<std::size_t> topk_indices(
     std::span<const float> scores, std::size_t k);
 [[nodiscard]] std::vector<std::size_t> topk_indices(

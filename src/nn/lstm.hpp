@@ -69,6 +69,9 @@ class Lstm final : public SequenceLayer {
     return w_hh_.cols();
   }
   [[nodiscard]] std::size_t hidden_dim() const { return w_hh_.cols(); }
+  [[nodiscard]] std::size_t macs_per_step() const override {
+    return w_ih_.rows() * (w_ih_.cols() + w_hh_.cols());
+  }
 
   [[nodiscard]] std::unique_ptr<SequenceLayer> clone() const override;
   [[nodiscard]] std::string kind() const override { return "lstm"; }

@@ -7,6 +7,7 @@
 
 #include "nn/parallel.hpp"
 #include "nn/simd.hpp"
+#include "nn/tile.hpp"
 
 namespace pelican::nn {
 
@@ -18,72 +19,8 @@ constexpr std::size_t kParallelFlopThreshold = 1u << 21;
 /// Fewest output columns a batch-1 product splits across the pool.
 constexpr std::size_t kParallelMinCols = 1024;
 
-/// The register tile: kTileRows rows x kTileVecs vectors of output chains
-/// stay in registers for a whole ascending-k sweep (8 of SSE2's and AVX2's
-/// 16 vector registers), so each panel vector is loaded once per k for all
-/// the tile's rows and each output is loaded and stored once.
-constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileVecs = 2;
-constexpr std::size_t kTileCols = kTileVecs * kSimdWidth;
-
 void check(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
-}
-
-/// Continues the chains of the R x (V vectors) tile at c (row stride ldc):
-/// c(r, j) += a(r, kk) * panel(kk, j) for kk = 0..k-1 in ascending order,
-/// one chain per element held in a register lane, the rows' chains never
-/// mixed. a(r, kk) is a[r * a_row + kk * a_k], so matmul_at reads its
-/// first operand transposed in place. Lanes perform the scalar chain's
-/// multiply and add, so bits equal it (the matrix.hpp contract).
-template <std::size_t R, std::size_t V>
-void register_tile(const float* __restrict a, std::size_t a_row,
-                   std::size_t a_k, const float* __restrict panel,
-                   std::size_t ldp, std::size_t k, float* __restrict c,
-                   std::size_t ldc) noexcept {
-  simd::vfloat acc[R][V];
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < R; ++r) {
-#pragma GCC unroll 4
-    for (std::size_t v = 0; v < V; ++v) {
-      acc[r][v] = simd::load(c + r * ldc + v * kSimdWidth);
-    }
-  }
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    simd::vfloat p[V];
-#pragma GCC unroll 4
-    for (std::size_t v = 0; v < V; ++v) {
-      p[v] = simd::load(panel + kk * ldp + v * kSimdWidth);
-    }
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < R; ++r) {
-      // Vector times scalar: the compiler splats av with one broadcast.
-      const float av = a[r * a_row + kk * a_k];
-#pragma GCC unroll 4
-      for (std::size_t v = 0; v < V; ++v) acc[r][v] += p[v] * av;
-    }
-  }
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < R; ++r) {
-#pragma GCC unroll 4
-    for (std::size_t v = 0; v < V; ++v) {
-      simd::store(c + r * ldc + v * kSimdWidth, acc[r][v]);
-    }
-  }
-}
-
-/// register_tile<rows, V> for a row count up to kTileRows (the row tail
-/// runs a smaller tile).
-template <std::size_t V>
-void run_tile(std::size_t rows, const float* a, std::size_t a_row,
-              std::size_t a_k, const float* panel, std::size_t ldp,
-              std::size_t k, float* c, std::size_t ldc) noexcept {
-  switch (rows) {
-    case 1: register_tile<1, V>(a, a_row, a_k, panel, ldp, k, c, ldc); break;
-    case 2: register_tile<2, V>(a, a_row, a_k, panel, ldp, k, c, ldc); break;
-    case 3: register_tile<3, V>(a, a_row, a_k, panel, ldp, k, c, ldc); break;
-    default: register_tile<kTileRows, V>(a, a_row, a_k, panel, ldp, k, c, ldc);
-  }
 }
 
 /// The shared kernel: out[i0..i1) x [j0..j1) continues each element's

@@ -35,6 +35,12 @@ std::size_t SequenceClassifier::input_dim() const {
   return layers_.front()->input_dim();
 }
 
+std::size_t SequenceClassifier::macs_per_row(std::size_t steps) const {
+  std::size_t macs = head_.input_dim() * head_.output_dim();
+  for (const auto& layer : layers_) macs += steps * layer->macs_per_step();
+  return macs;
+}
+
 namespace {
 
 /// The shared body of both infer overloads: the first layer takes the

@@ -48,6 +48,11 @@ class SequenceClassifier {
   [[nodiscard]] std::size_t input_dim() const;
   [[nodiscard]] std::size_t num_classes() const { return head_.output_dim(); }
 
+  /// Multiply-adds infer() costs one row of `steps` timesteps, counting
+  /// every product dense (a one-hot input costs less); sizes pool splits
+  /// (nn/parallel.hpp row_tasks).
+  [[nodiscard]] std::size_t macs_per_row(std::size_t steps) const;
+
   /// Runs the stack and the head on the last timestep; returns logits
   /// (batch x classes). The const inference path (nn/layer.hpp): it writes
   /// nothing in the model, so any number of threads may share one model.

@@ -5,34 +5,16 @@
 #include <stdexcept>
 
 #include "nn/parallel.hpp"
-#include "nn/simd.hpp"
+#include "nn/tile.hpp"
 
 namespace pelican::nn {
 
 namespace {
 
-/// Rows a pool task gets at least: enough that each panel block it
-/// converts is reused by two register tiles.
-constexpr std::size_t kRowBlock = 8;
-
-/// The register tile of the dense kernel: kTileRows rows x kTileVecs
-/// vectors of output chains stay in registers for a whole k sweep (8 of
-/// SSE2's 16 vector registers).
-constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileVecs = 2;
-constexpr std::size_t kTileCols = kTileVecs * kSimdWidth;
-
 /// Panel columns converted to fp32 at a time: a k x 64 block (32 KB at
 /// k = 128) that every register tile of the call then reads.
 constexpr std::size_t kPanelCols = 64;
 static_assert(kPanelCols % kTileCols == 0);
-
-/// Below this many multiply-adds per call, a pool split costs more than it
-/// saves.
-constexpr std::size_t kParallelMacs = 1u << 18;
-
-/// Most pool tasks one product is split into.
-constexpr std::size_t kMaxRowTasks = 8;
 
 // ap[j] += xv * panel[j] over one contiguous int8 column. The explicit
 // vector helpers (nn/simd.hpp) lose here: SSE2 has no lane-wise int8
@@ -64,34 +46,6 @@ __attribute__((optimize("tree-vectorize"),
 void i8_to_f32(float* __restrict dst, const std::int8_t* __restrict panel,
                std::size_t n) noexcept {
   for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(panel[j]);
-}
-
-// chains(r, :) = sum over kk of x(r, kk) * strip(kk, :) for R rows and the
-// kTileCols columns of a converted strip (kPanelCols floats apart per kk),
-// each chain held in a register lane for the whole ascending-k sweep.
-template <std::size_t R>
-void register_tile(const float* __restrict x, std::size_t ldx,
-                   const float* __restrict strip, std::size_t k,
-                   float* __restrict chains) noexcept {
-  simd::vfloat acc[R][kTileVecs] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* w = strip + kk * kPanelCols;
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < R; ++r) {
-      // Vector times scalar: the compiler splats x with one shuffle, where
-      // simd::broadcast's lane loop costs a dozen instructions per call.
-      const float xv = x[r * ldx + kk];
-#pragma GCC unroll 4
-      for (std::size_t v = 0; v < kTileVecs; ++v) {
-        acc[r][v] += simd::load(w + v * kSimdWidth) * xv;
-      }
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) {
-    for (std::size_t v = 0; v < kTileVecs; ++v) {
-      simd::store(chains + r * kTileCols + v * kSimdWidth, acc[r][v]);
-    }
-  }
 }
 
 // The epilogue every kernel shares: each finished chain times its
@@ -187,7 +141,6 @@ void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
   // never share it.
   static thread_local std::vector<float> panel;
   panel.resize(k * kPanelCols);
-  alignas(64) float chains[kTileRows * kTileCols];
   for (std::size_t j0 = 0; j0 < n; j0 += kPanelCols) {
     const std::size_t width = std::min(kPanelCols, n - j0);
     const std::size_t padded = (width + kTileCols - 1) / kTileCols * kTileCols;
@@ -199,13 +152,11 @@ void qgemm_rows(const float* x, std::size_t ldx, std::size_t rows,
     for (std::size_t i0 = 0; i0 < rows; i0 += kTileRows) {
       const std::size_t block = std::min(kTileRows, rows - i0);
       for (std::size_t s = 0; s < padded; s += kTileCols) {
-        const float* strip = panel.data() + s;
-        switch (block) {
-          case 1: register_tile<1>(x + i0 * ldx, ldx, strip, k, chains); break;
-          case 2: register_tile<2>(x + i0 * ldx, ldx, strip, k, chains); break;
-          case 3: register_tile<3>(x + i0 * ldx, ldx, strip, k, chains); break;
-          default: register_tile<4>(x + i0 * ldx, ldx, strip, k, chains);
-        }
+        // Each tile's chains start at +0 and then scale into out once.
+        alignas(64) float chains[kTileRows * kTileCols];
+        run_tile<kTileVecs, /*Fresh=*/true>(block, x + i0 * ldx, ldx, 1,
+                                            panel.data() + s, kPanelCols, k,
+                                            chains, kTileCols);
         const std::size_t cols = std::min(kTileCols, width - s);
         for (std::size_t i = 0; i < block; ++i) {
           store_scaled(chains + i * kTileCols, scales + j0 + s,
@@ -239,7 +190,7 @@ void qmatmul(const Matrix& x, const QuantizedMatrix& q, Matrix& out) {
   }
   const std::size_t n = q.rows();
   out.resize(x.rows(), n);
-  parallel_ranges(x.rows(), qgemm_row_tasks(x.rows(), q.cols() * n),
+  parallel_ranges(x.rows(), row_tasks(x.rows(), q.cols() * n),
                   [&](std::size_t r0, std::size_t r1) {
                     qgemm_rows(x.data() + r0 * x.cols(), x.cols(), r1 - r0, q,
                                out.data() + r0 * n, n, /*accumulate=*/false);
@@ -254,13 +205,6 @@ void sparse_qmatmul(const SparseRows& x, const QuantizedMatrix& q,
   const std::size_t n = q.rows();
   out.resize(x.rows(), n);
   sparse_qgemm_rows(x, 0, x.rows(), q, out.data(), n);
-}
-
-std::size_t qgemm_row_tasks(std::size_t rows,
-                            std::size_t macs_per_row) noexcept {
-  return rows * macs_per_row >= kParallelMacs
-             ? std::min(kMaxRowTasks, rows / kRowBlock)
-             : 1;
 }
 
 }  // namespace pelican::nn

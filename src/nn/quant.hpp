@@ -116,10 +116,4 @@ void qmatmul(const Matrix& x, const QuantizedMatrix& q, Matrix& out);
 void sparse_qmatmul(const SparseRows& x, const QuantizedMatrix& q,
                     Matrix& out);
 
-/// Pool tasks an int8 forward of `rows` rows at `macs_per_row`
-/// multiply-adds each splits into: up to 8 of at least 8 rows once the
-/// product is worth a pool dispatch, else 1.
-[[nodiscard]] std::size_t qgemm_row_tasks(std::size_t rows,
-                                          std::size_t macs_per_row) noexcept;
-
 }  // namespace pelican::nn

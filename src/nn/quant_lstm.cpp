@@ -30,7 +30,7 @@ Sequence QuantizedLstm::run_forward(std::size_t steps, std::size_t batch,
   const std::span<const float> hh_scales = w_hh_.scales();
 
   const std::size_t tasks =
-      qgemm_row_tasks(batch, input_macs + steps * hidden * width);
+      row_tasks(batch, input_macs + steps * hidden * width);
   parallel_ranges(batch, tasks, [&](std::size_t r0, std::size_t r1) {
     const std::size_t rows = r1 - r0;
     std::vector<float> gates(rows * width);

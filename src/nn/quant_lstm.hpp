@@ -60,6 +60,9 @@ class QuantizedLstm final : public SequenceLayer {
     return w_hh_.cols();
   }
   [[nodiscard]] std::size_t hidden_dim() const { return w_hh_.cols(); }
+  [[nodiscard]] std::size_t macs_per_step() const override {
+    return w_ih_.rows() * (w_ih_.cols() + w_hh_.cols());
+  }
 
   [[nodiscard]] std::unique_ptr<SequenceLayer> clone() const override;
   [[nodiscard]] std::string kind() const override { return "qlstm"; }
@@ -72,7 +75,7 @@ class QuantizedLstm final : public SequenceLayer {
  private:
   /// Shared recurrence body. The batch's rows are independent through
   /// every timestep, so they split into contiguous ranges across the pool
-  /// (qgemm_row_tasks of them), each range running all timesteps on its own.
+  /// (row_tasks of them), each range running all timesteps on its own.
   /// `input_product(t, r0, r1, gates)` writes this timestep's input product
   /// for rows [r0, r1) into `gates` (4H floats per row): the dense int8
   /// product or the sparse panel gather. `input_macs` is its multiply-adds

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -55,7 +56,7 @@ BatchScheduler::~BatchScheduler() {
   drainer_.join();
 }
 
-void BatchScheduler::answer_rejected(Pending pending) {
+PredictResponse BatchScheduler::rejected(const Pending& pending) {
   PredictResponse response;
   response.user_id = pending.request.user_id;
   response.ok = false;
@@ -64,11 +65,12 @@ void BatchScheduler::answer_rejected(Pending pending) {
                             Clock::now() - pending.enqueued)
                             .count();
   shed_counter_->add();
-  pending.promise.set_value(std::move(response));
+  return response;
 }
 
 std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
-  Pending pending;
+  Queued queued;
+  Pending& pending = queued.pending;
   pending.request = std::move(request);
   pending.enqueued = Clock::now();
   maybe_sample_trace(pending.request);
@@ -76,9 +78,12 @@ std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
   // a counter bump and this branch, nothing else (see the <= 2% overhead
   // row in bench/serve_throughput).
   if (pending.request.trace_id != 0) pending.submit_ns = obs::now_ns();
-  std::future<PredictResponse> future = pending.promise.get_future();
+  std::future<PredictResponse> future = queued.promise.get_future();
+  const auto refuse = [this](Queued& victim) {
+    victim.promise.set_value(rejected(victim.pending));
+  };
 
-  std::vector<Pending> shed;  // answered after the lock is released
+  std::vector<Queued> shed;  // answered after the lock is released
   {
     MutexLock lock(mutex_);
     if (queue_.size() >= config_.max_queue && !stop_) {
@@ -90,7 +95,7 @@ std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
           break;
         case QueuePolicy::kReject:
           lock.unlock();
-          answer_rejected(std::move(pending));
+          refuse(queued);
           return future;
         case QueuePolicy::kShedOldest:
           shed.push_back(std::move(queue_.front()));
@@ -102,11 +107,11 @@ std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
       // Shutdown raced the submit: the drainer only answers what was queued
       // before stop, so refuse rather than enqueue into a dying engine.
       lock.unlock();
-      answer_rejected(std::move(pending));
+      refuse(queued);
       return future;
     }
     if (pending.request.trace_id != 0) pending.admitted_ns = obs::now_ns();
-    queue_.push_back(std::move(pending));
+    queue_.push_back(std::move(queued));
     // Observe the depth WHILE holding the queue lock: observing the size
     // after unlocking raced concurrent drains, so a momentary peak (e.g.
     // "did the queue ever reach its bound?") could be under-reported.
@@ -115,7 +120,7 @@ std::future<PredictResponse> BatchScheduler::submit(PredictRequest request) {
     queue_depth_hist_->observe(static_cast<double>(queue_.size()));
   }
   queue_cv_.notify_all();
-  for (Pending& victim : shed) answer_rejected(std::move(victim));
+  for (Queued& victim : shed) refuse(victim);
   return future;
 }
 
@@ -125,31 +130,23 @@ std::vector<PredictResponse> BatchScheduler::serve(
   const std::uint64_t entered_ns = obs::now_ns();
   std::vector<Pending> items;
   items.reserve(requests.size());
-  std::vector<std::future<PredictResponse>> futures;
-  futures.reserve(requests.size());
   for (const PredictRequest& request : requests) {
-    Pending pending;
-    pending.request = request;
-    pending.enqueued = entered;
     // The sync path has no queue: "queue wait" degenerates to serve-entry ->
     // chunk pickup, which still captures scheduling delay under load.
-    pending.submit_ns = entered_ns;
-    pending.admitted_ns = entered_ns;
-    maybe_sample_trace(pending.request);
-    futures.push_back(pending.promise.get_future());
-    items.push_back(std::move(pending));
+    items.push_back({request, entered, entered_ns, entered_ns});
+    maybe_sample_trace(items.back().request);
   }
-  execute(std::move(items));
-
-  std::vector<PredictResponse> responses;
-  responses.reserve(futures.size());
-  for (auto& future : futures) responses.push_back(future.get());
+  std::vector<PredictResponse> responses(items.size());
+  execute(items, [&](std::size_t i, PredictResponse response) {
+    responses[i] = std::move(response);
+  });
   return responses;
 }
 
 void BatchScheduler::drain_loop() {
   for (;;) {
     std::vector<Pending> items;
+    std::vector<std::promise<PredictResponse>> promises;
     {
       MutexLock lock(mutex_);
       while (!stop_ && queue_.empty()) lock.wait(queue_cv_);
@@ -159,50 +156,53 @@ void BatchScheduler::drain_loop() {
       // oldest request's max_delay deadline, and not at all once a full
       // batch is already queued or we are shutting down.
       const Clock::time_point deadline =
-          queue_.front().enqueued + config_.max_delay;
+          queue_.front().pending.enqueued + config_.max_delay;
       while (!stop_ && queue_.size() < config_.max_batch) {
         if (!lock.wait_until(queue_cv_, deadline)) break;  // deadline hit
       }
 
       items.reserve(queue_.size());
-      while (!queue_.empty()) {
-        items.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      promises.reserve(queue_.size());
+      for (Queued& queued : queue_) {
+        items.push_back(std::move(queued.pending));
+        promises.push_back(std::move(queued.promise));
       }
+      queue_.clear();
     }
     space_cv_.notify_all();  // the queue just emptied: admit blocked callers
-    execute(std::move(items));
+    execute(items, [&](std::size_t i, PredictResponse response) {
+      promises[i].set_value(std::move(response));
+    });
   }
 }
 
-void BatchScheduler::execute(std::vector<Pending> items) {
-  if (items.empty()) return;
+template <typename Answer>
+void BatchScheduler::execute(std::span<const Pending> items, Answer&& answer) {
   // Deadline admission: a request whose budget expired while it sat in the
   // queue is answered shed right here — the forward it would have joined
   // computes an answer nobody reads. Deadline-free traffic (the common
   // case) pays one branch per item and no clock read.
+  std::vector<std::size_t> live(items.size());
+  std::iota(live.begin(), live.end(), std::size_t{0});
   if (std::any_of(items.begin(), items.end(), [](const Pending& pending) {
         return pending.request.deadline_ms > 0.0;
       })) {
     const Clock::time_point now = Clock::now();
-    std::vector<Pending> admitted;
-    admitted.reserve(items.size());
     std::uint64_t shed = 0;
     std::uint64_t shed_trace = 0;
-    for (Pending& pending : items) {
+    std::erase_if(live, [&](std::size_t i) {
+      const Pending& pending = items[i];
       const double budget = pending.request.deadline_ms;
       const double waited_ms = std::chrono::duration<double, std::milli>(
                                    now - pending.enqueued)
                                    .count();
-      if (budget > 0.0 && waited_ms >= budget) {
-        deadline_shed_counter_->add();
-        ++shed;
-        if (shed_trace == 0) shed_trace = pending.request.trace_id;
-        answer_rejected(std::move(pending));
-      } else {
-        admitted.push_back(std::move(pending));
-      }
-    }
+      if (budget <= 0.0 || waited_ms < budget) return false;
+      deadline_shed_counter_->add();
+      ++shed;
+      if (shed_trace == 0) shed_trace = pending.request.trace_id;
+      answer(i, rejected(pending));
+      return true;
+    });
     if (shed > 0 && instrumentation_enabled()) {
       // One burst event per drain, behind the instrumentation flag — the
       // uninstrumented hot path must not pay a journal lock (the
@@ -211,9 +211,8 @@ void BatchScheduler::execute(std::vector<Pending> items) {
                    std::to_string(shed) + " requests expired in queue",
                    shed_trace);
     }
-    items = std::move(admitted);
-    if (items.empty()) return;
   }
+  if (live.empty()) return;
   // Stage-breakdown work (clock reads, histogram observes, span commits)
   // runs only for traced requests: router-stamped ids are always traced,
   // local requests 1-in-trace_sample_every. An untraced drain costs a
@@ -221,8 +220,8 @@ void BatchScheduler::execute(std::vector<Pending> items) {
   // within the bench's 2% bound.
   const bool instrument =
       instrumentation_enabled() &&
-      std::any_of(items.begin(), items.end(), [](const Pending& pending) {
-        return pending.request.trace_id != 0;
+      std::any_of(live.begin(), live.end(), [&](std::size_t i) {
+        return items[i].request.trace_id != 0;
       });
   const std::uint64_t pickup_ns = instrument ? obs::now_ns() : 0;
 
@@ -231,7 +230,7 @@ void BatchScheduler::execute(std::vector<Pending> items) {
   // deterministic given the same input order.
   std::map<std::pair<std::uint32_t, std::size_t>, std::vector<std::size_t>>
       groups;
-  for (std::size_t i = 0; i < items.size(); ++i) {
+  for (const std::size_t i : live) {
     groups[{items[i].request.user_id, items[i].request.k}].push_back(i);
   }
   struct Chunk {
@@ -313,7 +312,8 @@ void BatchScheduler::execute(std::vector<Pending> items) {
 
     const Clock::time_point now = Clock::now();
     for (std::size_t j = 0; j < chunk.indices.size(); ++j) {
-      Pending& pending = items[chunk.indices[j]];
+      const std::size_t i = chunk.indices[j];
+      const Pending& pending = items[i];
       PredictResponse response;
       response.user_id = chunk.user_id;
       response.ok = ok;
@@ -359,7 +359,7 @@ void BatchScheduler::execute(std::vector<Pending> items) {
           traces_.finish(pending.request.trace_id, response.latency_ms);
         }
       }
-      pending.promise.set_value(std::move(response));
+      answer(i, std::move(response));
     }
   });
 }

@@ -8,7 +8,14 @@
 // full batch is queued, or when the oldest request has waited max_delay,
 // whichever comes first. Drains execute across ThreadPool::global() workers,
 // one coalesced batch per task, so batches run on distinct cores — those of
-// one user too, since inference is const and takes no lock.
+// one user too, since inference is const and takes no lock. A call that
+// coalesces into a single batch runs it on the calling thread, where
+// predict_top_k_batch splits its rows across the pool itself.
+//
+// Answers: serve() writes each response in place, into its slot of the
+// returned vector, from whichever thread served its batch; it creates no
+// promise or future. Only submit() hands out a future, fulfilled by the
+// drain thread's batches.
 //
 // Responses are deterministic: batching never reorders or changes results
 // (predict_top_k_batch is bit-identical per row to single queries), so
@@ -160,7 +167,9 @@ class BatchScheduler {
   /// Synchronous batch entry point: coalesces and serves `requests`
   /// immediately on the calling thread + pool workers, bypassing the queue
   /// (and therefore admission control — the caller already holds all the
-  /// memory). Response i answers requests[i].
+  /// memory). Response i answers requests[i], written in place by whichever
+  /// thread served its chunk; no promise or future is involved (only
+  /// submit() uses them).
   [[nodiscard]] std::vector<PredictResponse> serve(
       std::span<const PredictRequest> requests);
 
@@ -197,22 +206,31 @@ class BatchScheduler {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One request as a drain or a serve() call sees it.
   struct Pending {
     PredictRequest request;
-    std::promise<PredictResponse> promise;
     Clock::time_point enqueued;
     std::uint64_t submit_ns = 0;    ///< obs::now_ns at submit/serve entry
     std::uint64_t admitted_ns = 0;  ///< obs::now_ns once past admission
   };
 
+  /// A submit()ted request and the promise its answer fulfils.
+  struct Queued {
+    Pending pending;
+    std::promise<PredictResponse> promise;
+  };
+
   void drain_loop();
 
-  /// Groups items by (user id, k), chunks groups to max_batch, and runs the
-  /// chunks across the thread pool. Fulfills every promise.
-  void execute(std::vector<Pending> items);
+  /// Sheds expired deadlines, groups the rest by (user id, k), chunks groups
+  /// to max_batch, and runs the chunks across the thread pool. Every item
+  /// is answered exactly once through answer(i, response), on whichever
+  /// thread finished it.
+  template <typename Answer>
+  void execute(std::span<const Pending> items, Answer&& answer);
 
-  /// Answers one request shed by admission control (counts it shed).
-  void answer_rejected(Pending pending);
+  /// The answer to a request shed by admission control (counts it shed).
+  [[nodiscard]] PredictResponse rejected(const Pending& pending);
 
   /// Assigns a sampled trace id to an untraced request when instrumentation
   /// is on and the sampling counter fires.
@@ -242,7 +260,7 @@ class BatchScheduler {
   Mutex mutex_;
   std::condition_variable queue_cv_;  ///< drainer waits: work available
   std::condition_variable space_cv_;  ///< blocked submitters wait: space
-  std::deque<Pending> queue_ PELICAN_GUARDED_BY(mutex_);
+  std::deque<Queued> queue_ PELICAN_GUARDED_BY(mutex_);
   bool stop_ PELICAN_GUARDED_BY(mutex_) = false;
   std::thread drainer_;
 };

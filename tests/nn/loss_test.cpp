@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -176,6 +180,109 @@ TEST(TopK, KLargerThanSizeClamps) {
   const auto top = topk_indices(std::span<const double>(scores), 10);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], 1u);
+}
+
+// The ranking contract on both score types: higher score first, lower
+// index on ties (-0 ties +0), NaN below every number, k clamped to the row.
+template <typename Float>
+class TopKOrder : public ::testing::Test {
+ protected:
+  static std::vector<std::size_t> top(const std::vector<Float>& scores,
+                                      std::size_t k) {
+    return topk_indices(std::span<const Float>(scores), k);
+  }
+};
+using ScoreTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(TopKOrder, ScoreTypes);
+
+TYPED_TEST(TopKOrder, TiesGoToTheLowerIndex) {
+  const std::vector<TypeParam> scores = {1, 3, 2, 3, 1, 3};
+  EXPECT_EQ(this->top(scores, 4), (std::vector<std::size_t>{1, 3, 5, 2}));
+  EXPECT_EQ(this->top(scores, 6),
+            (std::vector<std::size_t>{1, 3, 5, 2, 0, 4}));
+}
+
+TYPED_TEST(TopKOrder, NegativeZeroTiesPositiveZero) {
+  const TypeParam neg = -TypeParam{0};
+  const std::vector<TypeParam> scores = {-1, neg, TypeParam{0}, neg};
+  EXPECT_EQ(this->top(scores, 3), (std::vector<std::size_t>{1, 2, 3}));
+  const std::vector<TypeParam> flipped = {TypeParam{0}, neg, -1};
+  EXPECT_EQ(this->top(flipped, 2), (std::vector<std::size_t>{0, 1}));
+}
+
+TYPED_TEST(TopKOrder, KAtLeastTheRowRanksEveryScore) {
+  const std::vector<TypeParam> scores = {3, 1, 2};
+  EXPECT_EQ(this->top(scores, 3), (std::vector<std::size_t>{0, 2, 1}));
+  EXPECT_EQ(this->top(scores, 100), (std::vector<std::size_t>{0, 2, 1}));
+}
+
+TYPED_TEST(TopKOrder, KZeroRanksNothing) {
+  const std::vector<TypeParam> scores = {3, 1, 2};
+  EXPECT_TRUE(this->top(scores, 0).empty());
+  EXPECT_TRUE(this->top({}, 3).empty());
+  std::vector<std::size_t> slots;
+  EXPECT_EQ(topk_into(std::span<const TypeParam>(scores),
+                      std::span<std::size_t>(slots)),
+            0u);
+}
+
+TYPED_TEST(TopKOrder, NanRanksBelowEveryNumber) {
+  const TypeParam nan = std::numeric_limits<TypeParam>::quiet_NaN();
+  const TypeParam inf = std::numeric_limits<TypeParam>::infinity();
+  const std::vector<TypeParam> scores = {nan, -inf, 1, nan, 0};
+  EXPECT_EQ(this->top(scores, 5),
+            (std::vector<std::size_t>{2, 4, 1, 0, 3}));
+  EXPECT_EQ(this->top(scores, 2), (std::vector<std::size_t>{2, 4}));
+  EXPECT_EQ(this->top(scores, 4), (std::vector<std::size_t>{2, 4, 1, 0}));
+  const std::vector<TypeParam> all_nan = {nan, nan, nan};
+  EXPECT_EQ(this->top(all_nan, 2), (std::vector<std::size_t>{0, 1}));
+}
+
+// 10^4 NaN-free rows drawn from a few values (with -0, +0 and both
+// infinities), so most rows tie somewhere, against the comparator sort.
+TYPED_TEST(TopKOrder, MatchesPartialSortOnRowsWithRepeats) {
+  const TypeParam inf = std::numeric_limits<TypeParam>::infinity();
+  const std::vector<TypeParam> values = {-inf, -2, -1, -TypeParam{0},
+                                         TypeParam{0}, TypeParam{0.5}, 1,
+                                         2, inf};
+  Rng rng(2029);
+  std::vector<std::size_t> slots(7);
+  for (int row = 0; row < 10000; ++row) {
+    std::vector<TypeParam> scores(1 + rng.below(40));
+    const std::size_t spread = 2 + rng.below(values.size() - 1);
+    for (TypeParam& score : scores) score = values[rng.below(spread)];
+    std::vector<std::size_t> order(scores.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (std::size_t k = 1; k <= 7; ++k) {
+      const std::size_t m = std::min(k, scores.size());
+      std::partial_sort(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(m),
+                        order.end(), [&](std::size_t a, std::size_t b) {
+                          if (scores[a] != scores[b]) {
+                            return scores[a] > scores[b];
+                          }
+                          return a < b;
+                        });
+      const std::vector<std::size_t> want(
+          order.begin(), order.begin() + static_cast<std::ptrdiff_t>(m));
+      ASSERT_EQ(this->top(scores, k), want) << "row " << row << " k " << k;
+      ASSERT_EQ(topk_into(std::span<const TypeParam>(scores),
+                          std::span<std::size_t>(slots.data(), k)),
+                m);
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), slots.begin()))
+          << "row " << row << " k " << k;
+    }
+  }
+}
+
+TEST(TopK, RowsEqualTheirIndices) {
+  Rng rng(5);
+  const Matrix scores = Matrix::randn(6, 11, 1.0f, rng);
+  const auto rows = topk_rows(scores, 4);
+  ASSERT_EQ(rows.size(), 6u);
+  for (std::size_t r = 0; r < 6; ++r) {
+    EXPECT_EQ(rows[r], topk_indices(scores.row(r), 4));
+  }
 }
 
 }  // namespace

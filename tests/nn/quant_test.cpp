@@ -286,7 +286,7 @@ TEST(QuantizedLstmTest, ForwardMatchesReferenceRecurrence) {
 }
 
 TEST(QuantizedModel, RowsAreIndependentOfBatchAndPoolSplit) {
-  // 37 rows cross both the pool split (qgemm_row_tasks cuts them into
+  // 37 rows cross both the pool split (row_tasks cuts them into
   // uneven ranges) and the 4-row register tiles; every row must equal the
   // same window served alone, in the LSTM and in the head.
   Rng rng(14);

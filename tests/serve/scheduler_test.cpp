@@ -228,5 +228,63 @@ TEST_F(SchedulerTest, StatsHistogramAccountsEveryBatch) {
   EXPECT_EQ(snap.max_batch_size, 8u);
 }
 
+TEST_F(SchedulerTest, MixedServeAnswersEveryRequestInPlace) {
+  // Mixed users and ks, one request whose deadline has expired by the time
+  // the call groups it, and one undeployed user: every response lands at
+  // its request's index with the fields a lone request would get, and
+  // submit() answers the same requests with the same responses.
+  Rng rng(31);
+  std::vector<PredictRequest> requests;
+  for (std::size_t i = 0; i < 24; ++i) {
+    requests.push_back({static_cast<std::uint32_t>(rng.below(5)),
+                        random_window(rng), 1 + 2 * rng.below(3)});
+  }
+  constexpr std::size_t kExpired = 5;
+  constexpr std::size_t kUndeployed = 17;
+  requests[kExpired].deadline_ms = 1e-9;
+  requests[kUndeployed].user_id = 999;
+
+  const auto check = [&](const std::vector<PredictResponse>& responses) {
+    ASSERT_EQ(responses.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const PredictResponse& response = responses[i];
+      EXPECT_EQ(response.user_id, requests[i].user_id) << i;
+      EXPECT_EQ(response.model_version, 0u) << i;
+      EXPECT_GE(response.latency_ms, 0.0) << i;
+      if (i == kExpired || i == kUndeployed) {
+        EXPECT_FALSE(response.ok) << i;
+        EXPECT_EQ(response.rejected, i == kExpired) << i;
+        EXPECT_TRUE(response.locations.empty()) << i;
+      } else {
+        EXPECT_TRUE(response.ok) << i;
+        EXPECT_FALSE(response.rejected) << i;
+        EXPECT_EQ(response.locations, direct(requests[i])) << i;
+      }
+    }
+  };
+
+  BatchScheduler sync(*registry_, {.max_batch = 4});
+  check(sync.serve(requests));
+  auto snap = sync.stats().snapshot();
+  EXPECT_EQ(snap.requests_served, requests.size() - 2);
+  EXPECT_EQ(snap.requests_rejected, 1u);
+  EXPECT_EQ(snap.requests_shed, 1u);
+  EXPECT_EQ(sync.metrics().counter("requests_deadline_shed_total").value(),
+            1u);
+
+  BatchScheduler async(*registry_, {.max_batch = 4});
+  std::vector<std::future<PredictResponse>> futures;
+  for (const PredictRequest& request : requests) {
+    futures.push_back(async.submit(request));
+  }
+  std::vector<PredictResponse> answered;
+  for (auto& future : futures) answered.push_back(future.get());
+  check(answered);
+  snap = async.stats().snapshot();
+  EXPECT_EQ(snap.requests_served, requests.size() - 2);
+  EXPECT_EQ(snap.requests_rejected, 1u);
+  EXPECT_EQ(snap.requests_shed, 1u);
+}
+
 }  // namespace
 }  // namespace pelican::serve
