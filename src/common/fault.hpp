@@ -1,7 +1,8 @@
 // Deterministic, seeded fault injection for chaos testing.
 //
 // A process-wide Injector holds an ordered list of Rules. Instrumented code
-// ("hook sites" — today: router/socket frame I/O, Router::exchange, and
+// ("hook sites" — today: router/socket frame I/O, "router.exchange" before
+// each group of a Router::serve() round is sent, and
 // EngineWorker::handle_frame) asks `decide(site, peer)` what, if anything,
 // should go wrong right here, and applies the verdict itself: sleep for a
 // delay/stall, drop the connection, or truncate the frame mid-write. The

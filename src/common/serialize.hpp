@@ -137,6 +137,10 @@ class BufferWriter {
   void write_u64_span(std::span<const std::uint64_t> xs);
   void write_f64_span(std::span<const double> xs);
 
+  /// Sizes the buffer for `bytes` in all: a frame of known size is then
+  /// written in one allocation instead of regrowing.
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
     return buffer_;
   }

@@ -1,8 +1,8 @@
 #include "router/router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -16,6 +16,7 @@ namespace pelican::router {
 
 using membership::Move;
 using membership::Phase;
+using Clock = std::chrono::steady_clock;
 
 namespace {
 
@@ -24,18 +25,14 @@ std::chrono::steady_clock::duration millis(double ms) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
-/// Whole milliseconds from now until `at`, rounded up (poll()'s unit).
-int millis_until(std::chrono::steady_clock::time_point at) {
-  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-      at - std::chrono::steady_clock::now());
+/// Whole milliseconds from now until `at`, rounded up (poll()'s unit);
+/// -1 (no limit) for Clock::time_point::max().
+int millis_until(Clock::time_point at) {
+  if (at == Clock::time_point::max()) return -1;
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(at - Clock::now());
   return static_cast<int>(std::clamp<std::chrono::milliseconds::rep>(
       left.count(), 0, std::numeric_limits<int>::max()));
-}
-
-double millis_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 /// Reads `socket`'s next frame. A hedge's read races its `primary`: it
@@ -46,15 +43,30 @@ std::vector<std::uint8_t> recv_reply(Socket& socket, const Socket* primary,
   if (primary != nullptr) {
     const int wait_ms =
         timeout_ms > 0.0 ? static_cast<int>(std::ceil(timeout_ms)) : -1;
-    const Socket* ready = first_readable(*primary, socket, wait_ms);
-    if (ready == primary) {
+    const std::array<const Socket*, 2> both{primary, &socket};
+    const std::size_t ready = first_readable(both, wait_ms);
+    if (ready == 0) {
       throw std::runtime_error("hedge abandoned: the primary answered");
     }
-    if (ready == nullptr) {
+    if (ready == both.size()) {
       throw WireTimeout("recv timed out from " + socket.peer());
     }
   }
   return socket.recv_frame();
+}
+
+/// Writes a batch's `answers` from `from` into `responses`, at the
+/// batch's request indices `order`.
+void scatter(std::vector<serve::PredictResponse> answers,
+             std::span<const std::size_t> order,
+             std::span<serve::PredictResponse> responses,
+             const std::string& from) {
+  if (answers.size() != order.size()) {
+    throw WireError("predict reply count mismatch from " + from);
+  }
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    responses[order[j]] = std::move(answers[j]);
+  }
 }
 
 /// One request/reply on a fresh connection bounded by `timeout_ms`.
@@ -126,113 +138,124 @@ std::size_t Router::add_backend(const std::string& address) {
   return *moved;
 }
 
-Router::Found Router::find_backend(const std::string& address) const {
-  const MutexLock lock(mutex_);
-  const auto it = members_.find(address);
-  if (it == members_.end() || it->second.state.phase != Phase::kLive) {
-    return {};
+/// A slot of a backend's pool and its connection. release(true) parks the
+/// connection for reuse; release(false), or the lease's end, discards it
+/// and frees the slot.
+struct Router::Lease {
+  Lease() = default;
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() { release(false); }
+
+  /// Waits for an idle connection or room to open one. Throws WireError
+  /// when the pool closes or the connect fails.
+  void acquire(Backend& pool, std::size_t pool_connections) {
+    {
+      MutexLock lock(pool.pool_mutex);
+      while (!pool.closed && pool.idle.empty() &&
+             pool.open_connections >= pool_connections) {
+        lock.wait(pool.pool_cv);
+      }
+      if (pool.closed) {
+        throw WireError("backend left the fleet: " + pool.address);
+      }
+      backend = &pool;
+      pooled = !pool.idle.empty();
+      if (pooled) {
+        socket = std::move(pool.idle.back());
+        pool.idle.pop_back();
+      } else {
+        ++pool.open_connections;  // reserve a slot, connect off-lock
+      }
+    }
+    if (!pooled) socket = Socket::connect_to(pool.parsed);
   }
-  return {it->second.backend, it->second.state.strikes > 0};
-}
+
+  void release(bool reuse) {
+    if (backend == nullptr) return;
+    {
+      const MutexLock lock(backend->pool_mutex);
+      if (reuse && !backend->closed) {
+        backend->idle.push_back(std::move(socket));
+      } else {
+        --backend->open_connections;  // discarded, or the pool is closed
+      }
+      backend->pool_cv.notify_one();
+    }
+    socket.close();  // a parked connection was moved out already
+    backend = nullptr;
+  }
+
+  Backend* backend = nullptr;  ///< null when no slot is held
+  Socket socket;
+  bool pooled = false;  ///< parked before this lease: it may have rotted
+};
+
+struct Router::Flight {
+  /// Ends the exchange with what its owner is observed as: a data-plane ok
+  /// when it answered, else a timeout (the HUNG-engine signal, also when
+  /// its hedge answered first) or a transport error (the dead-engine one).
+  /// The connection is dropped unless a whole reply parked it already.
+  void finish(Observation how, bool instrument) {
+    seen = how;
+    lease.release(false);
+    if (instrument) done_ns = obs::now_ns();
+  }
+  void fail(const std::exception& error, bool instrument) {
+    const bool timeout = dynamic_cast<const WireTimeout*>(&error) != nullptr;
+    finish(timeout || hedge_answered ? Observation::kTimeout
+                                     : Observation::kTransportError,
+           instrument);
+  }
+
+  const RoundGroup* group = nullptr;
+  std::shared_ptr<Backend> backend;  ///< the owner
+  bool struck = false;  ///< it has strikes for a data-plane ok to clear
+  Lease lease;
+  std::vector<std::uint8_t> frame;
+  Clock::time_point deadline = Clock::time_point::max();
+  Clock::time_point hedge_at = Clock::time_point::max();  ///< max once fired
+  std::uint64_t encode_ns = 0, sent_ns = 0, hedge_ns = 0, done_ns = 0;
+  std::shared_ptr<Backend> hedged_to;  ///< the hedge's target once it fired
+  bool hedge_answered = false;
+  std::optional<Observation> seen;  ///< unset while the exchange is open
+};
 
 std::vector<std::uint8_t> Router::exchange(Backend& backend,
                                            std::span<const std::uint8_t> frame,
-                                           double timeout_ms, Hedge* hedge) {
-  bool hedged = false;    // the hedge runs at most once per exchange
-  bool answered = false;  // whether it answered
-  for (int attempt = 0;; ++attempt) {
-    Socket socket;
-    bool from_pool = false;
-    {
-      MutexLock lock(backend.pool_mutex);
-      while (!backend.closed && backend.idle.empty() &&
-             backend.open_connections >= config_.pool_connections) {
-        lock.wait(backend.pool_cv);
-      }
-      if (backend.closed) {
-        throw WireError("backend left the fleet: " + backend.address);
-      }
-      if (!backend.idle.empty()) {
-        socket = std::move(backend.idle.back());
-        backend.idle.pop_back();
-        from_pool = true;
-      } else {
-        ++backend.open_connections;  // reserve a slot, connect off-lock
-      }
-    }
-    // Hands the slot back: a connection that finished its exchange parks
-    // for reuse; any other is discarded, its state unknown.
-    const auto release = [&](bool reuse) {
-      const MutexLock lock(backend.pool_mutex);
-      if (reuse && !backend.closed) {
-        backend.idle.push_back(std::move(socket));
-      } else {
-        --backend.open_connections;  // discarded, or the pool is closed
-      }
-      backend.pool_cv.notify_one();
-    };
-    if (!from_pool) {
-      try {
-        socket = Socket::connect_to(backend.parsed);
-      } catch (...) {
-        release(false);
-        throw;
-      }
-    }
-    socket.set_io_timeout(timeout_ms);
+                                           double timeout_ms) {
+  Lease lease;
+  lease.acquire(backend, config_.pool_connections);
+  for (;;) {
     try {
-      socket.send_frame(frame);
-      const auto sent = std::chrono::steady_clock::now();
-      // A hedge due after the primary's deadline never fires: the primary
-      // times out first.
-      if (hedge != nullptr && !hedged &&
-          (timeout_ms <= 0.0 || hedge->at < sent + millis(timeout_ms)) &&
-          !socket.wait_readable(millis_until(hedge->at))) {
-        hedged = true;
-        answered = hedge->fire(socket);
-        if (answered && !socket.wait_readable(0)) {
-          // The hedge's answer came first. The primary's reply is still
-          // owed on this connection, so it never goes back to the pool.
-          release(false);
-          hedge->won = true;
-          return {};
-        }
-        if (timeout_ms > 0.0) {
-          // The primary keeps what is left of its deadline.
-          socket.set_io_timeout(
-              std::max(timeout_ms - millis_since(sent), 0.001));
-        }
-      }
-      std::vector<std::uint8_t> reply = socket.recv_frame();
-      socket.set_io_timeout(0);  // pooled connections are blocking at rest
-      release(true);
+      lease.socket.set_io_timeout(timeout_ms);
+      lease.socket.send_frame(frame);
+      std::vector<std::uint8_t> reply = lease.socket.recv_frame();
+      lease.socket.set_io_timeout(0);  // pooled connections block at rest
+      lease.release(true);
       return reply;
     } catch (const WireError& error) {
-      // Mid-exchange failure: the connection's state is unknown.
-      release(false);
-      if (answered) {
-        hedge->won = true;  // the primary's readable reply broke
-        return {};
-      }
-      // A deadline is never retried here — the caller owns the hung-engine
-      // handling. A pooled connection, though, can rot while parked (the
-      // engine restarted: first reuse sees EPIPE/ECONNRESET). That says
-      // nothing about the backend NOW — retry once on a fresh connection
-      // before declaring it dead. Every wire verb is idempotent (reads
-      // trivially; deploy/publish re-install the same version; drain
-      // re-requests a drain), and the failed send/recv never delivered a
-      // reply, so re-issuing the frame is safe.
-      if (from_pool && attempt == 0 &&
-          dynamic_cast<const WireTimeout*>(&error) == nullptr) {
-        reconnects_counter_->add();
-        continue;
-      }
-      throw;
-    } catch (...) {
-      release(false);
-      throw;
+      if (!reconnect(lease, error)) throw;
     }
   }
+}
+
+bool Router::reconnect(Lease& lease, const WireError& error) {
+  // A deadline is never retried here: the caller owns the hung-engine
+  // handling. A pooled connection, though, can rot while parked (the
+  // engine restarted: first reuse sees EPIPE/ECONNRESET). That says
+  // nothing about the backend NOW, so it is retried once on a fresh
+  // connection before the backend is declared dead. Every wire verb is
+  // idempotent (reads trivially; deploy/publish re-install the same
+  // version; drain re-requests a drain), and the failed send/recv never
+  // delivered a reply, so re-issuing the frame is safe.
+  if (!lease.pooled || dynamic_cast<const WireTimeout*>(&error) != nullptr) {
+    return false;
+  }
+  reconnects_counter_->add();
+  lease.pooled = false;
+  lease.socket = Socket::connect_to(lease.backend->parsed);
+  return true;
 }
 
 std::vector<serve::PredictResponse> Router::hedge_read(
@@ -265,12 +288,7 @@ std::vector<serve::PredictResponse> Router::hedge_read(
   socket.set_io_timeout(timeout_ms);
   deploy_over(socket, users, &primary, timeout_ms);
   socket.send_frame(frame);
-  auto answers =
-      decode_predict_replies(recv_reply(socket, &primary, timeout_ms));
-  if (answers.size() != batch.size()) {
-    throw WireError("predict reply count mismatch from " + target.address);
-  }
-  return answers;
+  return decode_predict_replies(recv_reply(socket, &primary, timeout_ms));
 }
 
 void Router::deploy_over(Socket& socket, const LedgerSlice& users,
@@ -465,12 +483,16 @@ void Router::close_pool(Backend& backend) {
   backend.pool_cv.notify_all();
 }
 
-std::string Router::hedge_candidate(const std::string& owner) const {
-  const auto live = live_backends();  // sorted
-  if (live.size() < 2) return {};
-  auto it = std::upper_bound(live.begin(), live.end(), owner);
-  if (it == live.end()) it = live.begin();
-  return *it == owner ? std::string{} : *it;
+std::shared_ptr<Router::Backend> Router::hedge_target(
+    const std::string& owner) const {
+  const MutexLock lock(mutex_);
+  auto it = members_.upper_bound(owner);
+  for (std::size_t seen = 0; seen < members_.size(); ++seen, ++it) {
+    if (it == members_.end()) it = members_.begin();  // wrap around
+    if (it->first == owner) break;
+    if (it->second.state.phase == Phase::kLive) return it->second.backend;
+  }
+  return nullptr;
 }
 
 double Router::resolve_hedge_delay() const {
@@ -626,260 +648,125 @@ std::vector<serve::PredictResponse> Router::serve(
       trace_ids.push_back(trace);
     }
   }
-  std::vector<obs::Span> spans;  // router-side spans, committed at the end
-  Mutex spans_mutex;             // forwarding threads append concurrently
+  const std::uint64_t trace = trace_ids.empty() ? 0 : trace_ids.front();
+  // Router-side spans, each observed by its stage histogram as it ends and
+  // committed to the trace journal at the end.
+  std::vector<obs::Span> spans;
+  const auto record = [&](obs::Histogram* histogram, obs::Stage stage,
+                          std::uint64_t start_ns, std::uint64_t end_ns) {
+    spans.push_back({stage, start_ns, end_ns - start_ns});
+    histogram->observe(spans.back().duration_ms());
+  };
 
   std::vector<serve::PredictResponse> responses(reqs.size());
-  std::vector<std::size_t> remaining(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) remaining[i] = i;
+  const auto reject = [&](std::size_t i) {
+    responses[i].user_id = reqs[i].user_id;
+    responses[i].rejected = true;
+  };
+  std::vector<Outstanding> outstanding(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) outstanding[i].index = i;
+  const RoundPolicy policy{config_.request_timeout_ms, resolve_hedge_delay()};
 
-  const double hedge_delay = resolve_hedge_delay();
-
-  std::size_t attempts = 0;
-  {
-    const MutexLock lock(mutex_);
-    attempts = partitioner_.backend_count() + 1;
-  }
-
-  std::size_t round = 0;
-  while (!remaining.empty() && attempts-- > 0) {
+  // One failover retry per backend the fleet had when the call began.
+  std::size_t attempts = 1;
+  for (std::size_t round = 0; !outstanding.empty() && round < attempts;
+       ++round) {
     const std::uint64_t round_start_ns = instrument ? obs::now_ns() : 0;
-
-    // Shed requests whose deadline budget is already gone: forwarding them
-    // would compute answers nobody reads (the engine would shed them at its
-    // admission anyway — this saves the wire trip too).
-    {
-      const double elapsed_ms = watch.milliseconds();
-      const std::size_t shed = std::erase_if(remaining, [&](std::size_t i) {
-        if (reqs[i].deadline_ms <= 0.0 || elapsed_ms < reqs[i].deadline_ms) {
-          return false;
-        }
-        responses[i].user_id = reqs[i].user_id;
-        responses[i].rejected = true;
-        return true;
-      });
-      if (shed > 0) deadline_shed_counter_->add(shed);
-      if (shed > 0 && instrument) {
-        // One journal entry per BURST, not per request — sheds cluster
-        // (a stall expires a whole round at once) and the counter above
-        // already carries the exact total.
-        events_.emit(obs::EventType::kDeadlineShed, "router",
-                     std::to_string(shed) + " of " +
-                         std::to_string(shed + remaining.size()) +
-                         " requests past deadline in round " +
-                         std::to_string(round),
-                     trace_ids.empty() ? 0 : trace_ids.front());
-      }
-      if (remaining.empty()) break;
-    }
-
-    // Group the outstanding requests by owning backend, in the order the
-    // owners first appear. A fleet has a handful of backends, so a linear
-    // search over the round's owners finds a request's group.
-    struct Group {
-      std::string owner;
-      std::vector<std::size_t> indices;
-      bool failed = false;  ///< retried next round
-    };
-    std::vector<Group> fan_out;
+    RoundPlan plan;
+    std::vector<Flight> flights;
     {
       MutexLock lock(mutex_);
+      if (round == 0) attempts = partitioner_.backend_count() + 1;
       // A read whose owner is leaving waits until its users are deployed
-      // on their new owners and the partitions have moved.
+      // on their new owners and the partitions have moved. (Loops, not
+      // lambdas: the thread-safety analysis sees no lock inside a lambda.)
       while (!leaving_.empty()) {
         bool waits = false;
-        for (const std::size_t i : remaining) {
-          waits = waits || partitioner_.owner_of(reqs[i].user_id) == leaving_;
+        for (const Outstanding& out : outstanding) {
+          const std::uint32_t user = reqs[out.index].user_id;
+          waits = waits || partitioner_.owner_of(user) == leaving_;
         }
         if (!waits) break;
         lock.wait(moved_cv_);
       }
       if (partitioner_.backend_count() == 0) break;
-      for (const std::size_t i : remaining) {
-        const std::string& owner = partitioner_.owner_of(reqs[i].user_id);
-        auto group = std::ranges::find(fan_out, owner, &Group::owner);
-        if (group == fan_out.end()) {
-          group = fan_out.insert(fan_out.end(), Group{owner, {}});
-        }
-        group->indices.push_back(i);
+      // Every owner is live now (a leaving one was waited out), and the
+      // plan names each by its pool's own address, which the flights keep
+      // alive past the lock.
+      for (Outstanding& out : outstanding) {
+        const std::uint32_t user = reqs[out.index].user_id;
+        out.owner = members_.at(partitioner_.owner_of(user)).backend->address;
+      }
+      plan = plan_round(reqs, outstanding, watch.milliseconds(), policy);
+      flights = std::vector<Flight>(plan.groups.size());
+      for (std::size_t g = 0; g < flights.size(); ++g) {
+        const Member& member = members_.find(plan.groups[g].owner)->second;
+        flights[g].backend = member.backend;
+        flights[g].struck = member.state.strikes > 0;
       }
     }
 
-    // A fan-out over more than one backend forwards each group from a
-    // short-lived thread of its own; a single group (every batch-1 read)
-    // runs in the caller's thread. Deliberately NOT ThreadPool::global():
-    // these bodies BLOCK on socket I/O, which would park compute workers
-    // the in-process engine path and attack scoring share, and
-    // parallel_for serializes concurrent submissions — two client threads
-    // in serve() would serialize their network waits.
-    auto forward = [&](Group& group) {
-      const std::string& address = group.owner;
-      const std::vector<std::size_t>& indices = group.indices;
-      const auto [backend, struck] = find_backend(address);
-      if (backend == nullptr) {
-        group.failed = true;
-        return;
-      }
-      // Build the batch with DECREMENTED budgets: the engine's admission
-      // check must see what is left after the router's own time, not the
-      // caller's original allowance.
-      std::vector<serve::PredictRequest> batch;
-      batch.reserve(indices.size());
-      double max_remaining_ms = 0.0;
-      {
-        const double elapsed_ms = watch.milliseconds();
-        for (const std::size_t i : indices) {
-          serve::PredictRequest request = reqs[i];
-          if (request.deadline_ms > 0.0) {
-            request.deadline_ms =
-                std::max(0.001, request.deadline_ms - elapsed_ms);
-            max_remaining_ms = std::max(max_remaining_ms, request.deadline_ms);
-          }
-          batch.push_back(std::move(request));
-        }
-      }
-      // The exchange deadline: the configured timeout, tightened to the
-      // batch's largest remaining budget (no point waiting for answers
-      // whose readers have all given up).
-      double timeout_ms = config_.request_timeout_ms;
-      if (max_remaining_ms > 0.0) {
-        timeout_ms = timeout_ms <= 0.0
-                         ? max_remaining_ms
-                         : std::min(timeout_ms, max_remaining_ms);
-      }
-
-      {
-        auto& injector = fault::Injector::global();
-        if (injector.active()) {
-          injector.sleep_for(injector.decide("router.exchange", address));
-        }
-      }
-
-      const std::uint64_t encode_start_ns = instrument ? obs::now_ns() : 0;
-      const auto frame = encode_predict_batch(batch);
-      const std::uint64_t sent_ns = instrument ? obs::now_ns() : 0;
-      forwards_.fetch_add(1, std::memory_order_relaxed);
-
-      // The exchange polls for the reply until the hedge delay; if it is
-      // late, the hedge fires from this thread when the budget allows
-      // another duplicate and the fleet has a second choice.
-      std::vector<serve::PredictResponse> answers;
-      std::string hedge_target;
-      std::uint64_t hedge_start_ns = 0;
-      Hedge hedge;
-      hedge.at = std::chrono::steady_clock::now() + millis(hedge_delay);
-      hedge.fire = [&](const Socket& primary) {
-        const std::uint64_t fired =
-            hedges_fired_.load(std::memory_order_relaxed);
-        const std::uint64_t total = forwards_.load(std::memory_order_relaxed);
-        if (static_cast<double>(fired + 1) >
-            config_.hedge_budget_fraction * static_cast<double>(total)) {
-          return false;
-        }
-        const std::string target = hedge_candidate(address);
-        const auto target_backend =
-            target.empty() ? nullptr : find_backend(target).backend;
-        if (target_backend == nullptr) return false;
-        hedge_target = target;
-        hedge_start_ns = obs::now_ns();
-        hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-        hedges_counter_->add();
-        try {
-          answers =
-              hedge_read(*target_backend, batch, frame, timeout_ms, primary);
-          (void)observe(target, Observation::kDataOk);
-          return true;
-        } catch (const std::exception&) {
-          // Hedge failures never fail the TARGET over — it was drafted in,
-          // not proven guilty. The primary's read goes on; it is readable
-          // already when it ended the hedge.
-          return false;
-        }
-      };
-
-      bool primary_timeout = false;
-      bool primary_failed = false;
-      try {
-        const auto reply = exchange(*backend, frame, timeout_ms,
-                                    hedge_delay >= 0.0 ? &hedge : nullptr);
-        if (!hedge.won) {
-          answers = decode_predict_replies(reply);
-          if (answers.size() != indices.size()) {
-            throw WireError("predict reply count mismatch from " + address);
-          }
-        }
-      } catch (const WireTimeout&) {
-        primary_timeout = true;
-      } catch (const std::exception&) {
-        primary_failed = true;
-      }
-
-      if (primary_timeout || primary_failed) {
-        group.failed = true;
-      } else {
-        for (std::size_t j = 0; j < indices.size(); ++j) {
-          responses[indices[j]] = std::move(answers[j]);
-        }
-      }
-
+    for (const std::size_t i : plan.shed) reject(i);
+    if (!plan.shed.empty()) {
+      deadline_shed_counter_->add(plan.shed.size());
+      // One journal entry per BURST, not per request — sheds cluster (a
+      // stall expires a whole round at once) and the counter above already
+      // carries the exact total.
       if (instrument) {
-        const std::uint64_t done_ns = obs::now_ns();
-        const MutexLock lock(spans_mutex);
-        spans.push_back({obs::Stage::kWireSerialize, encode_start_ns,
-                         sent_ns - encode_start_ns});
-        spans.push_back(
-            {obs::Stage::kRouterFanout, sent_ns, done_ns - sent_ns});
-        if (!hedge_target.empty()) {
-          spans.push_back(
-              {obs::Stage::kHedge, hedge_start_ns, done_ns - hedge_start_ns});
+        events_.emit(obs::EventType::kDeadlineShed, "router",
+                     std::to_string(plan.shed.size()) + " of " +
+                         std::to_string(outstanding.size()) +
+                         " requests past deadline in round " +
+                         std::to_string(round),
+                     trace);
+      }
+    }
+    forward(plan, policy, instrument, responses, flights);
+
+    // Post-mortem, as membership observations, once every group has ended
+    // and no pool slot is held. Only a struck backend has anything for a
+    // data-plane ok to clear, so the common read skips it. A group neither
+    // it nor its hedge answered is retried next round.
+    outstanding.clear();
+    for (const Flight& flight : flights) {
+      const std::string& owner = flight.backend->address;
+      if (instrument) {
+        record(wire_serialize_hist_, obs::Stage::kWireSerialize,
+               flight.encode_ns, flight.sent_ns);
+        record(fanout_hist_, obs::Stage::kRouterFanout, flight.sent_ns,
+               flight.done_ns);
+        if (flight.hedged_to) {
+          record(hedge_hist_, obs::Stage::kHedge, flight.hedge_ns,
+                 flight.done_ns);
         }
       }
-
-      // Post-mortem on the primary path, as membership observations. A
-      // timeout (or losing the hedge race) is the HUNG-engine signal, a
-      // transport error the dead-engine one. Only a struck backend has
-      // anything for a data-plane ok to clear, so the common read skips it.
-      const std::uint64_t group_trace =
-          trace_ids.empty() ? 0 : trace_ids.front();
-      if (hedge.won) {
+      if (flight.hedge_answered) {
+        (void)observe(flight.hedged_to->address, Observation::kDataOk);
+      }
+      if (flight.seen == Observation::kDataOk) {
+        if (flight.struck) (void)observe(owner, Observation::kDataOk);
+        continue;
+      }
+      if (flight.hedge_answered) {
         hedge_wins_counter_->add();
         if (instrument) {
-          events_.emit(obs::EventType::kHedgeWin, hedge_target,
-                       "duplicate read beat " + address, group_trace);
+          events_.emit(obs::EventType::kHedgeWin, flight.hedged_to->address,
+                       "duplicate read beat " + owner, trace);
         }
       }
-      if (primary_timeout || hedge.won) {
-        (void)observe(address, Observation::kTimeout, group_trace);
-      } else if (primary_failed) {
-        (void)observe(address, Observation::kTransportError, group_trace);
-      } else if (struck) {
-        (void)observe(address, Observation::kDataOk);
+      (void)observe(owner, *flight.seen, trace);
+      if (flight.hedge_answered) continue;
+      for (const std::size_t i : plan.order_of(*flight.group)) {
+        outstanding.push_back({i, {}});
       }
-    };
-    if (fan_out.size() == 1) {
-      forward(fan_out.front());
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(fan_out.size());
-      for (Group& group : fan_out) {
-        threads.emplace_back(forward, std::ref(group));
-      }
-      for (auto& thread : threads) thread.join();
-    }
-
-    remaining.clear();
-    for (const Group& group : fan_out) {
-      if (!group.failed) continue;
-      remaining.insert(remaining.end(), group.indices.begin(),
-                       group.indices.end());
     }
     if (instrument && round > 0) {
       // Rounds past the first exist only because a backend failed: the
       // whole round is failover work, visible as its own span.
-      spans.push_back({obs::Stage::kFailoverRetry, round_start_ns,
-                       obs::now_ns() - round_start_ns});
+      record(failover_hist_, obs::Stage::kFailoverRetry, round_start_ns,
+             obs::now_ns());
     }
-    if (!remaining.empty() && attempts > 0) {
+    if (!outstanding.empty() && round + 1 < attempts) {
       // Exponential backoff between retry rounds: the repartition already
       // happened synchronously, so this only paces a flapping fleet, never
       // the first failover.
@@ -893,14 +780,10 @@ std::vector<serve::PredictResponse> Router::serve(
         std::this_thread::sleep_for(millis(backoff_ms));
       }
     }
-    ++round;
   }
 
   // Requests that survived every retry round with no live owner.
-  for (const std::size_t i : remaining) {
-    responses[i].user_id = reqs[i].user_id;
-    responses[i].rejected = true;
-  }
+  for (const Outstanding& out : outstanding) reject(out.index);
 
   // Router-side accounting: end-to-end latency including wire + failover.
   // (The engines' own view of the same rows arrives via fleet_metrics().)
@@ -916,30 +799,146 @@ std::vector<serve::PredictResponse> Router::serve(
     }
   }
   if (instrument && !spans.empty()) {
-    for (const obs::Span& span : spans) {
-      switch (span.stage) {
-        case obs::Stage::kWireSerialize:
-          wire_serialize_hist_->observe(span.duration_ms());
-          break;
-        case obs::Stage::kRouterFanout:
-          fanout_hist_->observe(span.duration_ms());
-          break;
-        case obs::Stage::kFailoverRetry:
-          failover_hist_->observe(span.duration_ms());
-          break;
-        case obs::Stage::kHedge:
-          hedge_hist_->observe(span.duration_ms());
-          break;
-        default:
-          break;
-      }
-    }
     for (const std::uint64_t id : trace_ids) {
       traces_.record(id, spans);
       traces_.finish(id, latency_ms);
     }
   }
   return responses;
+}
+
+void Router::forward(const RoundPlan& plan, const RoundPolicy& policy,
+                     bool instrument,
+                     std::span<serve::PredictResponse> responses,
+                     std::span<Flight> flights) {
+  const auto stamp = [instrument] { return instrument ? obs::now_ns() : 0; };
+  // Sends a flight's frame, again on a fresh connection when a pooled one
+  // has rotted, and starts its deadline.
+  const auto send = [this](Flight& flight) {
+    const double timeout_ms = flight.group->timeout_ms;
+    for (;;) {
+      try {
+        flight.lease.socket.set_io_timeout(timeout_ms);
+        flight.lease.socket.send_frame(flight.frame);
+        break;
+      } catch (const WireError& error) {
+        if (!reconnect(flight.lease, error)) throw;
+      }
+    }
+    if (timeout_ms > 0.0) flight.deadline = Clock::now() + millis(timeout_ms);
+  };
+  // Lease and send group by group, in owner-address order: a caller waits
+  // for a pool slot only of a backend that sorts after every one it holds,
+  // so two callers never wait on each other.
+  for (std::size_t g = 0; g < flights.size(); ++g) {
+    Flight& flight = flights[g];
+    const RoundGroup& group = plan.groups[g];
+    flight.group = &group;
+    auto& injector = fault::Injector::global();
+    if (injector.active()) {
+      injector.sleep_for(injector.decide("router.exchange", group.owner));
+    }
+    flight.encode_ns = stamp();
+    flight.frame = encode_predict_batch(plan.batch_of(group));
+    flight.sent_ns = stamp();
+    forwards_.fetch_add(1, std::memory_order_relaxed);
+    if (group.hedges) {
+      flight.hedge_at = Clock::now() + millis(policy.hedge_delay_ms);
+    }
+    try {
+      flight.lease.acquire(*flight.backend, config_.pool_connections);
+      send(flight);
+    } catch (const std::exception& error) {
+      flight.fail(error, instrument);
+    }
+  }
+  // Then one poll over every open group's connection (an ended group's is
+  // closed or parked, and the poll skips it), each reply decoded into
+  // `responses` as it arrives.
+  std::vector<const Socket*> sockets(flights.size());
+  for (std::size_t g = 0; g < flights.size(); ++g) {
+    sockets[g] = &flights[g].lease.socket;
+  }
+  for (;;) {
+    bool open = false;
+    Clock::time_point wake = Clock::time_point::max();
+    for (const Flight& flight : flights) {
+      if (flight.seen) continue;
+      open = true;
+      wake = std::min({wake, flight.deadline, flight.hedge_at});
+    }
+    if (!open) return;
+    const std::size_t ready = first_readable(sockets, millis_until(wake));
+    if (ready < flights.size()) {
+      Flight& flight = flights[ready];
+      try {
+        std::vector<std::uint8_t> reply;
+        try {
+          reply = flight.lease.socket.recv_frame();
+        } catch (const WireError& error) {
+          if (flight.hedge_answered || !reconnect(flight.lease, error)) throw;
+          send(flight);
+          continue;
+        }
+        flight.lease.socket.set_io_timeout(0);  // pooled ones block at rest
+        flight.lease.release(true);
+        scatter(decode_predict_replies(reply), plan.order_of(*flight.group),
+                responses, flight.backend->address);
+        flight.finish(Observation::kDataOk, instrument);
+      } catch (const std::exception& error) {
+        flight.fail(error, instrument);
+      }
+      continue;
+    }
+    // A passed deadline ends its group. A due hedge fires, one per poll: it
+    // runs to its end, and replies that arrived meanwhile are read before
+    // the next one fires.
+    const Clock::time_point now = Clock::now();
+    Flight* due = nullptr;
+    for (Flight& flight : flights) {
+      if (flight.seen) continue;
+      if (now >= flight.deadline) {
+        flight.finish(Observation::kTimeout, instrument);
+      } else if (due == nullptr && now >= flight.hedge_at) {
+        due = &flight;
+      }
+    }
+    if (due != nullptr) hedge(*due, plan, responses, instrument);
+  }
+}
+
+void Router::hedge(Flight& flight, const RoundPlan& plan,
+                   std::span<serve::PredictResponse> responses,
+                   bool instrument) {
+  flight.hedge_at = Clock::time_point::max();  // at most once per group
+  const std::uint64_t fired = hedges_fired_.load(std::memory_order_relaxed);
+  const std::uint64_t total = forwards_.load(std::memory_order_relaxed);
+  if (static_cast<double>(fired + 1) >
+      config_.hedge_budget_fraction * static_cast<double>(total)) {
+    return;
+  }
+  flight.hedged_to = hedge_target(flight.backend->address);
+  if (flight.hedged_to == nullptr) return;
+  flight.hedge_ns = obs::now_ns();
+  hedges_fired_.fetch_add(1, std::memory_order_relaxed);
+  hedges_counter_->add();
+  const RoundGroup& group = *flight.group;
+  try {
+    scatter(hedge_read(*flight.hedged_to, plan.batch_of(group), flight.frame,
+                       group.timeout_ms, flight.lease.socket),
+            plan.order_of(group), responses, flight.hedged_to->address);
+  } catch (const std::exception&) {
+    // Hedge failures never fail the TARGET over — it was drafted in, not
+    // proven guilty. The primary's read goes on.
+    return;
+  }
+  flight.hedge_answered = true;
+  // The primary's reply is read only if it is there already. Otherwise it
+  // is still owed on this connection, which never goes back to the pool.
+  const Socket* primary = &flight.lease.socket;
+  if (first_readable({&primary, 1}, 0) != 0) {
+    flight.finish(Observation::kTimeout, instrument);
+  }
 }
 
 void Router::poll_fleet(

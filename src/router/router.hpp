@@ -6,9 +6,12 @@
 // metrics — and the router turns each call into frames for the owning
 // process:
 //
-//   serve(requests)    groups requests by owning backend, forwards one
-//                      kPredictBatch per backend IN PARALLEL, and returns
-//                      responses in request order. Responses are
+//   serve(requests)    runs on the calling thread, one planned round per
+//                      failover attempt: plan_round (round_plan.hpp) sheds
+//                      expired requests and groups the rest by owning
+//                      backend, one kPredictBatch each is sent, and one
+//                      poll over all their connections reads each reply as
+//                      it arrives. Responses come back in request order,
 //                      bit-identical to direct ServingEngine calls: the
 //                      wire carries discretized features and location ids
 //                      only, and the engine runs the same
@@ -69,13 +72,15 @@
 //                hedge_delay_ms), the caller's own thread fires the SAME
 //                predict batch at a second live backend, on one fresh
 //                connection that first re-deploys the users there from the
-//                ledger (deploys are idempotent). The first readable answer
-//                wins: the hedge watches the primary's connection while it
-//                waits for each of its replies and is abandoned as soon as
-//                the primary's reply is readable; once the hedge answers,
-//                the primary's reply is read only if it is already there,
-//                and otherwise its connection is dropped. A hedge that
-//                fails leaves the primary's read to finish. Answers are
+//                ledger (deploys are idempotent). A hedge runs to its end
+//                while the round's other replies wait in their sockets, so
+//                a round hedges one group at a time. The first readable
+//                answer wins: the hedge watches the primary's connection
+//                while it waits for each of its replies and is abandoned as
+//                soon as the primary's reply is readable; once the hedge
+//                answers, the primary's reply is read only if it is already
+//                there, and otherwise its connection is dropped. A hedge
+//                that fails leaves the primary's read to finish. Answers are
 //                bit-identical by construction (same store artifact, same
 //                kernels), so which copy wins is unobservable in the
 //                response. A hedge budget (hedge_budget_fraction) caps
@@ -90,9 +95,11 @@
 // Thread-safe: any number of threads may call serve/publish/deploy
 // concurrently; membership changes, deploys and publishes serialize on an
 // internal lock that reads never take, and the connection pools bound
-// per-backend concurrency. Pooled connections that broke while parked
-// (engine restart: EPIPE/ECONNRESET on first use) are transparently
-// replaced with one fresh connect + retry per exchange.
+// per-backend concurrency. A serve() round leases its pools in address
+// order, so two callers never wait on each other's slots. Pooled
+// connections that broke while parked (engine restart: EPIPE/ECONNRESET on
+// first use) are transparently replaced with one fresh connect + retry per
+// exchange.
 #pragma once
 
 #include <atomic>
@@ -117,6 +124,7 @@
 #include "obs/trace.hpp"
 #include "router/membership.hpp"
 #include "router/partitioner.hpp"
+#include "router/round_plan.hpp"
 #include "router/socket.hpp"
 #include "router/wire.hpp"
 #include "serve/scheduler.hpp"
@@ -199,9 +207,10 @@ class Router {
   void publish(std::uint32_t user, std::uint32_t version);
 
   /// Forwards `requests` to their owning processes (one batch per backend,
-  /// in parallel) and returns responses in request order. Requests whose
-  /// owner died mid-call are retried on the failover owner; requests that
-  /// exhaust every backend come back ok = false / rejected = true.
+  /// all in flight at once from the calling thread) and returns responses
+  /// in request order. Requests whose owner died mid-call are retried on
+  /// the failover owner; requests that exhaust every backend come back
+  /// ok = false / rejected = true.
   [[nodiscard]] std::vector<serve::PredictResponse> serve(
       std::span<const serve::PredictRequest> requests);
 
@@ -302,12 +311,10 @@ class Router {
     std::shared_ptr<Backend> backend;
   };
 
-  /// A live backend's pool (null when it is not live), and whether it has
-  /// strikes for a data-plane ok to clear.
-  struct Found {
-    std::shared_ptr<Backend> backend;
-    bool struck = false;
-  };
+  /// A pool slot and its connection (router.cpp).
+  struct Lease;
+  /// One group's exchange in a serve() round (router.cpp).
+  struct Flight;
 
   /// Ledger records, each the deploy that re-creates its user.
   using LedgerSlice = std::vector<DeployCommand>;
@@ -315,35 +322,35 @@ class Router {
   /// Failures a transition saw on other backends, observed after it.
   using Failures = std::vector<std::pair<std::string, Observation>>;
 
-  /// The hedge of one exchange (see exchange()). `fire` runs the duplicate
-  /// read racing the primary's connection, keeps its answer, and returns
-  /// whether it answered.
-  struct Hedge {
-    std::chrono::steady_clock::time_point at;
-    std::function<bool(const Socket& primary)> fire;
-    bool won = false;
-  };
-
-  [[nodiscard]] Found find_backend(const std::string& address) const;
-
   /// One request/reply exchange over a pooled connection, bounded by
-  /// `timeout_ms` (<= 0 = blocking). Throws WireTimeout on deadline expiry
-  /// (backend possibly hung) and WireError on transport failure (backend
-  /// presumed dead). A connection-level failure on the FIRST attempt —
-  /// typically a pooled socket that broke while parked — is retried once on
-  /// a fresh connection before the error propagates.
-  ///
-  /// With a `hedge`, the exchange sends the frame and polls the connection
-  /// until `hedge->at`. If the reply is late, it runs the hedge in this
-  /// thread, at most once. The first readable answer wins: the hedge gives
-  /// up when the primary's reply turns readable first, and after a hedge
-  /// that answered, the primary is read only if its reply is readable;
-  /// otherwise its connection is discarded, `won` is set and no bytes are
-  /// returned. After a hedge that failed or gave up, the primary keeps
-  /// what is left of `timeout_ms`.
+  /// `timeout_ms` (<= 0 = blocking): the admin frames' and poll_fleet's.
+  /// Throws WireTimeout on deadline expiry (backend possibly hung) and
+  /// WireError on transport failure (backend presumed dead), after the one
+  /// reconnect().
   [[nodiscard]] std::vector<std::uint8_t> exchange(
       Backend& backend, std::span<const std::uint8_t> frame,
-      double timeout_ms, Hedge* hedge = nullptr);
+      double timeout_ms);
+
+  /// After `error` on `lease`'s connection: a pooled connection that failed
+  /// other than by a timeout is swapped for a fresh one in the same slot
+  /// (true: send again). Throws WireError when the connect fails.
+  bool reconnect(Lease& lease, const WireError& error);
+
+  /// Carries out `plan` from the calling thread, one flight per group:
+  /// leases the connections and sends every frame in plan order, then
+  /// polls them all, writing each reply's answers into `responses` as it
+  /// arrives, until every group has ended. A due hedge fires from here.
+  void forward(const RoundPlan& plan, const RoundPolicy& policy,
+               bool instrument,
+               std::span<serve::PredictResponse> responses,
+               std::span<Flight> flights);
+
+  /// Fires a flight's due hedge when the budget allows and the fleet has a
+  /// second choice (hedge_read). Its answers go into `responses`; the
+  /// primary is then read only if its reply is already readable, and
+  /// otherwise the hedge wins and the connection is dropped.
+  void hedge(Flight& flight, const RoundPlan& plan,
+             std::span<serve::PredictResponse> responses, bool instrument);
 
   /// Re-deploys `batch`'s users on `target` from the ledger, then reads the
   /// predict `frame` there: one fresh connection bounded by `timeout_ms`,
@@ -448,8 +455,9 @@ class Router {
                           double timeout_ms = 0.0);
 
   /// Hedge target for a group owned by `owner`: the next live backend
-  /// after it in sorted order; empty when the fleet has no second choice.
-  [[nodiscard]] std::string hedge_candidate(const std::string& owner) const;
+  /// after it in address order; null when the fleet has no second choice.
+  [[nodiscard]] std::shared_ptr<Backend> hedge_target(
+      const std::string& owner) const;
 
   /// Effective hedge delay for this serve() call (auto mode reads the
   /// fan-out p99); < 0 when hedging is disabled.
@@ -466,7 +474,8 @@ class Router {
   mutable Mutex mutex_;
   Partitioner partitioner_ PELICAN_GUARDED_BY(mutex_);
   /// The membership table: live and quarantined backends, by address.
-  std::map<std::string, Member> members_ PELICAN_GUARDED_BY(mutex_);
+  std::map<std::string, Member, std::less<>> members_
+      PELICAN_GUARDED_BY(mutex_);
   /// The backend whose partitions are moving out, empty when none. Reads
   /// it still owns wait on moved_cv_ for the commit.
   std::string leaving_ PELICAN_GUARDED_BY(mutex_);

@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -269,16 +270,17 @@ std::vector<std::uint8_t> Socket::recv_frame() {
   return payload;
 }
 
-bool Socket::wait_readable(int timeout_ms) const {
-  pollfd pfd{fd_, POLLIN, 0};
-  return valid() && poll_input({&pfd, 1}, timeout_ms);
-}
-
-const Socket* first_readable(const Socket& first, const Socket& second,
-                             int timeout_ms) {
-  pollfd fds[2] = {{first.fd(), POLLIN, 0}, {second.fd(), POLLIN, 0}};
-  if (!poll_input(fds, timeout_ms)) return nullptr;
-  return fds[0].revents != 0 ? &first : &second;
+std::size_t first_readable(std::span<const Socket* const> sockets,
+                           int timeout_ms) {
+  std::vector<pollfd> fds;
+  fds.reserve(sockets.size());
+  for (const Socket* socket : sockets) {
+    fds.push_back({socket->fd(), POLLIN, 0});  // poll(2) skips a negative fd
+  }
+  if (!poll_input(fds, timeout_ms)) return sockets.size();
+  const auto ready = std::ranges::find_if(
+      fds, [](const pollfd& fd) { return fd.revents != 0; });
+  return static_cast<std::size_t>(ready - fds.begin());
 }
 
 void Socket::shutdown_both() noexcept {

@@ -140,11 +140,6 @@ class Socket {
   void send_bytes(std::string_view data);
   [[nodiscard]] std::size_t recv_some(char* buffer, std::size_t capacity);
 
-  /// Waits up to `timeout_ms` (0 = just look) until a read would not
-  /// block: data, EOF or an error is pending. False on timeout. The
-  /// router's hedged exchange polls its primary with this.
-  [[nodiscard]] bool wait_readable(int timeout_ms) const;
-
   /// Wakes any thread blocked in this socket's I/O with an EOF/error
   /// (used to stop connection-handler threads). Safe from other threads.
   void shutdown_both() noexcept;
@@ -163,13 +158,14 @@ class Socket {
   std::string peer_;
 };
 
-/// Waits up to `timeout_ms` (< 0 = no limit) until a read on `first` or
-/// on `second` would not block (as Socket::wait_readable) and returns
-/// that socket, `first` when both are readable; nullptr on timeout. A
-/// hedged read watches its primary with this.
-[[nodiscard]] const Socket* first_readable(const Socket& first,
-                                           const Socket& second,
-                                           int timeout_ms);
+/// One poll(2) over `sockets`: waits up to `timeout_ms` (< 0 = no limit,
+/// 0 = just look) until a read on one of them would not block (data, EOF
+/// or an error is pending) and returns the first such socket's index;
+/// sockets.size() on timeout. Closed sockets are skipped. Router::serve()
+/// waits on every group of a round with this, and a hedge races its
+/// primary with it.
+[[nodiscard]] std::size_t first_readable(
+    std::span<const Socket* const> sockets, int timeout_ms);
 
 /// A listening socket with one thread per accepted connection, the
 /// connection lifecycle of every server in the tier (EngineWorker, the

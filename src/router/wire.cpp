@@ -6,6 +6,9 @@ namespace pelican::router {
 
 namespace {
 
+/// A window's bytes on the wire: five per step, then the label and start.
+constexpr std::size_t kWindowBytes = mobility::kWindowSteps * 5 + 2 + 8;
+
 void write_window(BufferWriter& writer, const mobility::Window& window) {
   for (const auto& step : window.steps) {
     writer.write_u8(step.entry_bin);
@@ -30,8 +33,11 @@ mobility::Window read_window(BufferReader& reader) {
   return window;
 }
 
-BufferWriter begin_frame(Verb verb) {
+/// A writer holding `verb`'s byte, sized for `bytes` in all when the
+/// frame's size is known ahead.
+BufferWriter begin_frame(Verb verb, std::size_t bytes = 1) {
   BufferWriter writer;
+  writer.reserve(bytes);
   writer.write_u8(static_cast<std::uint8_t>(verb));
   return writer;
 }
@@ -221,7 +227,10 @@ Verb frame_verb(std::span<const std::uint8_t> frame) {
 
 std::vector<std::uint8_t> encode_predict_batch(
     std::span<const serve::PredictRequest> requests) {
-  BufferWriter writer = begin_frame(Verb::kPredictBatch);
+  // Verb, version and count, then a fixed-size record per request.
+  BufferWriter writer = begin_frame(
+      Verb::kPredictBatch,
+      1 + 1 + 8 + requests.size() * (4 + 8 + 8 + 8 + kWindowBytes));
   writer.write_u8(kPredictFrameVersion);
   writer.write_u64(requests.size());
   for (const auto& request : requests) {

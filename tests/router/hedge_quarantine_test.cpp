@@ -7,7 +7,10 @@
 //   race rules   a primary that answers while its hedge still runs wins,
 //                and ends a hedge stalled on its target at once; a hedge
 //                that fails leaves the primary to answer; callers hedging
-//                in both directions under full pools all return.
+//                in both directions under full pools all return, those
+//                reading both engines in one batch too.
+//   one thread   a batch over both engines waits for them from the
+//                calling thread, starting no thread of its own.
 //   quarantine   an engine stalling predicts AND health probes is
 //                quarantined (partitions move, users re-deploy) and the
 //                serve call still answers within its own call; lifting the
@@ -20,11 +23,15 @@
 // handler thread still sleeping inside a faulted handle_frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +51,16 @@ using pelican::serve_testing::tiny_spec;
 struct FaultGuard {
   ~FaultGuard() { fault::Injector::global().clear(); }
 };
+
+/// The process's thread count, from /proc/self/status.
+long thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with("Threads:")) return std::stol(line.substr(8));
+  }
+  return -1;
+}
 
 /// Polls `condition` for up to `limit`.
 template <typename Condition>
@@ -94,6 +111,18 @@ class HedgeQuarantineTest : public ::testing::Test {
       expected_.push_back(rt::reference_deployment(user, 1)
                               .predict_top_k(requests_.back().window, 3));
     }
+  }
+
+  /// Indices into requests_ of each engine's users, by engine index.
+  [[nodiscard]] std::array<std::vector<std::size_t>, 2> requests_by_engine(
+      const Router& router) const {
+    std::array<std::vector<std::size_t>, 2> by_engine;
+    for (std::size_t i = 0; i < requests_.size(); ++i) {
+      const bool first =
+          router.owner_of(requests_[i].user_id) == dir_.socket_address(0);
+      by_engine[first ? 0 : 1].push_back(i);
+    }
+    return by_engine;
   }
 
   /// The other engine of the two: the hedge target of `owner`'s reads.
@@ -257,13 +286,25 @@ TEST_F(HedgeQuarantineTest, FailedHedgeLeavesThePrimaryToAnswer) {
 
 TEST_F(HedgeQuarantineTest, CrossHedgesUnderFullPoolsAllReturn) {
   FaultGuard guard;
-  Router router(hedging_config(5.0));
+  // Pools smaller than the three callers of each owner order below: a
+  // caller that leased in its batch's order instead of address order could
+  // then hold every slot of one engine while it waits for the other's.
+  RouterConfig config = hedging_config(5.0);
+  config.pool_connections = 2;
+  Router router(config);
   deploy_all(router);
   build_requests();
 
+  const auto by_engine = requests_by_engine(router);
+  ASSERT_FALSE(by_engine[0].empty());
+  ASSERT_FALSE(by_engine[1].empty());
+
   // Both engines answer predicts late, so nearly every read hedges at the
   // other engine — in both directions at once, while 12 callers keep both
-  // pools (4 connections each) full.
+  // pools (2 connections each) full. Half the callers read one user; the
+  // other half read one user on each engine in one batch, half of them
+  // listing engine 0's user first and half engine 1's, so their leases
+  // meet in both orders.
   fault::Injector::global().configure(
       {rule("engine.handle.predict_batch", "", fault::Action::kDelay, 40)},
       /*seed=*/1);
@@ -276,11 +317,21 @@ TEST_F(HedgeQuarantineTest, CrossHedgesUnderFullPoolsAllReturn) {
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
       for (std::size_t call = 0; call < kCalls; ++call) {
-        const std::size_t i = (c * kCalls + call) % requests_.size();
-        const auto responses =
-            router.serve(std::vector<serve::PredictRequest>{requests_[i]});
-        if (responses[0].ok && responses[0].locations != expected_[i]) {
-          wrong.fetch_add(1);
+        const std::size_t n = c * kCalls + call;
+        std::vector<std::size_t> picks = {n % requests_.size()};
+        if (c % 2 == 1) {
+          picks = {by_engine[0][n % by_engine[0].size()],
+                   by_engine[1][n % by_engine[1].size()]};
+          if (c % 4 == 3) std::swap(picks[0], picks[1]);
+        }
+        std::vector<serve::PredictRequest> batch;
+        for (const std::size_t i : picks) batch.push_back(requests_[i]);
+        const auto responses = router.serve(batch);
+        for (std::size_t j = 0; j < picks.size(); ++j) {
+          if (responses[j].ok &&
+              responses[j].locations != expected_[picks[j]]) {
+            wrong.fetch_add(1);
+          }
         }
       }
       returned.fetch_add(1);
@@ -299,6 +350,61 @@ TEST_F(HedgeQuarantineTest, CrossHedgesUnderFullPoolsAllReturn) {
   for (auto& caller : callers) caller.join();
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_GE(router.metrics().counter("router_hedges_total").value(), 1u);
+}
+
+TEST_F(HedgeQuarantineTest, TwoOwnerServeStartsNoThread) {
+  FaultGuard guard;
+  RouterConfig config;
+  config.hedge_delay_ms = -1.0;  // the slow engine is waited for
+  config.request_timeout_ms = 10000.0;
+  Router router(config);
+  deploy_all(router);
+  build_requests();
+  const auto by_engine = requests_by_engine(router);
+  ASSERT_FALSE(by_engine[0].empty());
+  ASSERT_FALSE(by_engine[1].empty());
+
+  // Warm up: every connection the call will use is pooled already, so the
+  // engines accept nothing new during it.
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto& response : router.serve(requests_)) {
+      ASSERT_TRUE(response.ok);
+    }
+  }
+  fault::Injector::global().configure(
+      {rule("engine.handle.predict_batch", dir_.socket_address(0),
+            fault::Action::kDelay, 200)},
+      /*seed=*/1);
+
+  // The sampler starts before the baseline is read, so the baseline counts
+  // it, and it samples only while the call runs.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> during{false};
+  std::atomic<long> most{0};
+  std::thread sampler([&] {
+    while (!stop.load()) {
+      if (during.load()) most.store(std::max(most.load(), thread_count()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const long baseline = thread_count();
+  during.store(true);
+  const auto start = std::chrono::steady_clock::now();
+  const auto responses = router.serve(requests_);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  during.store(false);
+  stop.store(true);
+  sampler.join();
+
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok) << "user " << requests_[i].user_id;
+    EXPECT_EQ(responses[i].locations, expected_[i]);
+  }
+  EXPECT_GE(elapsed, std::chrono::milliseconds(200))
+      << "the call must have waited for the delayed engine";
+  EXPECT_GT(most.load(), 0) << "the sampler never ran during the call";
+  EXPECT_LE(most.load(), baseline)
+      << "serve() over two engines started a thread";
 }
 
 TEST_F(HedgeQuarantineTest, StalledEngineIsQuarantinedThenRecovers) {

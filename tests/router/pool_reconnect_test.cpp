@@ -1,8 +1,9 @@
-// Satellite (a): pooled connections that broke while parked are replaced
-// transparently. An engine restart resets every connection the router has
-// pooled to it (EPIPE/ECONNRESET on first reuse); the next exchange must
-// retry once on a fresh connection instead of declaring the backend dead —
-// the backend is fine, only the parked socket rotted.
+// Pooled connections that broke while parked are replaced transparently.
+// An engine restart resets every connection the router has pooled to it
+// (EPIPE/ECONNRESET on first reuse); the next exchange must retry once on a
+// fresh connection instead of declaring the backend dead — the backend is
+// fine, only the parked socket rotted. That holds for a fleet pull and for
+// a served read alike.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -74,6 +75,22 @@ TEST(PoolReconnectTest, EngineRestartDoesNotKillTheBackend) {
     EXPECT_EQ(after[i].locations, before[i].locations)
         << "same store artifact, same bits, across the engine restart";
   }
+
+  // Restart again, and this time a served read is the first exchange: it
+  // meets the rotten pooled socket inside serve()'s own loop.
+  const auto reconnects = [&] {
+    return router.metrics().counter("router_pool_reconnects_total").value();
+  };
+  const auto reconnects_before = reconnects();
+  engine.reset();
+  engine = std::make_unique<EngineWorker>(rt::engine_config(dir, 0));
+  engine->start();
+  const auto again = router.serve(requests);
+  EXPECT_EQ(again.size(), requests.size());
+  EXPECT_GT(reconnects(), reconnects_before);
+  EXPECT_EQ(router.live_backends().size(), 1u)
+      << "a rotten pooled socket must not be treated as a dead backend";
+  EXPECT_TRUE(router.quarantined_backends().empty());
 }
 
 }  // namespace
